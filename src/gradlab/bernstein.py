@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    GradlabError,
     ParameterError,
     RegimeError,
     UnconvergedInputError,
@@ -850,7 +851,7 @@ def scaling_fit(
         f = sample_source(spec.source, grid)
         try:
             u, _ = solve(spec, grid, options)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
+        except GradlabError as exc:  # failures are data here
             failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
             continue
         xs.append(lp_norm(f, q_eta))

@@ -22,7 +22,7 @@ from ..bernstein import (
     thm2_ledger,
     weak_identity_check,
 )
-from ..errors import ConfigError, RegimeError
+from ..errors import ConfigError, GradlabError, RegimeError
 from ..grid import Box, ScalarField, build_grid, gradient, lp_norm
 from ..model.exponents import build_exponent_table, effective_sobolev_dimension
 from ..model.problem import ProblemSpec
@@ -188,6 +188,18 @@ def run_experiment(
         "version": __version__,
         "sweep_axis": sweep_tag[0] if sweep_tag else None,
         "sweep_value": sweep_tag[1] if sweep_tag else None,
+        "solve": {
+            "stages": [
+                {
+                    "eps": s.eps,
+                    "gamma": s.gamma,
+                    "iterations": s.iterations,
+                    "krylov_iterations": s.krylov_iterations,
+                    "direct_fallbacks": s.direct_fallbacks,
+                }
+                for s in report.stages
+            ],
+        },
     }
     path, fresh = (None, True)
     if out_dir is not None:
@@ -445,7 +457,7 @@ def convergence_study(
         exact = np.asarray(u_exact(centers), dtype=float)
         try:
             u, _ = solve(problem, grid, options)
-        except Exception:  # noqa: BLE001 - the study reports partial results
+        except GradlabError:  # the study reports partial results
             rows.append(StudyLevel(n, grid.max_spacing, False, None, None))
             continue
         diff = u.values - exact

@@ -10,6 +10,17 @@ divergence is exactly conservative.  The Jacobian is assembled in sparse form
 from the same operators, which keeps Jacobian-vector products consistent with
 directional finite differences of the residual.
 
+Each Newton step is solved inexactly by GMRES.  The preconditioner is the
+constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
+the grid mean of ``a(w)``: with mirror ghosts the cell-centred Neumann
+Laplacian is diagonal in the DCT-II basis, so applying its inverse costs two
+fast transforms.  GMRES stops at the forcing term ``0.1 min(1, |R|)``,
+loose far from the solution and tightening with the residual, which keeps
+Newton's quadratic rate without over-solving early steps.  A step whose
+GMRES run misses the forcing term within its budget falls back to a sparse
+direct solve.  Newton itself still accepts a step, and a stage converges,
+only on the true residual.
+
 Supernatural gradient growth shrinks Newton basins badly, so the solve walks
 a continuation path: first the regularization eps is lowered geometrically
 from order one, then gamma is raised linearly to its target.  Every stage
@@ -19,12 +30,13 @@ restarts Newton from the previous stage's solution.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import LinearOperator, gmres, spsolve
 
 from .errors import (
     ContractError,
@@ -59,6 +71,24 @@ class SolverOptions:
     min_step: float = 2.0**-30
 
 
+# inner linear solve: GMRES restart length and restart cycles before the
+# direct fallback, and the forcing term _FORCING * min(1, |R|) floored at
+# _FORCING_MIN; a forcing term of order |R| keeps Newton q-quadratic
+# (Kelley 1995, sec. 6.1)
+_GMRES_RESTART = 30
+_GMRES_CYCLES = 4
+_FORCING = 0.1
+_FORCING_MIN = 1e-12
+
+
+@dataclass
+class LinearSolveStats:
+    """Linear-solver work of one continuation stage."""
+
+    krylov_iterations: int = 0
+    direct_fallbacks: int = 0
+
+
 @dataclass
 class StageReport:
     eps: float
@@ -67,6 +97,8 @@ class StageReport:
     residual_norm: float
     damping_events: int
     residual_history: list = field(default_factory=list)
+    krylov_iterations: int = 0
+    direct_fallbacks: int = 0
 
 
 @dataclass
@@ -95,20 +127,74 @@ def _residual_values(grid, coeff, ham, lam, f_values, u_values):
     return lam * u_values - div + ham.h_of_w(w) - f_values
 
 
-_OP_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _operators(grid: Grid):
-    key = (grid.cells, grid.domain.extents)
-    ops = _OP_CACHE.get(key)
-    if ops is None:
-        ops = {
-            "C": [centered_gradient_matrix(grid, d) for d in range(grid.ndim)],
-            "G": [face_difference_matrix(grid, d) for d in range(grid.ndim)],
-            "A": [face_average_matrix(grid, d) for d in range(grid.ndim)],
-        }
-        _OP_CACHE[key] = ops
-    return ops
+    return {
+        "C": [centered_gradient_matrix(grid, d) for d in range(grid.ndim)],
+        "G": [face_difference_matrix(grid, d) for d in range(grid.ndim)],
+        "A": [face_average_matrix(grid, d) for d in range(grid.ndim)],
+    }
+
+
+@functools.lru_cache(maxsize=8)
+def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of ``sum_d G_d^T G_d`` in the DCT-II basis, shape ``cells``."""
+    mu = np.zeros(grid.shape)
+    for d, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
+        shape = [1] * grid.ndim
+        shape[d] = n
+        mu_d = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
+        mu = mu + mu_d.reshape(shape)
+    mu.flags.writeable = False  # shared by every caller of the cache
+    return mu
+
+
+def _dct_preconditioner(grid: Grid, lam: float, abar: float) -> LinearOperator:
+    """Exact inverse of ``lam I + abar sum_d G_d^T G_d`` by two DCTs."""
+    # imported here so that a process that never takes a Newton step does not
+    # pay for loading scipy.fft
+    from scipy.fft import dctn, idctn
+
+    denom = lam + abar * _neumann_eigenvalues(grid)
+
+    def apply(r):
+        rhat = dctn(r.reshape(grid.shape), type=2, norm="ortho")
+        return idctn(rhat / denom, type=2, norm="ortho").ravel()
+
+    return LinearOperator((grid.size, grid.size), matvec=apply, dtype=float)
+
+
+def _mean_coefficient(grid, coeff, ham, u_values) -> float:
+    uflat = u_values.ravel()
+    w = ham.eps + sum((C @ uflat) ** 2 for C in _operators(grid)["C"])
+    return float(np.mean(coeff.a(w)))
+
+
+def _newton_direction(grid, J, r, rn, lam, abar, stats) -> np.ndarray:
+    """Inexact Newton step ``J delta = -r``; direct solve if GMRES stalls."""
+    eta = max(_FORCING_MIN, _FORCING * min(1.0, rn))
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    delta, info = gmres(
+        J,
+        -r.ravel(),
+        rtol=eta,
+        atol=0.0,
+        restart=_GMRES_RESTART,
+        maxiter=_GMRES_CYCLES,
+        M=_dct_preconditioner(grid, lam, abar),
+        callback=count,
+        callback_type="pr_norm",
+    )
+    stats.krylov_iterations += iterations
+    if info != 0:
+        stats.direct_fallbacks += 1
+        delta = spsolve(J.tocsc(), -r.ravel())
+    return delta.reshape(grid.shape)
 
 
 def _jacobian_matrix(grid, coeff, ham, lam, u_values) -> sp.csr_matrix:
@@ -166,7 +252,7 @@ def _continuation_schedule(eps_target: float, gamma_target: float, options: Solv
     return stages
 
 
-def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options):
+def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
     history = []
     damping_events = 0
     u = u_values
@@ -179,7 +265,8 @@ def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options):
         if it == options.max_iter:
             break
         J = _jacobian_matrix(grid, coeff, ham, lam, u)
-        delta = spsolve(J.tocsc(), -r.ravel()).reshape(grid.shape)
+        abar = _mean_coefficient(grid, coeff, ham, u)
+        delta = _newton_direction(grid, J, r, rn, lam, abar, stats)
         merit = 0.5 * rn * rn
         alpha = 1.0
         while True:
@@ -232,8 +319,9 @@ def solve(
     stages = []
     for eps_s, gamma_s in schedule:
         ham = PowerHamiltonian(gamma_s, eps_s)
+        stats = LinearSolveStats()
         u, history, damping, ok = _newton_stage(
-            grid, problem.coefficient, ham, problem.lam, f_values, u, options
+            grid, problem.coefficient, ham, problem.lam, f_values, u, options, stats
         )
         stages.append(
             StageReport(
@@ -243,6 +331,8 @@ def solve(
                 residual_norm=history[-1],
                 damping_events=damping,
                 residual_history=history,
+                krylov_iterations=stats.krylov_iterations,
+                direct_fallbacks=stats.direct_fallbacks,
             )
         )
         if not ok:

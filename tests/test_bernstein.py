@@ -15,6 +15,7 @@ from gradlab.bernstein import (
     weak_identity_check,
 )
 from gradlab.errors import (
+    NonconvergenceError,
     ParameterError,
     RegimeError,
     UnconvergedInputError,
@@ -186,3 +187,22 @@ def test_scaling_fit_validations(p3_problem, box2d):
         scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8], beta=6.0)
     with pytest.raises(ParameterError):
         scaling_fit(p3_problem, grid, scales=[1, 2, 4, 4, 8], beta=6.0)
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [(NonconvergenceError("stalled"), ParameterError), (TypeError("bug"), TypeError)],
+)
+def test_scaling_fit_records_only_package_errors(
+    p3_problem, box2d, monkeypatch, error, expected
+):
+    """A failed solve is a recorded data point (here all fail, so too few
+    remain to fit); a bug in the solve propagates."""
+
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("gradlab.bernstein.solve", failing_solve)
+    grid = build_grid(box2d, (16, 16))
+    with pytest.raises(expected):
+        scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0)

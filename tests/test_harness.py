@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gradlab.errors import ConfigError, RegimeError
+from gradlab.errors import ConfigError, NonconvergenceError, RegimeError
 from gradlab.grid import Box
 from gradlab.harness import (
     convergence_study,
@@ -137,6 +137,11 @@ def test_run_experiment_persists_and_caches(tmp_path):
     payload, meta = load_record(result.path)
     assert payload == result.payload
     assert "wall_time" in meta and "wall_time" not in json.dumps(payload)
+    stages = meta["solve"]["stages"]
+    assert len(stages) == len(payload["solve"]["stages"])
+    assert sum(s["krylov_iterations"] for s in stages) > 0
+    assert all(s["direct_fallbacks"] == 0 for s in stages)
+    assert "krylov_iterations" not in json.dumps(payload)
     field = load_record_field(result.path)
     assert np.array_equal(field.values, result.u.values)
     again = run_experiment(cfg, tmp_path)
@@ -208,6 +213,30 @@ def test_convergence_study_second_order(box2d):
     assert all(lv.converged for lv in study.levels)
     assert min(study.orders_linf) >= 1.7
     assert min(study.orders_l2) >= 1.7
+
+
+@pytest.mark.parametrize(
+    "error, propagates",
+    [(NonconvergenceError("stalled"), False), (TypeError("bug"), True)],
+)
+def test_convergence_study_records_only_package_errors(
+    box2d, monkeypatch, error, propagates
+):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("gradlab.harness.runner.solve", failing_solve)
+    args = dict(
+        p=2.0, gamma=2.0, lam=1.0, eps=1e-2,
+        f_exact=lambda c: np.ones_like(c[0]), u_exact=lambda c: np.zeros_like(c[0]),
+        base_cells=8, levels=3,
+    )
+    if propagates:
+        with pytest.raises(type(error)):
+            convergence_study(box2d, **args)
+    else:
+        study = convergence_study(box2d, **args)
+        assert not any(lv.converged for lv in study.levels)
 
 
 def test_convergence_study_needs_three_levels(box2d):

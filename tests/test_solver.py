@@ -1,13 +1,33 @@
 """Newton solver: exactness checks, Jacobian consistency, continuation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import gradlab.solver
 from gradlab.errors import NonconvergenceError, UnsupportedRegimeError
-from gradlab.grid import Box, ScalarField, build_grid, gradient, lp_norm
-from gradlab.model import CosineProduct, ProblemSpec, Tabulated, sample_source
+from gradlab.grid import (
+    Box,
+    ScalarField,
+    build_grid,
+    face_difference_matrix,
+    gradient,
+    lp_norm,
+)
+from gradlab.model import (
+    CosineProduct,
+    ProblemSpec,
+    RadialSingular,
+    Tabulated,
+    sample_source,
+)
 from gradlab.solver import (
     SolverOptions,
+    _dct_preconditioner,
+    _neumann_eigenvalues,
     epsilon_sweep,
     jacobian,
     manufacture_source,
@@ -121,3 +141,81 @@ def test_epsilon_sweep_norms_stable(p2_problem, box2d):
     spread = (norms.max() - norms.min()) / norms.min()
     assert spread <= 0.05
     assert all(row.report.converged for row in rows)
+
+
+@pytest.mark.parametrize(
+    "extents, cells",
+    [((1.0, 2.5), (8, 13)), ((1.0, 0.7, 1.3), (8, 10, 9))],
+)
+def test_dct_preconditioner_inverts_neumann_operator(rng, extents, cells):
+    """The DCT-II diagonalizes the mirror-ghost Laplacian on any box, so the
+    preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d."""
+    grid = build_grid(Box(extents), cells)
+    lam, abar = 0.3, 1.7
+    laplacian = sum(
+        G.T @ G for G in (face_difference_matrix(grid, d) for d in range(grid.ndim))
+    )
+    op = lam * sp.identity(grid.size) + abar * laplacian
+    inverse = _dct_preconditioner(grid, lam, abar)
+    x = rng.standard_normal(grid.size)
+    assert np.max(np.abs(inverse @ (op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+    b = op @ x
+    assert np.max(np.abs(op @ (inverse @ b) - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_direct_fallback_matches_krylov_solve(monkeypatch):
+    """With GMRES never converging every Newton step goes through the direct
+    solve, which reaches the same solution in nearly the same steps."""
+    box = Box((1.0, 1.0, 1.0))
+    prob = ProblemSpec.power_model(
+        box, p=2.0, gamma=6.0, lam=1.0, eps=1e-2,
+        source=RadialSingular(center=(0.5, 0.5, 0.5), power=0.8, amplitude=15.0),
+    )
+    grid = build_grid(box, (10, 10, 10))
+    options = SolverOptions()
+    u_krylov, krylov = solve(prob, grid, options)
+    assert sum(s.krylov_iterations for s in krylov.stages) > 0
+    assert all(s.direct_fallbacks == 0 for s in krylov.stages)
+
+    def stalled_gmres(A, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(gradlab.solver, "gmres", stalled_gmres)
+    u_direct, direct = solve(prob, grid, options)
+    assert direct.converged
+    assert [s.direct_fallbacks for s in direct.stages] == [
+        s.iterations for s in direct.stages
+    ]
+    diff = lp_norm(ScalarField(grid, u_krylov.values - u_direct.values), 2.0)
+    assert diff <= options.tol / prob.lam
+    assert len(direct.stages) == len(krylov.stages)
+    for a, b in zip(krylov.stages, direct.stages):
+        assert abs(a.iterations - b.iterations) <= 1
+
+
+def test_eigenvalue_cache_is_thread_safe():
+    """Threaded sweeps share the bounded grid caches; more grids than the
+    cache holds force evictions while other threads read."""
+    grids = [build_grid(Box((1.0, 1.0)), (8 + i, 8)) for i in range(12)]
+    expected = [np.array(_neumann_eigenvalues(g)) for g in grids]
+    errors = []
+
+    def worker(offset):
+        for k in range(200):
+            i = (offset + k) % len(grids)
+            if not np.array_equal(_neumann_eigenvalues(grids[i]), expected[i]):
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert _neumann_eigenvalues.cache_info().currsize <= 8
