@@ -250,7 +250,7 @@ def _pairing(bundle: SolutionBundle, phi: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def weak_identity_check(problem: ProblemSpec, u: ScalarField, beta: float) -> LedgerRow:
+def weak_identity_check(bundle: SolutionBundle, beta: float) -> LedgerRow:
     """Variational identity tested with ``phi = -2 div(Du w^beta)``.
 
     Both sides are evaluated by midpoint quadrature with centered gradients,
@@ -259,11 +259,10 @@ def weak_identity_check(problem: ProblemSpec, u: ScalarField, beta: float) -> Le
     """
     if beta < 0:
         raise ParameterError("test power beta must be nonnegative")
-    bundle = prepare_bundle(problem, u)
     phi = _full_gradient_test_function(bundle, beta)
     lhs = _pairing(bundle, phi)
     rhs = bundle.integral(
-        (bundle.f - problem.lam * bundle.u.values - bundle.h_w) * phi
+        (bundle.f - bundle.problem.lam * bundle.u.values - bundle.h_w) * phi
     )
     h = bundle.grid.max_spacing
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -283,8 +282,7 @@ def weak_identity_check(problem: ProblemSpec, u: ScalarField, beta: float) -> Le
 
 
 def thm1_ledger(
-    problem: ProblemSpec,
-    u: ScalarField,
+    bundle: SolutionBundle,
     beta: float,
     sobolev_dim: int | None = None,
 ) -> BernsteinLedger:
@@ -301,7 +299,7 @@ def thm1_ledger(
     """
     if beta < 2:
         raise ParameterError("full-gradient rows need beta >= 2")
-    bundle = prepare_bundle(problem, u)
+    problem = bundle.problem
     g = bundle.grid
     ndim = g.ndim
     ns = effective_sobolev_dimension(ndim, sobolev_dim)
@@ -449,8 +447,7 @@ def _young_tail_constant(delta: float, eta: float, c_grad: float) -> float:
 
 
 def thm2_ledger(
-    problem: ProblemSpec,
-    u: ScalarField,
+    bundle: SolutionBundle,
     k: float,
     beta: float,
     sobolev_dim: int | None = None,
@@ -469,7 +466,7 @@ def thm2_ledger(
     t2s4      Hamiltonian, zero-order, and data terms split by Young
     mainineq  assembled superlevel bound with fitted Sobolev constant
     """
-    p, gam, lam = problem.p, problem.gamma, problem.lam
+    p, gam, lam = bundle.problem.p, bundle.problem.gamma, bundle.problem.lam
     if p < 2:
         raise RegimeError("superlevel rows require p >= 2")
     if k < 1.0:
@@ -480,7 +477,6 @@ def thm2_ledger(
             f"test power beta={beta} gives interpolation index r={r_bad} <= 2: "
             "the superlevel construction is empty (proof-gap regime)"
         )
-    bundle = prepare_bundle(problem, u)
     if bundle.ratio_inf < -1e-10:
         raise RegimeError(
             "superlevel rows need a nondecreasing coefficient "
@@ -694,8 +690,7 @@ def _dichotomy_roots(omega: float, c: float, s: float):
 
 
 def levelset_scan(
-    problem: ProblemSpec,
-    u: ScalarField,
+    bundle: SolutionBundle,
     r: float,
     k_list,
     sobolev_dim: int | None = None,
@@ -720,10 +715,9 @@ def levelset_scan(
     if float(r) <= 2.0:
         raise RegimeError(f"interpolation index r={float(r)} <= 2: proof-gap regime")
     r = float(r)
-    ns = effective_sobolev_dimension(u.grid.ndim, sobolev_dim)
+    ns = effective_sobolev_dimension(bundle.grid.ndim, sobolev_dim)
     s = (ns - 2.0) / ns
-    bundle = prepare_bundle(problem, u)
-    vol = u.grid.cell_volume
+    vol = bundle.grid.cell_volume
     du2 = np.sum(bundle.du**2, axis=0)
     cheb_total = float(np.sum(np.sqrt(du2 + 1.0)) * vol)
 
@@ -731,7 +725,7 @@ def levelset_scan(
     measures = np.empty(ks.size)
     for i, k in enumerate(ks):
         vk = np.maximum(bundle.v - k, 0.0)
-        Z[i] = float(np.sum(vk ** (r * problem.gamma)) * vol)
+        Z[i] = float(np.sum(vk ** (r * bundle.problem.gamma)) * vol)
         measures[i] = float(np.count_nonzero(bundle.v > k) * vol)
     Y = Z**s
     cheb_ok = measures * ks <= cheb_total * (1.0 + 1e-12)
@@ -773,18 +767,6 @@ def levelset_scan(
         chebyshev_ok=cheb_ok,
         small_branch_ok=small_branch_ok,
     )
-
-
-def chebyshev_bound(problem: ProblemSpec, u: ScalarField, k: float) -> tuple[float, float, bool]:
-    """Superlevel measure of ``v`` at ``k`` against its integral bound."""
-    if k <= 0:
-        raise ParameterError("threshold k must be positive")
-    du = gradient(u).components
-    v = np.sqrt(problem.eps + np.sum(du**2, axis=0))
-    vol = u.grid.cell_volume
-    measure = float(np.count_nonzero(v > k) * vol)
-    bound = float(np.sum(np.sqrt(np.sum(du**2, axis=0) + 1.0)) * vol)
-    return measure, bound, measure * k <= bound * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ fractions for the exponent calculus.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import io
 from dataclasses import dataclass, field
@@ -112,6 +113,24 @@ class RunConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text.encode()).hexdigest()
+
+    def override(self, key: str, value: str) -> "RunConfig":
+        """This config with the entry ``key = value`` set, parsed again.
+
+        The entry goes into the section that owns ``key``.  If the result
+        parses to the same fields as this config, this config itself is
+        returned, so its digest keeps the text it was written with.
+        """
+        section = next(s for s, keys in _KNOWN_KEYS.items() if key in keys)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(self.canonical_text)
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+        variant = parse_config(_canonical_text(parser))
+        if dataclasses.replace(variant, canonical_text=self.canonical_text) == self:
+            return self
+        return variant
 
     def build_source(self):
         params = self.source_params

@@ -5,16 +5,16 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as _dt
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .. import __version__
+from .. import __version__, bernstein
 from ..bernstein import (
     levelset_scan,
     maximal_regularity_norm,
@@ -24,14 +24,21 @@ from ..bernstein import (
 )
 from ..errors import ConfigError, GradlabError, RegimeError
 from ..grid import Box, ScalarField, build_grid, gradient, lp_norm
-from ..model.exponents import build_exponent_table, effective_sobolev_dimension
+from ..model.exponents import build_exponent_table
 from ..model.problem import ProblemSpec
 from ..model.sources import Tabulated
 from ..solver import SolverOptions, solve
 from .config import RunConfig
 from .records import persist_record, load_record
 
-_SWEEP_AXES = ("eps", "scale", "h", "k", "lambda")
+# sweep axis -> (RunConfig field listing its values, config key each value sets)
+_SWEEP_AXES = {
+    "eps": ("epsilon_sweep", "eps"),
+    "scale": ("scales", "scale"),
+    "h": ("h_sweep", "cells"),
+    "k": ("k_levels", "k_levels"),
+    "lambda": ("lambda_sweep", "lambda"),
+}
 
 
 @dataclass
@@ -43,19 +50,19 @@ class ExperimentResult:
     fresh: bool
 
 
-def _patched_text(text: str, key: str, value: str) -> str:
-    """Replace one ``key = value`` line of a canonical config text."""
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith(f"{key} = "):
-            lines[i] = f"{key} = {value}"
-            return "\n".join(lines) + "\n"
-    # key was defaulted and has no line; append it under its section is not
-    # possible without section tracking, so refuse rather than guess
-    raise ConfigError(f"cannot patch config: no explicit {key!r} entry")
+def _exponent_table(config: RunConfig):
+    return build_exponent_table(
+        len(config.cells),
+        config.p,
+        config.gamma,
+        config.q,
+        lam=config.lam,
+        beta=config.beta,
+        sobolev_dim=config.sobolev_dim,
+    )
 
 
-def _norm_table(config: RunConfig, problem: ProblemSpec, u: ScalarField, table) -> dict:
+def _norm_table(config: RunConfig, u: ScalarField, table) -> dict:
     du = gradient(u)
     vol = u.grid.cell_volume
     norms = {
@@ -81,25 +88,23 @@ def run_experiment(
     """Solve one config and evaluate its requested analyses.
 
     The returned payload is deterministic for a given config and initial
-    iterate; timing and provenance go to the meta side of the record.
+    iterate; timing and provenance go to the meta side of the record.  A
+    warm start from ``initial`` solves in one stage at the target (eps,
+    gamma); only a cold start follows the continuation schedule.
     """
     problem = config.build_problem()
     grid = config.build_grid()
     t0 = time.perf_counter()
     u, report = solve(
-        problem, grid, config.solver, initial=initial, continuation=config.continuation
+        problem,
+        grid,
+        config.solver,
+        initial=initial,
+        continuation=config.continuation and initial is None,
     )
     wall = time.perf_counter() - t0
 
-    table = build_exponent_table(
-        grid.ndim,
-        config.p,
-        config.gamma,
-        config.q,
-        lam=config.lam,
-        beta=config.beta,
-        sobolev_dim=config.sobolev_dim,
-    )
+    table = _exponent_table(config)
 
     payload: dict = {
         "config_digest": config.digest(),
@@ -134,16 +139,18 @@ def run_experiment(
             ],
         },
         "exponents": table.to_dict(),
-        "norms": _norm_table(config, problem, u, table),
+        "norms": _norm_table(config, u, table),
         "ledgers": {},
     }
 
+    # built on first use, so a run whose ledgers are all skipped builds none
+    bundle = functools.cache(lambda: bernstein.prepare_bundle(problem, u))
     beta_f = float(config.beta)
     if "weak" in config.ledgers:
-        payload["ledgers"]["weak"] = weak_identity_check(problem, u, beta_f).to_dict()
+        payload["ledgers"]["weak"] = weak_identity_check(bundle(), beta_f).to_dict()
     if "thm1" in config.ledgers:
         payload["ledgers"]["thm1"] = thm1_ledger(
-            problem, u, beta_f, sobolev_dim=config.sobolev_dim
+            bundle(), beta_f, sobolev_dim=config.sobolev_dim
         ).to_dict()
     if "thm2" in config.ledgers:
         if table.thm2 is None:
@@ -156,8 +163,7 @@ def run_experiment(
         else:
             k0 = config.k_levels[0] if config.k_levels else 1.0
             payload["ledgers"]["thm2"] = thm2_ledger(
-                problem,
-                u,
+                bundle(),
                 k=k0,
                 beta=float(table.thm2.beta),
                 sobolev_dim=config.sobolev_dim,
@@ -169,8 +175,7 @@ def run_experiment(
             }
         else:
             payload["ledgers"]["scan"] = levelset_scan(
-                problem,
-                u,
+                bundle(),
                 r=float(table.thm2.r),
                 k_list=config.k_levels,
                 sobolev_dim=config.sobolev_dim,
@@ -208,192 +213,53 @@ def run_experiment(
 
 
 def _sweep_variants(config: RunConfig, axis: str) -> list:
-    if axis == "eps":
-        values = config.epsilon_sweep
-        if not values:
-            raise ConfigError("eps sweep needs 'epsilon_sweep' values in [analysis]")
-        return [
-            config
-            if v == config.eps
-            else dataclasses.replace(
-                config,
-                eps=v,
-                canonical_text=_patched_text(config.canonical_text, "eps", repr(v)),
-            )
-            for v in values
-        ]
-    if axis == "lambda":
-        values = config.lambda_sweep
-        if not values:
-            raise ConfigError("lambda sweep needs 'lambda_sweep' values in [analysis]")
-        out = []
-        for v in values:
-            lam = Fraction(v).limit_denominator(10**9)
-            if lam == config.lam:
-                out.append(config)
-            else:
-                out.append(
-                    dataclasses.replace(
-                        config,
-                        lam=lam,
-                        canonical_text=_patched_text(
-                            config.canonical_text, "lambda", repr(v)
-                        ),
-                    )
-                )
-        return out
+    """(value, config) pairs, each the base config with one entry overridden."""
+    if axis not in _SWEEP_AXES:
+        raise ConfigError(
+            f"unknown sweep axis {axis!r}; choose from {tuple(_SWEEP_AXES)}"
+        )
+    field, key = _SWEEP_AXES[axis]
+    values = getattr(config, field)
+    if not values:
+        raise ConfigError(f"{axis} sweep needs {field!r} values in [analysis]")
+    if axis == "k":
+        if _exponent_table(config).thm2 is None:
+            raise RegimeError("k sweep needs a superlevel regime (no thm2 block)")
+        config = config.override("ledgers", "thm2")
     if axis == "h":
-        values = config.h_sweep
-        if not values:
-            raise ConfigError("h sweep needs 'h_sweep' cell counts in [analysis]")
         ndim = len(config.cells)
-        out = []
-        for n in values:
-            cells = (int(n),) * ndim
-            if cells == tuple(config.cells):
-                out.append(config)
-            else:
-                out.append(
-                    dataclasses.replace(
-                        config,
-                        cells=cells,
-                        canonical_text=_patched_text(
-                            config.canonical_text, "cells", " ".join(map(str, cells))
-                        ),
-                    )
-                )
-        return out
-    if axis == "scale":
-        values = config.scales
-        if not values:
-            raise ConfigError("scale sweep needs 'scales' values in [analysis]")
-        out = []
-        for v in values:
-            if config.source_params.get("scale") == v:
-                out.append(config)
-                continue
-            params = dict(config.source_params)
-            params["scale"] = v
-            try:
-                text = _patched_text(config.canonical_text, "scale", repr(v))
-            except ConfigError:
-                text = config.canonical_text + f"scale = {v!r}\n"
-            out.append(
-                dataclasses.replace(config, source_params=params, canonical_text=text)
-            )
-        return out
-    raise ConfigError(f"unknown sweep axis {axis!r}; choose from {_SWEEP_AXES}")
+        return [(n, config.override(key, " ".join([str(n)] * ndim))) for n in values]
+    return [(v, config.override(key, repr(v))) for v in values]
 
 
 def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> list:
     """Run a family of experiments along one axis.
 
-    The eps axis is solved sequentially, warm-starting each solve from the
-    previous solution, because continuation in eps is the whole point of
-    that sweep.  The k axis reuses a single solve and varies only the
-    analysis level.  All other axes are independent and run concurrently.
+    The eps and k axes run as one warm chain: each point starts from the
+    previous point's solution, so only the first point walks the
+    continuation schedule and every later one solves in one stage at its
+    own target.  A k point has the same target as the point before it, so
+    it takes no Newton step and only evaluates ``thm2`` at its own level.
+    The other axes are independent and run concurrently.
     """
-    if axis == "k":
-        if len(config.k_levels) < 1:
-            raise ConfigError("k sweep needs 'k_levels' in [analysis]")
-        ledgers = tuple(config.ledgers)
-        if "thm2" not in ledgers:
-            ledgers = ledgers + ("thm2",)
-        results = []
-        base = dataclasses.replace(config, ledgers=ledgers)
-        problem = base.build_problem()
-        grid = base.build_grid()
-        u, _ = solve(problem, grid, base.solver, continuation=base.continuation)
-        table = build_exponent_table(
-            grid.ndim,
-            base.p,
-            base.gamma,
-            base.q,
-            lam=base.lam,
-            beta=base.beta,
-            sobolev_dim=base.sobolev_dim,
-        )
-        if table.thm2 is None:
-            raise RegimeError("k sweep needs a superlevel regime (no thm2 block)")
-        for k in base.k_levels:
-            variant = dataclasses.replace(base, k_levels=(k,))
-            result = run_experiment_with_solution(
-                variant, problem, grid, u, table, out_dir, sweep_tag=("k", k)
-            )
-            results.append(result)
-        return results
-
     variants = _sweep_variants(config, axis)
-    results = []
-    if axis == "eps":
+    if axis in ("eps", "k"):
+        results = []
         initial = None
-        for variant, value in zip(variants, config.epsilon_sweep):
+        for value, variant in variants:
             result = run_experiment(
-                variant, out_dir, initial=initial, sweep_tag=("eps", value)
+                variant, out_dir, initial=initial, sweep_tag=(axis, value)
             )
             initial = result.u
             results.append(result)
         return results
 
-    values = {
-        "lambda": config.lambda_sweep,
-        "h": config.h_sweep,
-        "scale": config.scales,
-    }[axis]
     with ThreadPoolExecutor(max_workers=min(4, len(variants))) as pool:
         futures = [
             pool.submit(run_experiment, variant, out_dir, None, (axis, value))
-            for variant, value in zip(variants, values)
+            for value, variant in variants
         ]
-        results = [f.result() for f in futures]
-    return results
-
-
-def run_experiment_with_solution(
-    config: RunConfig,
-    problem: ProblemSpec,
-    grid,
-    u: ScalarField,
-    table,
-    out_dir: str | Path | None,
-    sweep_tag: tuple | None = None,
-) -> ExperimentResult:
-    """Analysis-only variant of :func:`run_experiment` for the k axis."""
-    k0 = config.k_levels[0]
-    payload = {
-        "config_digest": config.digest(),
-        "parameters": {
-            "p": str(config.p),
-            "gamma": str(config.gamma),
-            "lambda": str(config.lam),
-            "q": str(config.q),
-            "eps": config.eps,
-            "beta": str(config.beta),
-            "source_kind": config.source_kind,
-            "extents": list(config.extents),
-            "cells": list(config.cells),
-            "ledger_k": k0,
-            "sobolev_dim": table.sobolev_dim,
-        },
-        "exponents": table.to_dict(),
-        "norms": _norm_table(config, problem, u, table),
-        "ledgers": {
-            "thm2": thm2_ledger(
-                problem, u, k=k0, beta=float(table.thm2.beta), sobolev_dim=config.sobolev_dim
-            ).to_dict()
-        },
-    }
-    meta = {
-        "created": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "wall_time": 0.0,
-        "version": __version__,
-        "sweep_axis": sweep_tag[0] if sweep_tag else None,
-        "sweep_value": sweep_tag[1] if sweep_tag else None,
-    }
-    path, fresh = (None, True)
-    if out_dir is not None:
-        path, fresh = persist_record(out_dir, payload, meta, u)
-    return ExperimentResult(payload=payload, meta=meta, u=u, path=path, fresh=fresh)
+        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------

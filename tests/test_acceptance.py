@@ -13,6 +13,7 @@ import pytest
 from gradlab.bernstein import (
     levelset_scan,
     maximal_regularity_norm,
+    prepare_bundle,
     scaling_fit,
     thm1_ledger,
     thm2_ledger,
@@ -118,7 +119,7 @@ def test_c05_weak_identity_gap_converges(p2_problem, box2d):
         gaps = []
         for n in (32, 64, 128):
             u, _ = solve(p2_problem, build_grid(box2d, (n, n)))
-            row = weak_identity_check(p2_problem, u, beta=4.0)
+            row = weak_identity_check(prepare_bundle(p2_problem, u), beta=4.0)
             assert row.passed
             gaps.append(row.constants["relative_gap"])
         orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
@@ -132,12 +133,12 @@ def test_c06_ledgers_pass_and_persist_under_refinement(
     sing_problem, sing_solution_48, sing_solution_96,
 ):
     def body():
-        assert thm1_ledger(p2_problem, p2_solution_64, beta=4.0).all_pass
-        assert thm1_ledger(p3_problem, p3_solution_48, beta=6.0).all_pass
-        assert thm1_ledger(p3_problem, p3_solution_96, beta=6.0).all_pass
+        assert thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), beta=4.0).all_pass
+        assert thm1_ledger(prepare_bundle(p3_problem, p3_solution_48), beta=6.0).all_pass
+        assert thm1_ledger(prepare_bundle(p3_problem, p3_solution_96), beta=6.0).all_pass
         for u in (sing_solution_48, sing_solution_96):
             ledger = thm2_ledger(
-                sing_problem, u, k=1.0, beta=5.0, sobolev_dim=3
+                prepare_bundle(sing_problem, u), k=1.0, beta=5.0, sobolev_dim=3
             )
             assert ledger.all_pass
 
@@ -176,7 +177,10 @@ def test_c09_levelset_dichotomy(sing_problem, sing_solution_96):
     def body():
         ks = [1.0, 1.15, 1.3, 1.45, 1.6, 1.75, 1.9, 2.2, 2.5]
         scan = levelset_scan(
-            sing_problem, sing_solution_96, r=8 / 3, k_list=ks, sobolev_dim=3
+            prepare_bundle(sing_problem, sing_solution_96),
+            r=8 / 3,
+            k_list=ks,
+            sobolev_dim=3,
         )
         z = np.asarray(scan.Z)
         assert np.all(np.diff(z) <= 1e-15)
@@ -208,6 +212,6 @@ def test_c11_proof_gap_is_first_class(sing_problem, sing_solution_48):
         assert isinstance(gap, ProofGap)
         assert gap.r == F(11, 6)
         with pytest.raises(RegimeError, match="proof-gap"):
-            thm2_ledger(sing_problem, sing_solution_48, k=1.0, beta=1.0)
+            thm2_ledger(prepare_bundle(sing_problem, sing_solution_48), k=1.0, beta=1.0)
 
     _check("11 proof-gap regime reported, never bluffed", body)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gradlab.bernstein import (
-    chebyshev_bound,
     levelset_scan,
     maximal_regularity_norm,
     prepare_bundle,
@@ -35,7 +34,7 @@ def test_weak_identity_trivial_on_constant(box2d):
     )
     grid = build_grid(box2d, (32, 32))
     u = ScalarField(grid, np.full(grid.shape, 5.0))
-    row = weak_identity_check(prob, u, beta=4.0)
+    row = weak_identity_check(prepare_bundle(prob, u), beta=4.0)
     assert row.passed
     assert row.lhs == 0.0 and row.rhs == 0.0
     assert row.constants["relative_gap"] == 0.0
@@ -45,7 +44,7 @@ def test_weak_identity_gap_converges(p2_problem, box2d):
     gaps = []
     for n in (32, 64, 128):
         u, _ = solve(p2_problem, build_grid(box2d, (n, n)))
-        row = weak_identity_check(p2_problem, u, beta=4.0)
+        row = weak_identity_check(prepare_bundle(p2_problem, u), beta=4.0)
         assert row.passed
         gaps.append(row.constants["relative_gap"])
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
@@ -53,7 +52,7 @@ def test_weak_identity_gap_converges(p2_problem, box2d):
 
 
 def test_full_gradient_ledger_smooth_p2(p2_problem, p2_solution_64):
-    ledger = thm1_ledger(p2_problem, p2_solution_64, beta=4.0)
+    ledger = thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), beta=4.0)
     assert ledger.family == "full-gradient"
     assert ledger.all_pass, [r.lemma for r in ledger.rows if not r.passed]
     assert {r.lemma for r in ledger.rows} == {
@@ -64,7 +63,7 @@ def test_full_gradient_ledger_smooth_p2(p2_problem, p2_solution_64):
 
 
 def test_full_gradient_ledger_degenerate_p3(p3_problem, p3_solution_48):
-    ledger = thm1_ledger(p3_problem, p3_solution_48, beta=6.0)
+    ledger = thm1_ledger(prepare_bundle(p3_problem, p3_solution_48), beta=6.0)
     assert ledger.all_pass, [
         (r.lemma, r.slack, r.tol) for r in ledger.rows if not r.passed
     ]
@@ -72,7 +71,7 @@ def test_full_gradient_ledger_degenerate_p3(p3_problem, p3_solution_48):
 
 def test_thm1_requires_moderate_weight(p2_problem, p2_solution_64):
     with pytest.raises(ParameterError):
-        thm1_ledger(p2_problem, p2_solution_64, beta=1.5)
+        thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), beta=1.5)
 
 
 def test_bundle_rejects_non_solution(p2_problem, box2d):
@@ -85,7 +84,7 @@ def test_bundle_rejects_non_solution(p2_problem, box2d):
 
 def test_superlevel_ledger_singular(sing_problem, sing_solution_48):
     ledger = thm2_ledger(
-        sing_problem, sing_solution_48, k=1.0, beta=5.0, sobolev_dim=3
+        prepare_bundle(sing_problem, sing_solution_48), k=1.0, beta=5.0, sobolev_dim=3
     )
     assert ledger.family == "superlevel"
     assert {r.lemma for r in ledger.rows} == {"t2s1", "t2s2", "t2s4", "mainineq"}
@@ -96,13 +95,13 @@ def test_superlevel_ledger_singular(sing_problem, sing_solution_48):
 
 def test_superlevel_ledger_stable_under_refinement(sing_problem, sing_solution_96):
     ledger = thm2_ledger(
-        sing_problem, sing_solution_96, k=1.0, beta=5.0, sobolev_dim=3
+        prepare_bundle(sing_problem, sing_solution_96), k=1.0, beta=5.0, sobolev_dim=3
     )
     assert ledger.all_pass
 
 
 def test_superlevel_ledger_true_3d(sing3d_problem, sing3d_solution):
-    ledger = thm2_ledger(sing3d_problem, sing3d_solution, k=1.0, beta=5.0)
+    ledger = thm2_ledger(prepare_bundle(sing3d_problem, sing3d_solution), k=1.0, beta=5.0)
     assert ledger.all_pass, [
         (r.lemma, r.slack, r.tol) for r in ledger.rows if not r.passed
     ]
@@ -111,59 +110,56 @@ def test_superlevel_ledger_true_3d(sing3d_problem, sing3d_solution):
 def test_superlevel_empty_mask_passes(sing_problem, sing_solution_48):
     """Levels above the gradient range give zero on both sides everywhere."""
     ledger = thm2_ledger(
-        sing_problem, sing_solution_48, k=5.0, beta=5.0, sobolev_dim=3
+        prepare_bundle(sing_problem, sing_solution_48), k=5.0, beta=5.0, sobolev_dim=3
     )
     assert ledger.all_pass
 
 
 def test_superlevel_parameter_gates(sing_problem, sing_solution_48, box2d):
+    bundle = prepare_bundle(sing_problem, sing_solution_48)
     with pytest.raises(ParameterError):
-        thm2_ledger(sing_problem, sing_solution_48, k=0.5, beta=5.0)
+        thm2_ledger(bundle, k=0.5, beta=5.0)
     with pytest.raises(RegimeError, match="proof-gap"):
-        thm2_ledger(sing_problem, sing_solution_48, k=1.0, beta=1.0)
+        thm2_ledger(bundle, k=1.0, beta=1.0)
 
 
 def test_superlevel_rejects_singular_diffusion(box2d):
     """The chain needs a nondegenerate ellipticity floor; p < 2 is refused
-    before any field data is touched."""
+    before any row is evaluated."""
     prob = ProblemSpec.power_model(
         box2d, p=1.5, gamma=2.0, lam=1.0, eps=1e-2,
         source=CosineProduct(amplitude=8.0, modes=(1, 1)),
     )
+    u, report = solve(prob, build_grid(box2d, (16, 16)))
+    assert report.converged
     with pytest.raises(RegimeError):
-        thm2_ledger(prob, None, k=1.0, beta=5.0)
+        thm2_ledger(prepare_bundle(prob, u), k=1.0, beta=5.0)
 
 
-def test_chebyshev_bound_levels(sing_problem, sing_solution_48):
-    for k in (1.0, 1.5, 2.0):
-        lhs, rhs, ok = chebyshev_bound(sing_problem, sing_solution_48, k)
-        assert ok
-        assert lhs <= rhs + 1e-14
-    with pytest.raises(ParameterError):
-        chebyshev_bound(sing_problem, sing_solution_48, 0.0)
+def test_levelset_scan_chebyshev_levels(sing_problem, sing_solution_48):
+    ks = [1.0, 1.5, 2.0, 2.5]
+    scan = levelset_scan(prepare_bundle(sing_problem, sing_solution_48), r=8 / 3, k_list=ks)
+    for i in range(3):  # k = 1.0, 1.5, 2.0
+        assert scan.chebyshev_ok[i]
+        assert scan.measures[i] <= scan.chebyshev_bound + 1e-14
 
 
 def test_levelset_scan_validations(sing_problem, sing_solution_48):
+    bundle = prepare_bundle(sing_problem, sing_solution_48)
     with pytest.raises(ParameterError):
-        levelset_scan(sing_problem, sing_solution_48, r=8 / 3, k_list=[1, 2, 3])
+        levelset_scan(bundle, r=8 / 3, k_list=[1, 2, 3])
     with pytest.raises(ParameterError):
-        levelset_scan(
-            sing_problem, sing_solution_48, r=8 / 3, k_list=[1.0, 2.0, 1.5, 3.0]
-        )
+        levelset_scan(bundle, r=8 / 3, k_list=[1.0, 2.0, 1.5, 3.0])
     with pytest.raises(ParameterError):
-        levelset_scan(
-            sing_problem, sing_solution_48, r=8 / 3, k_list=[0.5, 1.0, 1.5, 2.0]
-        )
+        levelset_scan(bundle, r=8 / 3, k_list=[0.5, 1.0, 1.5, 2.0])
     with pytest.raises(RegimeError):
-        levelset_scan(
-            sing_problem, sing_solution_48, r=2.0, k_list=[1.0, 1.5, 2.0, 2.5]
-        )
+        levelset_scan(bundle, r=2.0, k_list=[1.0, 1.5, 2.0, 2.5])
 
 
 def test_levelset_scan_dichotomy(sing_problem, sing_solution_96):
     ks = [1.0, 1.15, 1.3, 1.45, 1.6, 1.75, 1.9, 2.2, 2.5]
     scan = levelset_scan(
-        sing_problem, sing_solution_96, r=8 / 3, k_list=ks, sobolev_dim=3
+        prepare_bundle(sing_problem, sing_solution_96), r=8 / 3, k_list=ks, sobolev_dim=3
     )
     z = np.asarray(scan.Z)
     assert np.all(np.diff(z) <= 1e-15)

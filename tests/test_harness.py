@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradlab
 from gradlab.errors import ConfigError, NonconvergenceError, RegimeError
 from gradlab.grid import Box
 from gradlab.harness import (
@@ -21,6 +24,7 @@ from gradlab.harness import (
 )
 from gradlab.harness.cli import main
 from gradlab.harness.records import list_records, load_record_field
+from gradlab.harness.runner import _sweep_variants
 
 SMOOTH = """
 [problem]
@@ -168,6 +172,9 @@ def test_eps_and_h_sweeps(tmp_path):
     cfg = parse_config(SINGULAR)
     eps_rows = sweep(cfg, "eps", tmp_path / "eps")
     assert [r.meta["sweep_value"] for r in eps_rows] == [1e-1, 1e-2, 1e-3]
+    # warm points solve at their own eps only, not along the schedule
+    for row, eps in zip(eps_rows[1:], [1e-2, 1e-3]):
+        assert [s["eps"] for s in row.payload["solve"]["stages"]] == [eps]
     norms = [r.payload["norms"]["du_qgamma"] for r in eps_rows]
     spread = (max(norms) - min(norms)) / min(norms)
     assert spread <= 0.05
@@ -180,8 +187,37 @@ def test_k_sweep_reuses_one_solve(tmp_path):
     rows = sweep(cfg, "k", tmp_path)
     assert len(rows) == len(cfg.k_levels)
     for row, k in zip(rows, cfg.k_levels):
-        assert row.payload["parameters"]["ledger_k"] == pytest.approx(float(k))
-        assert "thm2" in row.payload["ledgers"]
+        thm2 = row.payload["ledgers"]["thm2"]
+        assert {r["constants"]["k"] for r in thm2["rows"] if "k" in r["constants"]} == {k}
+    assert len({row.payload["config_digest"] for row in rows}) == len(rows)
+    iterations = [row.payload["solve"]["total_iterations"] for row in rows]
+    assert iterations[0] > 0
+    assert iterations[1:] == [0] * (len(rows) - 1)
+    for row in rows[1:]:
+        assert np.array_equal(row.u.values, rows[0].u.values)
+
+
+def test_k_sweep_needs_superlevel_regime(tmp_path, monkeypatch):
+    """Planar p = 2, gamma = 2 with dimension-3 bookkeeping has no thm2
+    block; the sweep refuses before it solves anything."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the regime check")
+
+    monkeypatch.setattr("gradlab.harness.runner.solve", no_solve)
+    cfg = parse_config(SMOOTH + "\n[analysis]\nsobolev_dim = 3\nk_levels = 1.0 1.5\n")
+    with pytest.raises(RegimeError, match="superlevel"):
+        sweep(cfg, "k", tmp_path)
+
+
+def test_scale_variants_digest_text_parses_back():
+    """A base config with no scale entry and a [solver] section: each
+    variant's canonical text must still be a config that parses to it."""
+    cfg = parse_config(SMOOTH + "\n[solver]\ntol = 1e-9\n\n[analysis]\nscales = 1 2\n")
+    variants = _sweep_variants(cfg, "scale")
+    assert [v for v, _ in variants] == [1.0, 2.0]
+    for value, variant in variants:
+        assert variant.source_params["scale"] == value
+        assert parse_config(variant.canonical_text) == variant
 
 
 def test_sweep_axis_validation(tmp_path):
@@ -340,10 +376,13 @@ def test_cli_sweep_and_report(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports the same gradlab as this suite, installed or not
+    src = str(Path(gradlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gradlab.harness.cli",
          "exponents", "-N", "3", "-p", "2", "--gamma", "6", "-q", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "Thm2Interior" in proc.stdout
