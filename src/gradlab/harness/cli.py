@@ -84,11 +84,7 @@ def _cmd_bernstein(args) -> int:
     config = load_config(args.config)
     config.validate()
     if not config.ledgers:
-        import dataclasses
-
-        config = dataclasses.replace(
-            config, ledgers=("weak", "thm1", "thm2", "scan", "maxreg")
-        )
+        config = config.override("ledgers", "weak thm1 thm2 scan maxreg")
     result = run_experiment(config, out_dir=args.out)
     failed = []
     for name, block in result.payload["ledgers"].items():

@@ -6,9 +6,22 @@ The discrete residual is
 
 with ``w = |Du|^2 + eps`` evaluated from the centered cell gradient and
 averaged arithmetically onto faces.  Boundary faces carry zero flux, so the
-divergence is exactly conservative.  The Jacobian is assembled in sparse form
-from the same operators, which keeps Jacobian-vector products consistent with
-directional finite differences of the residual.
+divergence is exactly conservative.
+
+The Jacobian is ``lam I + sum_d G_d^T diag(a) G_d + sum_d G_d^T diag(a' G_d u)
+A_d W + diag(h') W`` with ``W = sum_e diag(2 D_e u) C_e``, built from the same
+sparse operators as the residual's stencils, so Jacobian-vector products agree
+with directional finite differences of the residual.  Its sparsity pattern
+depends only on the grid, and its entries are linear in a short vector of
+per-step coefficients (``lam``, ``a`` per face, ``a' G_d u 2 D_e u`` per
+face-average entry, ``h' 2 D_e u`` per cell).  So each grid gets a cached plan
+once: the CSR pattern and a fixed sparse map from the coefficients to the CSR
+values.  A Newton step then evaluates the coefficients, takes one sparse
+matrix-vector product and wraps the result in the stored pattern.  The plan
+comes in two widths: the wide one holds the ``a'`` block, whose stencil
+reaches two cells out; the narrow one leaves it out and is used whenever
+``a' G_d u`` vanishes on every face, as it does for p = 2 or a constant
+iterate.
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is the
 constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
@@ -164,12 +177,6 @@ def _dct_preconditioner(grid: Grid, lam: float, abar: float) -> LinearOperator:
     return LinearOperator((grid.size, grid.size), matvec=apply, dtype=float)
 
 
-def _mean_coefficient(grid, coeff, ham, u_values) -> float:
-    uflat = u_values.ravel()
-    w = ham.eps + sum((C @ uflat) ** 2 for C in _operators(grid)["C"])
-    return float(np.mean(coeff.a(w)))
-
-
 def _newton_direction(grid, J, r, rn, lam, abar, stats) -> np.ndarray:
     """Inexact Newton step ``J delta = -r``; direct solve if GMRES stalls."""
     eta = max(_FORCING_MIN, _FORCING * min(1.0, rn))
@@ -197,26 +204,146 @@ def _newton_direction(grid, J, r, rn, lam, abar, stats) -> np.ndarray:
     return delta.reshape(grid.shape)
 
 
-def _jacobian_matrix(grid, coeff, ham, lam, u_values) -> sp.csr_matrix:
+def _outer_entries(L, R, scale=None):
+    """Entries of ``sum_s scale_s L[s]^T R[s]`` listed slot by slot.
+
+    ``L`` and ``R`` are CSR matrices with one row per slot ``s``; slot ``s``
+    adds ``scale_s L[s, i] R[s, j]`` at ``(i, j)``.  Returns the entry count
+    of each slot and the rows, columns and weights of the entries.
+    """
+    nr = np.diff(R.indptr)
+    counts = np.diff(L.indptr) * nr
+    # int32 like the operators' index arrays, which halves the transients
+    slot = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    k = np.arange(slot.size, dtype=np.int32) - np.repeat(
+        np.cumsum(counts, dtype=np.int32) - counts, counts
+    )
+    lpos = L.indptr[slot] + k // nr[slot]
+    rpos = R.indptr[slot] + k % nr[slot]
+    weights = L.data[lpos] * R.data[rpos]
+    if scale is not None:
+        weights *= scale[slot]
+    return counts, L.indices[lpos], R.indices[rpos], weights
+
+
+def _face_cells(A):
+    """(face, cell) of each entry of a face-average matrix, in CSR order."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices
+
+
+def _plan_blocks(grid, wide):
+    """The Jacobian's terms as ``_outer_entries`` blocks, in ``z`` order."""
+    ops = _operators(grid)
+    n = grid.size
+    cells = np.arange(n)
+    yield np.array([n]), cells, cells, np.ones(n)  # lam I
+    # divergence is minus the transpose of the face difference
+    for G in ops["G"]:
+        yield _outer_entries(G, G)  # G_d^T diag(a) G_d
+    if wide:
+        # G_d^T diag(a' G_d u) A_d W with W = sum_e diag(2 D_e u) C_e
+        for G, A in zip(ops["G"], ops["A"]):
+            faces, avg_cells = _face_cells(A)
+            for C in ops["C"]:
+                yield _outer_entries(G[faces], C[avg_cells], scale=A.data)
+    eye = sp.identity(n, format="csr")
+    for C in ops["C"]:
+        yield _outer_entries(eye, C)  # diag(h') W
+
+
+@dataclass(frozen=True)
+class _JacobianPlan:
+    """Fixed CSR pattern of the Jacobian on one grid and the map onto it.
+
+    ``J.data = map @ z``, where ``z`` stacks ``lam``; ``a(w_f)`` on the faces
+    of each axis; in the wide plan only, ``a'(w_f) (G_d u)_f 2 (D_e u)_c``
+    for each entry ``(f, c)`` of ``A_d`` (``face_cells[d]``) and each axis
+    ``e``; and ``h'(w) 2 D_e u`` on the cells for each axis ``e``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    map: sp.csc_matrix
+    face_cells: tuple
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_plan(grid: Grid, wide: bool) -> _JacobianPlan:
+    n = grid.size
+    # the pattern is the union of every position a term writes; each block
+    # is dropped before the next is built, which bounds the transients
+    pattern = sp.csr_matrix((n, n))
+    slot_counts = []
+    for counts, rows, cols, _ in _plan_blocks(grid, wide):
+        slot_counts.append(counts)
+        pattern = pattern + sp.csr_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(n, n)
+        )
+        del rows, cols
+    pattern.sort_indices()  # row-major keys in order, for searchsorted
+    indptr = pattern.indptr.astype(np.int32)
+    indices = pattern.indices.astype(np.int32)
+    del pattern
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    # entries come out in slot order, so they fill the map's CSC arrays
+    # directly, one block at a time
+    col_ptr = np.zeros(sum(c.size for c in slot_counts) + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(slot_counts), out=col_ptr[1:])
+    del slot_counts
+    positions = np.empty(col_ptr[-1], dtype=np.int32)
+    weights = np.empty(col_ptr[-1])
+    start = 0
+    for _, rows, cols, w in _plan_blocks(grid, wide):
+        stop = start + w.size
+        positions[start:stop] = np.searchsorted(keys, rows.astype(np.int64) * n + cols)
+        weights[start:stop] = w
+        start = stop
+        del rows, cols, w
+    del keys
+    face_cells = []
+    if wide:
+        face_cells = [
+            tuple(a.astype(np.int32) for a in _face_cells(A))
+            for A in _operators(grid)["A"]
+        ]
+    # shared by every caller of the cache, across threads
+    for a in (indptr, indices, positions, weights, col_ptr, *sum(face_cells, ())):
+        a.flags.writeable = False
+    jac_map = sp.csc_matrix(
+        (weights, positions, col_ptr), shape=(indices.size, col_ptr.size - 1)
+    )
+    return _JacobianPlan(indptr, indices, jac_map, tuple(face_cells))
+
+
+def _jacobian_matrix(grid, coeff, ham, lam, u_values):
+    """Jacobian of the residual at ``u_values`` and the grid mean of ``a(w)``.
+
+    The mean is the preconditioner's coefficient, taken from the same ``w``.
+    """
     ops = _operators(grid)
     uflat = u_values.ravel()
-    n = uflat.size
     du = [C @ uflat for C in ops["C"]]
     w = ham.eps + sum(d * d for d in du)
-    w_jac = sum(sp.diags(2.0 * du[d]) @ ops["C"][d] for d in range(grid.ndim))
-    J = lam * sp.identity(n, format="csr")
-    for d in range(grid.ndim):
-        gu = ops["G"][d] @ uflat
-        wf = ops["A"][d] @ w
-        af = np.asarray(coeff.a(wf), dtype=float)
-        apf = np.asarray(coeff.a_prime(wf), dtype=float)
-        flux_jac = sp.diags(af) @ ops["G"][d] + sp.diags(apf * gu) @ (
-            ops["A"][d] @ w_jac
-        )
-        # divergence is minus the transpose of the face difference
-        J = J + ops["G"][d].T @ flux_jac
-    J = J + sp.diags(ham.h_prime_of_w(w)) @ w_jac
-    return J.tocsr()
+    two_du = [2.0 * d for d in du]
+    face_a, face_ap = [], []
+    for G, A in zip(ops["G"], ops["A"]):
+        wf = A @ w
+        face_a.append(np.asarray(coeff.a(wf), dtype=float))
+        face_ap.append(np.asarray(coeff.a_prime(wf), dtype=float) * (G @ uflat))
+    # the narrow plan leaves the a' block out and serves whenever that term
+    # vanishes on every face, as for p = 2, keeping the stencil compact
+    plan = _jacobian_plan(grid, any(np.any(t) for t in face_ap))
+    hp = ham.h_prime_of_w(w)
+    z = np.concatenate(
+        [[lam], *face_a]
+        + [t[f] * g[c] for (f, c), t in zip(plan.face_cells, face_ap) for g in two_du]
+        + [hp * g for g in two_du]
+    )
+    J = sp.csr_matrix(
+        (plan.map @ z, plan.indices.copy(), plan.indptr.copy()),
+        shape=(grid.size, grid.size),
+    )
+    return J, float(np.mean(coeff.a(w)))
 
 
 def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
@@ -232,9 +359,10 @@ def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None)
 
 def jacobian(problem: ProblemSpec, u: ScalarField) -> sp.csr_matrix:
     """Sparse Jacobian of the residual at ``u`` (C-order flattening)."""
-    return _jacobian_matrix(
+    J, _ = _jacobian_matrix(
         u.grid, problem.coefficient, problem.hamiltonian, problem.lam, u.values
     )
+    return J
 
 
 def _continuation_schedule(eps_target: float, gamma_target: float, options: SolverOptions):
@@ -264,8 +392,7 @@ def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
             return u, history, damping_events, True
         if it == options.max_iter:
             break
-        J = _jacobian_matrix(grid, coeff, ham, lam, u)
-        abar = _mean_coefficient(grid, coeff, ham, u)
+        J, abar = _jacobian_matrix(grid, coeff, ham, lam, u)
         delta = _newton_direction(grid, J, r, rn, lam, abar, stats)
         merit = 0.5 * rn * rn
         alpha = 1.0

@@ -346,6 +346,22 @@ def test_cli_solve_and_bernstein_smooth(tmp_path, capsys):
     assert "weak_identity" in out and "diff1" in out
 
 
+def test_cli_bernstein_default_ledgers_enter_the_digest(tmp_path):
+    """With no ledgers entry, bernstein runs all five, and its record's digest
+    is that of a canonical text naming them, not the solve record's."""
+    cfg = _write(tmp_path, "smooth.ini", SMOOTH)
+    assert main(["solve", cfg, "--out", str(tmp_path / "solve")]) == 0
+    main(["bernstein", cfg, "--out", str(tmp_path / "bern")])
+    (solved,) = [load_record(r)[0] for r in list_records(tmp_path / "solve")]
+    (bern,) = [load_record(r)[0] for r in list_records(tmp_path / "bern")]
+    five = ("weak", "thm1", "thm2", "scan", "maxreg")
+    expected = parse_config(SMOOTH).override("ledgers", " ".join(five))
+    assert solved["config_digest"] == parse_config(SMOOTH).digest()
+    assert bern["config_digest"] == expected.digest() != solved["config_digest"]
+    assert parse_config(expected.canonical_text).ledgers == five
+    assert set(bern["ledgers"]) == set(five)
+
+
 def test_cli_bernstein_unresolved_identity_fails(tmp_path, capsys):
     """At 32 cells the singular source is not resolved, the weak-identity
     gap exceeds its h-proportional tolerance, and the CLI reports honestly."""

@@ -19,6 +19,7 @@ from gradlab.grid import (
 )
 from gradlab.model import (
     CosineProduct,
+    PerturbedPower,
     ProblemSpec,
     RadialSingular,
     Tabulated,
@@ -27,7 +28,9 @@ from gradlab.model import (
 from gradlab.solver import (
     SolverOptions,
     _dct_preconditioner,
+    _jacobian_plan,
     _neumann_eigenvalues,
+    _operators,
     epsilon_sweep,
     jacobian,
     manufacture_source,
@@ -82,10 +85,22 @@ def test_manufactured_source_round_trip(box2d):
     assert np.max(np.abs(u.values - u_star.values)) <= 1e-10
 
 
-@pytest.mark.parametrize("p,gamma", [(2.0, 2.0), (3.0, 4.0)])
-def test_jacobian_matches_directional_difference(box2d, rng, p, gamma):
-    grid = build_grid(box2d, (12, 12))
-    prob = _problem(box2d, p=p, gamma=gamma)
+@pytest.mark.parametrize(
+    "p,gamma,cells",
+    [
+        pytest.param(2.0, 2.0, (12, 12), id="2.0-2.0"),
+        pytest.param(3.0, 4.0, (12, 12), id="3.0-4.0"),
+        pytest.param(2.0, 2.0, (8, 8, 8), id="3d-2.0-2.0"),
+        pytest.param(3.0, 4.0, (8, 8, 8), id="3d-3.0-4.0"),
+    ],
+)
+def test_jacobian_matches_directional_difference(rng, p, gamma, cells):
+    box = Box((1.0,) * len(cells))
+    grid = build_grid(box, cells)
+    prob = _problem(
+        box, p=p, gamma=gamma,
+        source=CosineProduct(amplitude=8.0, modes=(1,) * len(cells)),
+    )
     u_vals = 1.0 + 0.1 * rng.standard_normal(grid.shape)
     v_vals = rng.standard_normal(grid.shape)
     u = ScalarField(grid, u_vals)
@@ -96,6 +111,119 @@ def test_jacobian_matches_directional_difference(box2d, rng, p, gamma):
     fd = (rp - rm).ravel() / (2 * t)
     scale = max(np.max(np.abs(jvp)), 1.0)
     assert np.max(np.abs(jvp - fd)) <= 1e-6 * scale
+
+
+def _reference_jacobian(grid, coeff, ham, lam, u_values):
+    """The Jacobian by sparse-matrix products, term by term."""
+    ops = _operators(grid)
+    uflat = u_values.ravel()
+    n = uflat.size
+    du = [C @ uflat for C in ops["C"]]
+    w = ham.eps + sum(d * d for d in du)
+    w_jac = sum(sp.diags(2.0 * du[d]) @ ops["C"][d] for d in range(grid.ndim))
+    J = lam * sp.identity(n, format="csr")
+    for d in range(grid.ndim):
+        gu = ops["G"][d] @ uflat
+        wf = ops["A"][d] @ w
+        af = np.asarray(coeff.a(wf), dtype=float)
+        apf = np.asarray(coeff.a_prime(wf), dtype=float)
+        flux_jac = sp.diags(af) @ ops["G"][d] + sp.diags(apf * gu) @ (
+            ops["A"][d] @ w_jac
+        )
+        # divergence is minus the transpose of the face difference
+        J = J + ops["G"][d].T @ flux_jac
+    J = J + sp.diags(ham.h_prime_of_w(w)) @ w_jac
+    return J.tocsr()
+
+
+@pytest.mark.parametrize(
+    "extents, cells", [((1.0, 2.5), (12, 9)), ((1.0, 0.7, 1.3), (8, 10, 9))]
+)
+@pytest.mark.parametrize(
+    "p, coefficient",
+    [(2.0, None), (3.0, None), (2.5, PerturbedPower(2.5, 0.2))],
+    ids=["p2", "p3", "perturbed"],
+)
+@pytest.mark.parametrize("partly_constant", [False, True])
+def test_jacobian_matches_sparse_product_formula(
+    rng, extents, cells, p, coefficient, partly_constant
+):
+    """The planned assembly equals the term-by-term product formula; p = 2
+    keeps its compact stencil.  On a partly constant iterate a' G_d u
+    vanishes on some faces only, which the product formula drops entries
+    for and the wide pattern stores as zeros."""
+    box = Box(extents)
+    grid = build_grid(box, cells)
+    prob = ProblemSpec.power_model(
+        box, p=p, gamma=3.0, lam=1.3, eps=1e-2,
+        source=CosineProduct(amplitude=8.0, modes=(1,) * len(cells)),
+        coefficient=coefficient,
+    )
+    u_vals = 1.0 + 0.1 * rng.standard_normal(grid.shape)
+    if partly_constant:
+        u_vals[: cells[0] // 2] = 0.7
+    J = jacobian(prob, ScalarField(grid, u_vals))
+    ref = _reference_jacobian(
+        grid, prob.coefficient, prob.hamiltonian, prob.lam, u_vals
+    )
+    assert abs(J - ref).max() <= 1e-14 * abs(ref).max()
+    if p == 2.0:
+        assert J.nnz == ref.nnz
+
+
+def test_jacobian_edits_leave_the_next_jacobian_alone(box2d, rng):
+    """The cached plan is read-only and each Jacobian owns its arrays."""
+    grid = build_grid(box2d, (12, 12))
+    prob = _problem(box2d, p=3.0, gamma=3.0)
+    u = ScalarField(grid, 1.0 + 0.1 * rng.standard_normal(grid.shape))
+    J = jacobian(prob, u)
+    expected = J.copy()
+    J.indices[:] = J.indices[::-1]
+    J.sort_indices()
+    J.data[:] = 0.0
+    J.indptr[1:] = J.indptr[-1]
+    again = jacobian(prob, u)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(again, name), getattr(expected, name))
+    plan = _jacobian_plan(grid, True)
+    for arr in (plan.indptr, plan.indices, plan.map.data, plan.map.indices):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, again.indices)
+
+
+def test_jacobian_plan_cache_is_thread_safe(rng):
+    """Threaded sweeps build and evict plans concurrently: more (grid, width)
+    keys than the cache holds, read from more threads than cores."""
+    cases = []
+    for i in range(6):
+        box = Box((1.0, 1.0 + 0.1 * i))
+        grid = build_grid(box, (8 + i, 8))
+        u = ScalarField(grid, 1.0 + 0.1 * rng.standard_normal(grid.shape))
+        for p in (2.0, 3.0):
+            cases.append((_problem(box, p=p, gamma=3.0), u))
+    expected = [jacobian(prob, u) for prob, u in cases]
+    errors = []
+
+    def worker(offset):
+        for k in range(40):
+            i = (offset + 5 * k) % len(cases)
+            J = jacobian(*cases[i])
+            if (J != expected[i]).nnz or J.nnz != expected[i].nnz:
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert _jacobian_plan.cache_info().currsize <= 8
 
 
 def test_stage_history_monotone(p2_problem, box2d):
