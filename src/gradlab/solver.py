@@ -20,19 +20,24 @@ values.  A Newton step then evaluates the coefficients, takes one sparse
 matrix-vector product and wraps the result in the stored pattern.  The plan
 comes in two widths: the wide one holds the ``a'`` block, whose stencil
 reaches two cells out; the narrow one leaves it out and is used whenever
-``a' G_d u`` vanishes on every face, as it does for p = 2 or a constant
-iterate.
+``a'`` vanishes on every face, as it does for p = 2.
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is the
 constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
 the grid mean of ``a(w)``: with mirror ghosts the cell-centred Neumann
 Laplacian is diagonal in the DCT-II basis, so applying its inverse costs two
-fast transforms.  GMRES stops at the forcing term ``0.1 min(1, |R|)``,
-loose far from the solution and tightening with the residual, which keeps
-Newton's quadratic rate without over-solving early steps.  A step whose
-GMRES run misses the forcing term within its budget falls back to a sparse
-direct solve.  Newton itself still accepts a step, and a stage converges,
-only on the true residual.
+fast transforms.  GMRES is right-preconditioned: it runs on ``J M`` and the
+step is ``M y``, so the residual it stops on is the true linear residual
+``|r + J delta|`` on which the forcing condition is defined.  It stops at the
+forcing term ``0.1 min(1, |R|)``, loose far from the solution and tightening
+with the residual, which keeps Newton's quadratic rate without over-solving
+early steps.  The term is floored at ``0.5 tol / |R|``: a step whose linear
+residual is below half the Newton tolerance already does all that tolerance
+asks, so the last step of a stage is not solved to far below it (Eisenstat
+and Walker 1996; Kelley 1995, sec. 6.3).  A step whose GMRES run misses the
+forcing term within its budget falls back to a sparse direct solve.  Newton
+itself still accepts a step, and a stage converges, only on the true
+residual.
 
 Supernatural gradient growth shrinks Newton basins badly, so the solve walks
 a continuation path: first the regularization eps is lowered geometrically
@@ -86,8 +91,8 @@ class SolverOptions:
 
 # inner linear solve: GMRES restart length and restart cycles before the
 # direct fallback, and the forcing term _FORCING * min(1, |R|) floored at
-# _FORCING_MIN; a forcing term of order |R| keeps Newton q-quadratic
-# (Kelley 1995, sec. 6.1)
+# _FORCING_MIN and at 0.5 tol / |R|; a forcing term of order |R| keeps
+# Newton q-quadratic (Kelley 1995, sec. 6.1)
 _GMRES_RESTART = 30
 _GMRES_CYCLES = 4
 _FORCING = 0.1
@@ -177,23 +182,29 @@ def _dct_preconditioner(grid: Grid, lam: float, abar: float) -> LinearOperator:
     return LinearOperator((grid.size, grid.size), matvec=apply, dtype=float)
 
 
-def _newton_direction(grid, J, r, rn, lam, abar, stats) -> np.ndarray:
-    """Inexact Newton step ``J delta = -r``; direct solve if GMRES stalls."""
-    eta = max(_FORCING_MIN, _FORCING * min(1.0, rn))
+def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
+    """Inexact Newton step ``J delta = -r``; direct solve if GMRES stalls.
+
+    ``|r + J delta| <= eta |r|`` on the true linear residual.  Since a step is
+    taken only while ``rn > tol``, the ``0.5 tol / rn`` floor keeps ``eta``
+    below one half.
+    """
+    eta = max(_FORCING_MIN, _FORCING * min(1.0, rn), 0.5 * tol / rn)
+    M = _dct_preconditioner(grid, lam, abar)
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    delta, info = gmres(
-        J,
+    # right preconditioning: GMRES minimizes |r + J M y|, the true residual
+    y, info = gmres(
+        LinearOperator(J.shape, matvec=lambda v: J @ M.matvec(v), dtype=float),
         -r.ravel(),
         rtol=eta,
         atol=0.0,
         restart=_GMRES_RESTART,
         maxiter=_GMRES_CYCLES,
-        M=_dct_preconditioner(grid, lam, abar),
         callback=count,
         callback_type="pr_norm",
     )
@@ -201,6 +212,8 @@ def _newton_direction(grid, J, r, rn, lam, abar, stats) -> np.ndarray:
     if info != 0:
         stats.direct_fallbacks += 1
         delta = spsolve(J.tocsc(), -r.ravel())
+    else:
+        delta = M.matvec(y)
     return delta.reshape(grid.shape)
 
 
@@ -326,13 +339,18 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     w = ham.eps + sum(d * d for d in du)
     two_du = [2.0 * d for d in du]
     face_a, face_ap = [], []
+    wide = False
     for G, A in zip(ops["G"], ops["A"]):
         wf = A @ w
+        ap = np.asarray(coeff.a_prime(wf), dtype=float)
+        wide = wide or bool(np.any(ap))
         face_a.append(np.asarray(coeff.a(wf), dtype=float))
-        face_ap.append(np.asarray(coeff.a_prime(wf), dtype=float) * (G @ uflat))
-    # the narrow plan leaves the a' block out and serves whenever that term
-    # vanishes on every face, as for p = 2, keeping the stencil compact
-    plan = _jacobian_plan(grid, any(np.any(t) for t in face_ap))
+        face_ap.append(ap * (G @ uflat))
+    # the narrow plan leaves the a' block out and serves whenever a' vanishes
+    # on every face, as for p = 2, keeping the stencil compact; the width
+    # depends on a' alone, not on u, so a p != 2 solve from a constant
+    # iterate takes the wide plan from its first step
+    plan = _jacobian_plan(grid, wide)
     hp = ham.h_prime_of_w(w)
     z = np.concatenate(
         [[lam], *face_a]
@@ -384,8 +402,10 @@ def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
     history = []
     damping_events = 0
     u = u_values
+    # each point is evaluated once: an accepted step carries over the
+    # residual its line search computed
+    r = _residual_values(grid, coeff, ham, lam, f_values, u)
     for it in range(options.max_iter + 1):
-        r = _residual_values(grid, coeff, ham, lam, f_values, u)
         rn = _discrete_l2(grid, r)
         history.append(rn)
         if rn <= options.tol:
@@ -393,7 +413,7 @@ def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
         if it == options.max_iter:
             break
         J, abar = _jacobian_matrix(grid, coeff, ham, lam, u)
-        delta = _newton_direction(grid, J, r, rn, lam, abar, stats)
+        delta = _newton_direction(grid, J, r, rn, lam, abar, options.tol, stats)
         merit = 0.5 * rn * rn
         alpha = 1.0
         while True:
@@ -407,7 +427,7 @@ def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
                 return u, history, damping_events, False
         if alpha < 1.0:
             damping_events += 1
-        u = trial
+        u, r = trial, rt
     return u, history, damping_events, False
 
 

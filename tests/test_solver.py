@@ -26,11 +26,18 @@ from gradlab.model import (
     sample_source,
 )
 from gradlab.solver import (
+    _FORCING,
+    _FORCING_MIN,
+    LinearSolveStats,
     SolverOptions,
     _dct_preconditioner,
+    _discrete_l2,
+    _jacobian_matrix,
     _jacobian_plan,
     _neumann_eigenvalues,
+    _newton_direction,
     _operators,
+    _residual_values,
     epsilon_sweep,
     jacobian,
     manufacture_source,
@@ -224,6 +231,103 @@ def test_jacobian_plan_cache_is_thread_safe(rng):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert _jacobian_plan.cache_info().currsize <= 8
+
+
+def test_p3_solve_builds_only_the_wide_plan(box2d):
+    """The plan width follows a' alone, so the constant first iterate of a
+    p != 2 solve does not build a narrow plan that no later step uses."""
+    _jacobian_plan.cache_clear()
+    _, report = solve(_problem(box2d, p=3.0, gamma=3.0), build_grid(box2d, (16, 16)))
+    assert report.converged
+    assert _jacobian_plan.cache_info().misses == 1
+
+
+def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
+    """A stage evaluates the residual at its starting point and then once per
+    line-search trial: an accepted trial's residual is carried over to the
+    next step, never recomputed."""
+    calls = []
+
+    def counting(grid, coeff, ham, lam, f_values, u_values):
+        calls.append((ham, u_values.copy()))
+        return _residual_values(grid, coeff, ham, lam, f_values, u_values)
+
+    monkeypatch.setattr(gradlab.solver, "_residual_values", counting)
+    prob = _problem(
+        box2d, p=3.0, gamma=4.0, source=CosineProduct(amplitude=30.0, modes=(2, 1))
+    )
+    _, report = solve(prob, build_grid(box2d, (16, 16)))
+    assert report.converged
+    assert any(s.damping_events for s in report.stages)
+    for i, (ham, u) in enumerate(calls):
+        assert not any(h == ham and np.array_equal(v, u) for h, v in calls[:i])
+    for stage in report.stages:
+        evals = sum(h.eps == stage.eps and h.gamma == stage.gamma for h, _ in calls)
+        trials = evals - 1
+        # a damped step backtracks at least once; an undamped one never does
+        assert trials >= stage.iterations + stage.damping_events
+        if stage.damping_events == 0:
+            assert trials == stage.iterations
+
+
+def _step_system(case):
+    """Jacobian and residual at a perturbed iterate: a 2D p = 3 cosine case
+    and the 3D radial case."""
+    if case == "2d-p3":
+        box = Box((1.0, 1.0))
+        grid = build_grid(box, (32, 32))
+        prob = _problem(box, p=3.0, gamma=3.0)
+    else:
+        box = Box((1.0, 1.0, 1.0))
+        grid = build_grid(box, (12, 12, 12))
+        prob = ProblemSpec.power_model(
+            box, p=2.0, gamma=6.0, lam=1.0, eps=1e-2,
+            source=RadialSingular(center=(0.5, 0.5, 0.5), power=0.8, amplitude=15.0),
+        )
+    f_values = sample_source(prob.source, grid).values
+    x = grid.centers()
+    u = f_values.mean() / prob.lam + 0.3 * np.prod([np.cos(np.pi * c) for c in x], axis=0)
+    args = (grid, prob.coefficient, prob.hamiltonian, prob.lam)
+    J, abar = _jacobian_matrix(*args, u)
+    r = _residual_values(*args, f_values, u)
+    return grid, prob.lam, J, abar, r
+
+
+def _step(grid, lam, J, abar, r, tol):
+    stats = LinearSolveStats()
+    rn = _discrete_l2(grid, r)
+    delta = _newton_direction(grid, J, r, rn, lam, abar, tol, stats)
+    assert stats.direct_fallbacks == 0
+    return (r + (J @ delta.ravel()).reshape(grid.shape)), stats.krylov_iterations
+
+
+@pytest.mark.parametrize("case", ["2d-p3", "3d-radial"])
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-7])
+def test_newton_direction_meets_forcing_term(case, scale):
+    """GMRES is right-preconditioned, so the forcing condition holds on the
+    true linear residual, with eta = max(_FORCING_MIN, _FORCING min(1, |R|),
+    0.5 tol / |R|)."""
+    grid, lam, J, abar, r = _step_system(case)
+    r = r * (scale / _discrete_l2(grid, r))
+    tol = 1e-8
+    rn = _discrete_l2(grid, r)
+    eta = max(_FORCING_MIN, _FORCING * min(1.0, rn), 0.5 * tol / rn)
+    linear, _ = _step(grid, lam, J, abar, r, tol)
+    assert np.linalg.norm(linear) <= eta * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("case", ["2d-p3", "3d-radial"])
+def test_forcing_floor_stops_at_half_the_newton_tolerance(case):
+    """Near ``|R| = 3 tol`` the floor asks only for a linear residual below
+    half the tolerance, which takes fewer Krylov iterations than the
+    unfloored forcing term."""
+    grid, lam, J, abar, r = _step_system(case)
+    tol = 1e-8
+    r = r * (3.0 * tol / _discrete_l2(grid, r))
+    floored, floored_its = _step(grid, lam, J, abar, r, tol)
+    _, full_its = _step(grid, lam, J, abar, r, 0.0)
+    assert floored_its < full_its
+    assert _discrete_l2(grid, floored) <= 0.5 * tol
 
 
 def test_stage_history_monotone(p2_problem, box2d):
