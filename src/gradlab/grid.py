@@ -152,9 +152,15 @@ def _same_grid(a, b):
 
 def _mirror_pad(values: np.ndarray, axis: int) -> np.ndarray:
     """One layer of even-reflection ghosts along ``axis``."""
-    width = [(0, 0)] * values.ndim
-    width[axis] = (1, 1)
-    return np.pad(values, width, mode="edge")
+    # concatenating the edge slices gives np.pad(mode="edge") bit for bit at
+    # about half its cost, which matters on every residual and Jacobian
+    first = [slice(None)] * values.ndim
+    last = [slice(None)] * values.ndim
+    first[axis] = slice(0, 1)
+    last[axis] = slice(-1, None)
+    return np.concatenate(
+        (values[tuple(first)], values, values[tuple(last)]), axis=axis
+    )
 
 
 def _shift(view: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:

@@ -45,6 +45,7 @@ def _cmd_check(args) -> int:
     config = load_config(args.config)
     config.validate()
     problem = config.build_problem()
+    config.build_grid()
     srep = check_structure_conditions(problem.coefficient, config.eps, 1e4)
     grep = check_growth_conditions(problem.hamiltonian, 1.0, 1e3)
     print(f"config digest: {config.digest()}")

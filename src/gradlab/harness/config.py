@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ParameterError
 from ..grid import Box, Grid, build_grid
 from ..model.exponents import to_fraction
 from ..model.problem import ProblemSpec
@@ -181,10 +181,30 @@ def _ints(raw: str) -> tuple:
     return tuple(int(tok) for tok in raw.split())
 
 
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
 def _get(parser, section, key, default=None):
     if parser.has_option(section, key):
         return parser.get(section, key)
     return default
+
+
+def _value(parser, section, key, convert, default=None):
+    """``convert`` of the entry's text, or ``default`` if the entry is absent."""
+    raw = _get(parser, section, key)
+    if raw is None:
+        return default
+    try:
+        return convert(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            f"bad value for {key!r} in section [{section}]: {raw!r}"
+        ) from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -207,62 +227,65 @@ def parse_config(text: str) -> RunConfig:
             if not parser.has_option(section, key):
                 raise ConfigError(f"missing key {key!r} in section [{section}]")
 
-    try:
-        p = to_fraction(parser.get("problem", "p"))
-        gamma = to_fraction(parser.get("problem", "gamma"))
-        lam = to_fraction(parser.get("problem", "lambda"))
-        q = to_fraction(parser.get("problem", "q"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad exponent parameter: {exc}") from exc
-    eps = parser.getfloat("problem", "eps")
+    def problem(key, convert, default=None):
+        return _value(parser, "problem", key, convert, default)
+
+    p = problem("p", to_fraction)
+    gamma = problem("gamma", to_fraction)
+    lam = problem("lambda", to_fraction)
+    q = problem("q", to_fraction)
+    eps = problem("eps", float)
 
     kind = parser.get("problem", "source").strip().lower()
     params: dict = {}
     if kind == "cosine":
-        params["amplitude"] = float(_get(parser, "problem", "amplitude", "1"))
-        params["modes"] = _ints(_get(parser, "problem", "modes", "1 1"))
+        params["amplitude"] = problem("amplitude", float, 1.0)
+        params["modes"] = problem("modes", _ints, (1, 1))
     elif kind == "radial":
         if not parser.has_option("problem", "center") or not parser.has_option(
             "problem", "power"
         ):
             raise ConfigError("radial source needs 'center' and 'power'")
-        params["center"] = _floats(parser.get("problem", "center"))
-        params["power"] = parser.getfloat("problem", "power")
-        params["amplitude"] = float(_get(parser, "problem", "amplitude", "1"))
+        params["center"] = problem("center", _floats)
+        params["power"] = problem("power", float)
+        params["amplitude"] = problem("amplitude", float, 1.0)
         if parser.has_option("problem", "core_radius"):
-            params["core_radius"] = parser.getfloat("problem", "core_radius")
+            params["core_radius"] = problem("core_radius", float)
     elif kind == "random":
         if not parser.has_option("problem", "seed"):
             raise ConfigError("random source needs 'seed'")
-        params["seed"] = parser.getint("problem", "seed")
+        params["seed"] = problem("seed", int)
         if parser.has_option("problem", "cutoff"):
-            params["cutoff"] = parser.getint("problem", "cutoff")
+            params["cutoff"] = problem("cutoff", int)
     else:
         raise ConfigError(f"unknown source kind {kind!r}")
     if parser.has_option("problem", "scale"):
-        params["scale"] = parser.getfloat("problem", "scale")
+        params["scale"] = problem("scale", float)
 
-    extents = _floats(parser.get("grid", "extents"))
-    cells = _ints(parser.get("grid", "cells"))
+    extents = _value(parser, "grid", "extents", _floats)
+    cells = _value(parser, "grid", "cells", _ints)
     if len(extents) != len(cells):
         raise ConfigError("grid 'extents' and 'cells' disagree on dimension")
 
-    solver = SolverOptions(
-        tol=float(_get(parser, "solver", "tol", SolverOptions.tol)),
-        max_iter=int(_get(parser, "solver", "max_iter", SolverOptions.max_iter)),
-        damping_factor=float(
-            _get(parser, "solver", "damping_factor", SolverOptions.damping_factor)
-        ),
-        armijo=float(_get(parser, "solver", "armijo", SolverOptions.armijo)),
-        eps_ratio=float(_get(parser, "solver", "eps_ratio", SolverOptions.eps_ratio)),
-        gamma_stages=int(
-            _get(parser, "solver", "gamma_stages", SolverOptions.gamma_stages)
-        ),
-        min_step=float(_get(parser, "solver", "min_step", SolverOptions.min_step)),
-    )
-    continuation = True
-    if parser.has_option("solver", "continuation"):
-        continuation = parser.getboolean("solver", "continuation")
+    def solver_value(key, convert):
+        return _value(parser, "solver", key, convert, getattr(SolverOptions, key))
+
+    try:
+        solver = SolverOptions(
+            tol=solver_value("tol", float),
+            max_iter=solver_value("max_iter", int),
+            damping_factor=solver_value("damping_factor", float),
+            armijo=solver_value("armijo", float),
+            eps_ratio=solver_value("eps_ratio", float),
+            gamma_stages=solver_value("gamma_stages", int),
+            min_step=solver_value("min_step", float),
+        )
+    except ParameterError as exc:
+        raise ConfigError(f"bad [solver] section: {exc}") from exc
+    continuation = _value(parser, "solver", "continuation", _boolean, True)
+
+    def analysis(key, convert, default=None):
+        return _value(parser, "analysis", key, convert, default)
 
     ledgers_raw = _get(parser, "analysis", "ledgers", "")
     ledgers = tuple(tok.strip().lower() for tok in ledgers_raw.split())
@@ -271,8 +294,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"unknown ledger {name!r}; choose from {sorted(_LEDGER_NAMES)}"
             )
-    sobolev_raw = _get(parser, "analysis", "sobolev_dim")
-    maxreg_raw = _get(parser, "analysis", "maxreg_q")
 
     config = RunConfig(
         p=p,
@@ -286,15 +307,15 @@ def parse_config(text: str) -> RunConfig:
         cells=cells,
         solver=solver,
         continuation=continuation,
-        beta=to_fraction(_get(parser, "analysis", "beta", "4")),
+        beta=analysis("beta", to_fraction, Fraction(4)),
         ledgers=ledgers,
-        k_levels=_floats(_get(parser, "analysis", "k_levels", "")),
-        sobolev_dim=int(sobolev_raw) if sobolev_raw is not None else None,
-        epsilon_sweep=_floats(_get(parser, "analysis", "epsilon_sweep", "")),
-        scales=_floats(_get(parser, "analysis", "scales", "")),
-        lambda_sweep=_floats(_get(parser, "analysis", "lambda_sweep", "")),
-        h_sweep=_ints(_get(parser, "analysis", "h_sweep", "")),
-        maxreg_q=to_fraction(maxreg_raw) if maxreg_raw is not None else q,
+        k_levels=analysis("k_levels", _floats, ()),
+        sobolev_dim=analysis("sobolev_dim", int),
+        epsilon_sweep=analysis("epsilon_sweep", _floats, ()),
+        scales=analysis("scales", _floats, ()),
+        lambda_sweep=analysis("lambda_sweep", _floats, ()),
+        h_sweep=analysis("h_sweep", _ints, ()),
+        maxreg_q=analysis("maxreg_q", to_fraction, q),
         directory=_get(parser, "output", "directory", "runs"),
         formats=tuple(
             tok.strip().lower()

@@ -8,19 +8,16 @@ with ``w = |Du|^2 + eps`` evaluated from the centered cell gradient and
 averaged arithmetically onto faces.  Boundary faces carry zero flux, so the
 divergence is exactly conservative.
 
-The Jacobian is ``lam I + sum_d G_d^T diag(a) G_d + sum_d G_d^T diag(a' G_d u)
-A_d W + diag(h') W`` with ``W = sum_e diag(2 D_e u) C_e``, built from the same
-sparse operators as the residual's stencils, so Jacobian-vector products agree
-with directional finite differences of the residual.  Its sparsity pattern
-depends only on the grid, and its entries are linear in a short vector of
-per-step coefficients (``lam``, ``a`` per face, ``a' G_d u 2 D_e u`` per
-face-average entry, ``h' 2 D_e u`` per cell).  So each grid gets a cached plan
-once: the CSR pattern and a fixed sparse map from the coefficients to the CSR
-values.  A Newton step then evaluates the coefficients, takes one sparse
-matrix-vector product and wraps the result in the stored pattern.  The plan
-comes in two widths: the wide one holds the ``a'`` block, whose stencil
-reaches two cells out; the narrow one leaves it out and is used whenever
-``a'`` vanishes on every face, as it does for p = 2.
+The Jacobian is the exact derivative of that residual, taken stencil by
+stencil from the same ``gradient``, ``face_average`` and face arrays, so
+Jacobian-vector products agree with directional finite differences of the
+residual.  With mirror ghosts every term couples a cell ``i`` only to cells
+``clip(i + o)`` for a fixed set of offsets ``o``: ``{0, +-e_d}`` for the
+``lam``, ``a`` and ``h'`` terms, and also ``{+-2 e_d, +-e_d +- e_e}`` for
+the ``a'`` term, which is left out whenever ``a'`` vanishes on every face,
+as it does for p = 2.  Each Newton step fills one coefficient array per
+offset and scatters them into a CSR pattern cached per grid and width,
+through one fixed index from (offset, cell) to CSR position.
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is the
 constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
@@ -65,11 +62,8 @@ from .errors import (
 from .grid import (
     Grid,
     ScalarField,
-    centered_gradient_matrix,
     divergence_flux,
     face_average,
-    face_average_matrix,
-    face_difference_matrix,
     face_normal_differences,
     gradient,
 )
@@ -87,6 +81,13 @@ class SolverOptions:
     eps_ratio: float = 0.1  # geometric eps continuation ratio
     gamma_stages: int = 4  # linear gamma continuation stages
     min_step: float = 2.0**-30
+
+    def __post_init__(self):
+        # a ratio of 1 or more never ends the eps schedule or the line search
+        for name in ("damping_factor", "eps_ratio"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ParameterError(f"{name} must lie in (0, 1), got {value}")
 
 
 # inner linear solve: GMRES restart length and restart cycles before the
@@ -143,15 +144,6 @@ def _residual_values(grid, coeff, ham, lam, f_values, u_values):
     coeffs = [coeff.a(face_average(w, grid, d)) for d in range(grid.ndim)]
     div = divergence_flux(grid, coeffs, faces).values
     return lam * u_values - div + ham.h_of_w(w) - f_values
-
-
-@functools.lru_cache(maxsize=8)
-def _operators(grid: Grid):
-    return {
-        "C": [centered_gradient_matrix(grid, d) for d in range(grid.ndim)],
-        "G": [face_difference_matrix(grid, d) for d in range(grid.ndim)],
-        "A": [face_average_matrix(grid, d) for d in range(grid.ndim)],
-    }
 
 
 @functools.lru_cache(maxsize=8)
@@ -217,149 +209,125 @@ def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
     return delta.reshape(grid.shape)
 
 
-def _outer_entries(L, R, scale=None):
-    """Entries of ``sum_s scale_s L[s]^T R[s]`` listed slot by slot.
+@functools.lru_cache(maxsize=None)
+def _stencil_offsets(ndim: int, wide: bool) -> tuple:
+    """Offsets of the Jacobian's stencil, as tuples of cell steps per axis.
 
-    ``L`` and ``R`` are CSR matrices with one row per slot ``s``; slot ``s``
-    adds ``scale_s L[s, i] R[s, j]`` at ``(i, j)``.  Returns the entry count
-    of each slot and the rows, columns and weights of the entries.
+    The narrow stencil is ``{0, +-e_d}``, zero offset first.  The wide one
+    adds every sum of two unit steps, ``+-2 e_d`` and ``+-e_d +- e_e``: the
+    ``a'`` term reaches a face's other cell and, from there, the centred
+    gradient's neighbours.
     """
-    nr = np.diff(R.indptr)
-    counts = np.diff(L.indptr) * nr
-    # int32 like the operators' index arrays, which halves the transients
-    slot = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
-    k = np.arange(slot.size, dtype=np.int32) - np.repeat(
-        np.cumsum(counts, dtype=np.int32) - counts, counts
-    )
-    lpos = L.indptr[slot] + k // nr[slot]
-    rpos = R.indptr[slot] + k % nr[slot]
-    weights = L.data[lpos] * R.data[rpos]
-    if scale is not None:
-        weights *= scale[slot]
-    return counts, L.indices[lpos], R.indices[rpos], weights
-
-
-def _face_cells(A):
-    """(face, cell) of each entry of a face-average matrix, in CSR order."""
-    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices
-
-
-def _plan_blocks(grid, wide):
-    """The Jacobian's terms as ``_outer_entries`` blocks, in ``z`` order."""
-    ops = _operators(grid)
-    n = grid.size
-    cells = np.arange(n)
-    yield np.array([n]), cells, cells, np.ones(n)  # lam I
-    # divergence is minus the transpose of the face difference
-    for G in ops["G"]:
-        yield _outer_entries(G, G)  # G_d^T diag(a) G_d
+    steps = [s * e for e in np.eye(ndim, dtype=int) for s in (1, -1)]
+    offsets = [0 * steps[0]] + steps
     if wide:
-        # G_d^T diag(a' G_d u) A_d W with W = sum_e diag(2 D_e u) C_e
-        for G, A in zip(ops["G"], ops["A"]):
-            faces, avg_cells = _face_cells(A)
-            for C in ops["C"]:
-                yield _outer_entries(G[faces], C[avg_cells], scale=A.data)
-    eye = sp.identity(n, format="csr")
-    for C in ops["C"]:
-        yield _outer_entries(eye, C)  # diag(h') W
-
-
-@dataclass(frozen=True)
-class _JacobianPlan:
-    """Fixed CSR pattern of the Jacobian on one grid and the map onto it.
-
-    ``J.data = map @ z``, where ``z`` stacks ``lam``; ``a(w_f)`` on the faces
-    of each axis; in the wide plan only, ``a'(w_f) (G_d u)_f 2 (D_e u)_c``
-    for each entry ``(f, c)`` of ``A_d`` (``face_cells[d]``) and each axis
-    ``e``; and ``h'(w) 2 D_e u`` on the cells for each axis ``e``.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    map: sp.csc_matrix
-    face_cells: tuple
+        offsets += [a + b for a in steps for b in steps]
+    return tuple(dict.fromkeys(tuple(int(k) for k in o) for o in offsets))
 
 
 @functools.lru_cache(maxsize=8)
-def _jacobian_plan(grid: Grid, wide: bool) -> _JacobianPlan:
+def _jacobian_pattern(grid: Grid, wide: bool):
+    """The Jacobian's CSR ``indptr`` and ``indices``, and where each stencil
+    entry lands in them.
+
+    Entry ``(o, i)``, offset ``o`` at cell ``i`` in C order, couples ``i``
+    with cell ``clip(i + o)``: the mirror-ghost rule, under which a step off
+    the grid lands on the edge cell.  Its CSR position is
+    ``index[o * grid.size + i]``; entries that land on one cell add up.
+    """
     n = grid.size
-    # the pattern is the union of every position a term writes; each block
-    # is dropped before the next is built, which bounds the transients
-    pattern = sp.csr_matrix((n, n))
-    slot_counts = []
-    for counts, rows, cols, _ in _plan_blocks(grid, wide):
-        slot_counts.append(counts)
-        pattern = pattern + sp.csr_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(n, n)
-        )
-        del rows, cols
-    pattern.sort_indices()  # row-major keys in order, for searchsorted
-    indptr = pattern.indptr.astype(np.int32)
-    indices = pattern.indices.astype(np.int32)
-    del pattern
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-    # entries come out in slot order, so they fill the map's CSC arrays
-    # directly, one block at a time
-    col_ptr = np.zeros(sum(c.size for c in slot_counts) + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(slot_counts), out=col_ptr[1:])
-    del slot_counts
-    positions = np.empty(col_ptr[-1], dtype=np.int32)
-    weights = np.empty(col_ptr[-1])
-    start = 0
-    for _, rows, cols, w in _plan_blocks(grid, wide):
-        stop = start + w.size
-        positions[start:stop] = np.searchsorted(keys, rows.astype(np.int64) * n + cols)
-        weights[start:stop] = w
-        start = stop
-        del rows, cols, w
-    del keys
-    face_cells = []
-    if wide:
-        face_cells = [
-            tuple(a.astype(np.int32) for a in _face_cells(A))
-            for A in _operators(grid)["A"]
+    cells = np.indices(grid.shape).reshape(grid.ndim, -1)
+    top = np.array(grid.cells)[:, None] - 1
+    rows = np.arange(n, dtype=np.int64) * n
+    keys = np.concatenate(
+        [
+            rows
+            + np.ravel_multi_index(
+                tuple(np.clip(cells + np.array(o)[:, None], 0, top)), grid.shape
+            )
+            for o in _stencil_offsets(grid.ndim, wide)
         ]
-    # shared by every caller of the cache, across threads
-    for a in (indptr, indices, positions, weights, col_ptr, *sum(face_cells, ())):
-        a.flags.writeable = False
-    jac_map = sp.csc_matrix(
-        (weights, positions, col_ptr), shape=(indices.size, col_ptr.size - 1)
     )
-    return _JacobianPlan(indptr, indices, jac_map, tuple(face_cells))
+    del cells
+    pattern, index = np.unique(keys, return_inverse=True)
+    del keys
+    indptr = np.append(np.searchsorted(pattern, rows), pattern.size).astype(np.int32)
+    indices = (pattern % n).astype(np.int32)
+    # index stays intp: np.bincount would otherwise cast it into a fresh
+    # array on every Jacobian, which costs more than the scatter itself
+    index = index.astype(np.intp, copy=False)
+    # shared by every caller of the cache, across threads
+    for a in (indptr, indices, index):
+        a.flags.writeable = False
+    return indptr, indices, index
 
 
 def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     """Jacobian of the residual at ``u_values`` and the grid mean of ``a(w)``.
 
-    The mean is the preconditioner's coefficient, taken from the same ``w``.
+    The entries are the derivatives of ``_residual_values``'s stencils,
+    gathered in one coefficient array per stencil offset.  The mean is the
+    preconditioner's coefficient, taken from the same ``w``.
     """
-    ops = _operators(grid)
-    uflat = u_values.ravel()
-    du = [C @ uflat for C in ops["C"]]
-    w = ham.eps + sum(d * d for d in du)
-    two_du = [2.0 * d for d in du]
-    face_a, face_ap = [], []
-    wide = False
-    for G, A in zip(ops["G"], ops["A"]):
-        wf = A @ w
-        ap = np.asarray(coeff.a_prime(wf), dtype=float)
-        wide = wide or bool(np.any(ap))
-        face_a.append(np.asarray(coeff.a(wf), dtype=float))
-        face_ap.append(ap * (G @ uflat))
-    # the narrow plan leaves the a' block out and serves whenever a' vanishes
-    # on every face, as for p = 2, keeping the stencil compact; the width
-    # depends on a' alone, not on u, so a p != 2 solve from a constant
-    # iterate takes the wide plan from its first step
-    plan = _jacobian_plan(grid, wide)
-    hp = ham.h_prime_of_w(w)
-    z = np.concatenate(
-        [[lam], *face_a]
-        + [t[f] * g[c] for (f, c), t in zip(plan.face_cells, face_ap) for g in two_du]
-        + [hp * g for g in two_du]
-    )
+    u = ScalarField(grid, u_values)
+    du = gradient(u).components
+    w = ham.eps + np.sum(du**2, axis=0)
+    face_w = [face_average(w, grid, d) for d in range(grid.ndim)]
+    face_ap = [np.asarray(coeff.a_prime(wf), dtype=float) for wf in face_w]
+    # the width depends on a' alone, not on u, so a p != 2 solve from a
+    # constant iterate takes the wide stencil from its first step, and p = 2
+    # keeps the compact one
+    wide = any(bool(np.any(ap)) for ap in face_ap)
+    offsets = _stencil_offsets(grid.ndim, wide)
+    slot = {o: k for k, o in enumerate(offsets)}
+    coefs = np.zeros((len(offsets),) + grid.shape)
+    centre = coefs[0]
+    centre += lam
+
+    def at(offset):
+        return coefs[slot[tuple(offset)]]
+
+    unit = np.eye(grid.ndim, dtype=int)
+    # w at cell c moves by +-q_e[c] per unit change of u at clip(c +- e_e)
+    q = [du[e] / h for e, h in enumerate(grid.spacing)]
+    # dR_i/dw_i: h'(w_i), plus the a' terms of cell i's faces added below
+    own = ham.h_prime_of_w(w)
+    faces = face_normal_differences(u) if wide else None
+    for d, h in enumerate(grid.spacing):
+        # each interior face along d and the cells on its left and right;
+        # boundary faces carry no flux
+        inner, left, right = (
+            tuple(s if k == d else slice(None) for k in range(grid.ndim))
+            for s in (slice(1, -1), slice(None, -1), slice(1, None))
+        )
+        # the flux a(w_f) (Du)_f enters the residual of its left cell with
+        # -1/h and of its right cell with +1/h
+        t = np.asarray(coeff.a(face_w[d][inner]), dtype=float) / h**2
+        for cells, across in ((left, unit[d]), (right, -unit[d])):
+            centre[cells] += t
+            at(across)[cells] -= t
+        if not wide:
+            continue
+        # through a'(w_f), that flux over h also moves by m per unit change
+        # of w at either cell of the face
+        m = 0.5 * face_ap[d][inner] * faces[d][inner] / h
+        own[left] -= m
+        own[right] += m
+        for e in range(grid.ndim):
+            t = m * q[e][right]  # the left cell's row, through w at the right cell
+            at(unit[d] + unit[e])[left] -= t
+            at(unit[d] - unit[e])[left] += t
+            t = m * q[e][left]  # the right cell's row, through w at the left cell
+            at(-unit[d] + unit[e])[right] += t
+            at(-unit[d] - unit[e])[right] -= t
+    for e in range(grid.ndim):
+        t = own * q[e]
+        at(unit[e])[...] += t
+        at(-unit[e])[...] -= t
+    indptr, indices, index = _jacobian_pattern(grid, wide)
+    data = np.bincount(index, weights=coefs.ravel(), minlength=indices.size)
     J = sp.csr_matrix(
-        (plan.map @ z, plan.indices.copy(), plan.indptr.copy()),
-        shape=(grid.size, grid.size),
+        (data, indices.copy(), indptr.copy()), shape=(grid.size, grid.size)
     )
     return J, float(np.mean(coeff.a(w)))
 

@@ -14,6 +14,7 @@ from gradlab.grid import (
     dirichlet_form,
     divergence_flux,
     face_average,
+    face_average_matrix,
     face_difference_matrix,
     face_normal_differences,
     gradient,
@@ -143,8 +144,13 @@ def test_normal_scan_linear_ramp():
     assert scan.max_value == pytest.approx(1.0, abs=1e-13)
 
 
-def test_operator_matrices_match_stencils(rng):
-    grid = build_grid(Box((1.0, 2.0)), (12, 20))
+@pytest.mark.parametrize(
+    "extents, cells", [((1.0, 2.0), (12, 20)), ((1.0, 0.7, 1.3), (8, 10, 9))]
+)
+def test_operator_matrices_match_stencils(rng, extents, cells):
+    """The sparse builders, which the tests use as the Jacobian's reference,
+    agree with the stencils on an anisotropic 2D and 3D box."""
+    grid = build_grid(Box(extents), cells)
     u = ScalarField(grid, rng.standard_normal(grid.shape))
     for d in range(grid.ndim):
         g_mat = centered_gradient_matrix(grid, d) @ u.values.ravel()
@@ -152,6 +158,10 @@ def test_operator_matrices_match_stencils(rng):
         f_mat = face_difference_matrix(grid, d) @ u.values.ravel()
         assert np.allclose(
             f_mat, face_normal_differences(u)[d].ravel(), atol=1e-14
+        )
+        a_mat = face_average_matrix(grid, d) @ u.values.ravel()
+        assert np.allclose(
+            a_mat, face_average(u.values, grid, d).ravel(), atol=1e-14
         )
 
 

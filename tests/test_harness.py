@@ -91,6 +91,15 @@ def test_parse_minimal_and_defaults():
         lambda t: t.replace("q = 3\n", ""),
         lambda t: t.replace("source = cosine", "source = vortex"),
         lambda t: t.replace("cells = 24 24", "cells = 24"),
+        lambda t: t.replace("eps = 1e-2", "eps = abc"),
+        lambda t: t.replace("cells = 24 24", "cells = 48 x"),
+        lambda t: t + "\n[analysis]\nbeta = five\n",
+        lambda t: t.replace("source = cosine", "source = radial\ncenter = 0.5 0.5\npower = -"),
+        lambda t: t + "\n[analysis]\nsobolev_dim = three\n",
+        lambda t: t + "\n[solver]\nmax_iter = ten\n",
+        lambda t: t + "\n[solver]\ncontinuation = maybe\n",
+        lambda t: t + "\n[solver]\neps_ratio = 1\n",
+        lambda t: t + "\n[solver]\ndamping_factor = 1.5\n",
     ],
 )
 def test_parse_rejections(mutate):
@@ -286,9 +295,9 @@ def test_convergence_study_needs_three_levels(box2d):
 
 def test_emit_report_empty_directory(tmp_path):
     written = emit_report(tmp_path / "none", tmp_path / "out")
-    rows = list(csv.DictReader(open(written["report.csv"])))
+    rows = list(csv.DictReader(written["report.csv"].read_text().splitlines()))
     assert rows == []
-    assert json.loads(open(written["report.json"]).read()) == []
+    assert json.loads(written["report.json"].read_text()) == []
 
 
 def test_emit_report_with_records(tmp_path):
@@ -303,7 +312,7 @@ def test_emit_report_with_records(tmp_path):
     assert {row["sweep_axis"] for row in rows} == {"h"}
     assert "h_du_qgamma.dat" in written
     lines = [
-        ln for ln in open(written["h_du_qgamma.dat"]).read().splitlines()
+        ln for ln in written["h_du_qgamma.dat"].read_text().splitlines()
         if ln and not ln.startswith("#")
     ]
     assert len(lines) == 2
@@ -331,6 +340,16 @@ def test_cli_config_failures(tmp_path, capsys):
     bad = _write(tmp_path, "bad.ini", SMOOTH.replace("gamma = 2", "gamma = 1"))
     assert main(["check", bad]) == 2
     assert main(["check", str(tmp_path / "missing.ini")]) == 2
+    # a number that does not parse is a config error, not a traceback
+    bad = _write(tmp_path, "nan.ini", SMOOTH.replace("eps = 1e-2", "eps = abc"))
+    assert main(["check", bad]) == 2
+    assert "'eps'" in capsys.readouterr().err
+
+
+def test_cli_check_rejects_grid_that_solve_rejects(tmp_path, capsys):
+    coarse = _write(tmp_path, "coarse.ini", SMOOTH.replace("cells = 24 24", "cells = 48 4"))
+    assert main(["check", coarse]) == 2
+    assert "cells" in capsys.readouterr().err
 
 
 def test_cli_solve_and_bernstein_smooth(tmp_path, capsys):

@@ -8,11 +8,17 @@ import pytest
 import scipy.sparse as sp
 
 import gradlab.solver
-from gradlab.errors import NonconvergenceError, UnsupportedRegimeError
+from gradlab.errors import (
+    NonconvergenceError,
+    ParameterError,
+    UnsupportedRegimeError,
+)
 from gradlab.grid import (
     Box,
     ScalarField,
     build_grid,
+    centered_gradient_matrix,
+    face_average_matrix,
     face_difference_matrix,
     gradient,
     lp_norm,
@@ -33,10 +39,9 @@ from gradlab.solver import (
     _dct_preconditioner,
     _discrete_l2,
     _jacobian_matrix,
-    _jacobian_plan,
+    _jacobian_pattern,
     _neumann_eigenvalues,
     _newton_direction,
-    _operators,
     _residual_values,
     epsilon_sweep,
     jacobian,
@@ -122,7 +127,11 @@ def test_jacobian_matches_directional_difference(rng, p, gamma, cells):
 
 def _reference_jacobian(grid, coeff, ham, lam, u_values):
     """The Jacobian by sparse-matrix products, term by term."""
-    ops = _operators(grid)
+    ops = {
+        "C": [centered_gradient_matrix(grid, d) for d in range(grid.ndim)],
+        "G": [face_difference_matrix(grid, d) for d in range(grid.ndim)],
+        "A": [face_average_matrix(grid, d) for d in range(grid.ndim)],
+    }
     uflat = u_values.ravel()
     n = uflat.size
     du = [C @ uflat for C in ops["C"]]
@@ -155,7 +164,7 @@ def _reference_jacobian(grid, coeff, ham, lam, u_values):
 def test_jacobian_matches_sparse_product_formula(
     rng, extents, cells, p, coefficient, partly_constant
 ):
-    """The planned assembly equals the term-by-term product formula; p = 2
+    """The stencil assembly equals the term-by-term product formula; p = 2
     keeps its compact stencil.  On a partly constant iterate a' G_d u
     vanishes on some faces only, which the product formula drops entries
     for and the wide pattern stores as zeros."""
@@ -179,7 +188,7 @@ def test_jacobian_matches_sparse_product_formula(
 
 
 def test_jacobian_edits_leave_the_next_jacobian_alone(box2d, rng):
-    """The cached plan is read-only and each Jacobian owns its arrays."""
+    """The cached pattern is read-only and each Jacobian owns its arrays."""
     grid = build_grid(box2d, (12, 12))
     prob = _problem(box2d, p=3.0, gamma=3.0)
     u = ScalarField(grid, 1.0 + 0.1 * rng.standard_normal(grid.shape))
@@ -192,15 +201,15 @@ def test_jacobian_edits_leave_the_next_jacobian_alone(box2d, rng):
     again = jacobian(prob, u)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(again, name), getattr(expected, name))
-    plan = _jacobian_plan(grid, True)
-    for arr in (plan.indptr, plan.indices, plan.map.data, plan.map.indices):
+    for arr in _jacobian_pattern(grid, True):
         assert not arr.flags.writeable
         assert not np.shares_memory(arr, again.indices)
+        assert not np.shares_memory(arr, again.indptr)
 
 
-def test_jacobian_plan_cache_is_thread_safe(rng):
-    """Threaded sweeps build and evict plans concurrently: more (grid, width)
-    keys than the cache holds, read from more threads than cores."""
+def test_jacobian_pattern_cache_is_thread_safe(rng):
+    """Threaded sweeps build and evict patterns concurrently: more (grid,
+    width) keys than the cache holds, read from more threads than cores."""
     cases = []
     for i in range(6):
         box = Box((1.0, 1.0 + 0.1 * i))
@@ -230,16 +239,16 @@ def test_jacobian_plan_cache_is_thread_safe(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert _jacobian_plan.cache_info().currsize <= 8
+    assert _jacobian_pattern.cache_info().currsize <= 8
 
 
-def test_p3_solve_builds_only_the_wide_plan(box2d):
-    """The plan width follows a' alone, so the constant first iterate of a
-    p != 2 solve does not build a narrow plan that no later step uses."""
-    _jacobian_plan.cache_clear()
+def test_p3_solve_builds_only_the_wide_pattern(box2d):
+    """The stencil width follows a' alone, so the constant first iterate of a
+    p != 2 solve does not build a narrow pattern that no later step uses."""
+    _jacobian_pattern.cache_clear()
     _, report = solve(_problem(box2d, p=3.0, gamma=3.0), build_grid(box2d, (16, 16)))
     assert report.converged
-    assert _jacobian_plan.cache_info().misses == 1
+    assert _jacobian_pattern.cache_info().misses == 1
 
 
 def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
@@ -337,6 +346,16 @@ def test_stage_history_monotone(p2_problem, box2d):
         hist = np.asarray(stage.residual_history)
         assert np.all(np.diff(hist) <= 1e-14)
     assert report.total_iterations == sum(s.iterations for s in report.stages)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("eps_ratio", 1.0), ("eps_ratio", 0.0), ("damping_factor", 1.0)]
+)
+def test_solver_options_reject_ratios_outside_unit_interval(key, value):
+    """A ratio of 1 or more would never end the eps schedule or the line
+    search; no solve is run with one."""
+    with pytest.raises(ParameterError, match=key):
+        SolverOptions(**{key: value})
 
 
 def test_lambda_zero_rejected(box2d):
