@@ -145,6 +145,30 @@ def _same_grid(a, b):
         raise ContractError("fields live on different grids")
 
 
+def prolong(field: ScalarField, grid: Grid) -> ScalarField:
+    """``field`` interpolated onto ``grid``, another grid of the same box.
+
+    Separable linear interpolation between cell centres, one axis at a time.
+    A centre beyond the outermost centres of ``field`` takes the edge cell's
+    value, as the mirror ghosts do.  Any cell ratio works, coarsening
+    included, and an axis whose cell count is unchanged is copied exactly.
+    """
+    if field.grid.domain != grid.domain:
+        raise ContractError("cannot prolong a field onto another domain")
+    values = field.values.copy()
+    for d, (n_from, n_to) in enumerate(zip(field.grid.cells, grid.cells)):
+        if n_from == n_to:
+            continue
+        # centre i of the target axis, in index units of the source axis
+        s = np.clip((np.arange(n_to) + 0.5) * n_from / n_to - 0.5, 0, n_from - 1)
+        lo = np.minimum(s.astype(int), n_from - 2)
+        t = (s - lo).reshape([-1 if k == d else 1 for k in range(grid.ndim)])
+        a = np.take(values, lo, axis=d)
+        # this form keeps a constant exact
+        values = a + t * (np.take(values, lo + 1, axis=d) - a)
+    return ScalarField(grid, values)
+
+
 # ---------------------------------------------------------------------------
 # ghost handling and derivatives
 # ---------------------------------------------------------------------------

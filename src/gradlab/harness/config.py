@@ -122,7 +122,7 @@ class RunConfig:
         returned, so its digest keeps the text it was written with.
         """
         section = next(s for s, keys in _KNOWN_KEYS.items() if key in keys)
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = _parser()
         parser.read_string(self.canonical_text)
         if not parser.has_section(section):
             parser.add_section(section)
@@ -173,6 +173,13 @@ class RunConfig:
             )
 
 
+def _parser() -> configparser.ConfigParser:
+    # "key = value  ; note" is a comment after the value, as in README
+    return configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";",)
+    )
+
+
 def _floats(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.split())
 
@@ -208,7 +215,7 @@ def _value(parser, section, key, convert, default=None):
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = _parser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:

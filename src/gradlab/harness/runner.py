@@ -8,7 +8,6 @@ import datetime as _dt
 import functools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,6 +90,10 @@ def run_experiment(
     iterate; timing and provenance go to the meta side of the record.  A
     warm start from ``initial`` solves in one stage at the target (eps,
     gamma); only a cold start follows the continuation schedule.
+    ``initial`` may live on another grid of the same domain, and is then
+    prolonged onto this config's grid.  A solve that fails raises, and no
+    record is written; in a sweep, that stops the chain and later points
+    are not run.
     """
     problem = config.build_problem()
     grid = config.build_grid()
@@ -233,33 +236,24 @@ def _sweep_variants(config: RunConfig, axis: str) -> list:
 
 
 def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> list:
-    """Run a family of experiments along one axis.
+    """Run a family of experiments along one axis, as one warm chain.
 
-    The eps and k axes run as one warm chain: each point starts from the
-    previous point's solution, so only the first point walks the
+    Each point starts from the previous point's solution, prolonged onto its
+    own grid on the ``h`` axis, so only the first point walks the
     continuation schedule and every later one solves in one stage at its
     own target.  A k point has the same target as the point before it, so
     it takes no Newton step and only evaluates ``thm2`` at its own level.
-    The other axes are independent and run concurrently.
+    A point that fails raises and stops the chain: later points are not run.
     """
-    variants = _sweep_variants(config, axis)
-    if axis in ("eps", "k"):
-        results = []
-        initial = None
-        for value, variant in variants:
-            result = run_experiment(
-                variant, out_dir, initial=initial, sweep_tag=(axis, value)
-            )
-            initial = result.u
-            results.append(result)
-        return results
-
-    with ThreadPoolExecutor(max_workers=min(4, len(variants))) as pool:
-        futures = [
-            pool.submit(run_experiment, variant, out_dir, None, (axis, value))
-            for value, variant in variants
-        ]
-        return [f.result() for f in futures]
+    results = []
+    initial = None
+    for value, variant in _sweep_variants(config, axis):
+        result = run_experiment(
+            variant, out_dir, initial=initial, sweep_tag=(axis, value)
+        )
+        initial = result.u
+        results.append(result)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +299,17 @@ def convergence_study(
     """Solve against a known continuum solution on a doubling grid ladder.
 
     ``f_exact`` and ``u_exact`` take the tuple of center coordinate arrays.
-    A level that fails to solve is recorded and skipped; orders are then
+    The ladder runs as a warm chain: only the first level walks the
+    continuation schedule, and each later one starts from the last converged
+    level's solution, prolonged onto its grid, and solves in one stage.  A
+    level that fails to solve is recorded and skipped; orders are then
     computed over consecutive successful pairs.
     """
     if levels < 3:
         raise ConfigError("convergence study needs at least 3 levels")
     rows = []
     ndim = len(box.extents)
+    prev = None  # the last converged level's solution
     for i in range(levels):
         n = base_cells * 2**i
         grid = build_grid(box, (n,) * ndim)
@@ -322,10 +320,13 @@ def convergence_study(
         )
         exact = np.asarray(u_exact(centers), dtype=float)
         try:
-            u, _ = solve(problem, grid, options)
+            u, _ = solve(
+                problem, grid, options, initial=prev, continuation=prev is None
+            )
         except GradlabError:  # the study reports partial results
             rows.append(StudyLevel(n, grid.max_spacing, False, None, None))
             continue
+        prev = u
         diff = u.values - exact
         rows.append(
             StudyLevel(

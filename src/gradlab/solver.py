@@ -66,6 +66,7 @@ from .grid import (
     face_average,
     face_normal_differences,
     gradient,
+    prolong,
 )
 from .model.families import PowerHamiltonian
 from .model.problem import ProblemSpec
@@ -236,26 +237,37 @@ def _jacobian_pattern(grid: Grid, wide: bool):
     ``index[o * grid.size + i]``; entries that land on one cell add up.
     """
     n = grid.size
-    cells = np.indices(grid.shape).reshape(grid.ndim, -1)
-    top = np.array(grid.cells)[:, None] - 1
-    rows = np.arange(n, dtype=np.int64) * n
-    keys = np.concatenate(
-        [
-            rows
-            + np.ravel_multi_index(
-                tuple(np.clip(cells + np.array(o)[:, None], 0, top)), grid.shape
-            )
-            for o in _stencil_offsets(grid.ndim, wide)
-        ]
-    )
-    del cells
-    pattern, index = np.unique(keys, return_inverse=True)
-    del keys
-    indptr = np.append(np.searchsorted(pattern, rows), pattern.size).astype(np.int32)
-    indices = (pattern % n).astype(np.int32)
-    # index stays intp: np.bincount would otherwise cast it into a fresh
-    # array on every Jacobian, which costs more than the scatter itself
-    index = index.astype(np.intp, copy=False)
+    offsets = _stencil_offsets(grid.ndim, wide)
+    # cols[o, i], the column of entry (o, i), built one axis at a time
+    cols = np.zeros((len(offsets),) + grid.shape, dtype=np.int32)
+    stride = 1
+    for d in reversed(range(grid.ndim)):
+        m = grid.cells[d]
+        shape = [-1 if e == d else 1 for e in range(grid.ndim)]
+        for k, o in enumerate(offsets):
+            cols[k] += (np.clip(np.arange(m) + o[d], 0, m - 1) * stride).reshape(shape)
+        stride *= m
+    cols = cols.reshape(len(offsets), n)
+    # every row has the same few entries, so sorting each row's columns and
+    # dropping repeats gives the CSR rows without a sort over all entries
+    ordered = np.sort(cols, axis=0)
+    first = np.ones(cols.shape, dtype=bool)  # first of a run of equal columns
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(first.sum(axis=0), out=indptr[1:])
+    indices = ordered.T[first.T]
+    # entry (o, i) lands after the distinct columns of row i below its own;
+    # a repeat is moved past every column so that it counts for none
+    ordered[~first] = n
+    # index is intp: np.bincount would otherwise cast it into a fresh array
+    # on every Jacobian, which costs more than the scatter itself
+    index = np.empty(cols.shape, dtype=np.intp)
+    below = np.empty(cols.shape, dtype=bool)
+    for k in range(len(offsets)):
+        np.less(ordered, cols[k], out=below)
+        np.sum(below, axis=0, out=index[k])
+        index[k] += indptr[:-1]
+    index = index.ravel()
     # shared by every caller of the cache, across threads
     for a in (indptr, indices, index):
         a.flags.writeable = False
@@ -408,6 +420,11 @@ def solve(
 ) -> tuple[ScalarField, SolveReport]:
     """Solve the discrete problem on ``grid``.
 
+    Newton starts from ``initial`` when one is given.  It may live on another
+    grid of the same domain, such as a coarser solve of the same problem;
+    it is then prolonged onto ``grid`` (:func:`gradlab.grid.prolong`).  A
+    field on another domain raises :class:`ContractError`.
+
     Raises :class:`NonconvergenceError` with the best iterate attached if any
     continuation stage stalls.  A vanishing zero-order coefficient has no
     direct solve; probe ``lam -> 0`` through the sweep axis instead.
@@ -422,9 +439,7 @@ def solve(
     start = time.perf_counter()
     f_values = sample_source(problem.source, grid).values
     if initial is not None:
-        if initial.grid.cells != grid.cells:
-            raise ContractError("initial guess lives on a different grid")
-        u = initial.values.copy()
+        u = prolong(initial, grid).values
     else:
         u = np.full(grid.shape, float(f_values.mean()) / problem.lam)
     if continuation:

@@ -22,6 +22,7 @@ from gradlab.grid import (
     load_field,
     lp_norm,
     normal_derivative_scan,
+    prolong,
     save_field,
     second_derivatives,
 )
@@ -177,3 +178,49 @@ def test_field_serialization_round_trip(tmp_path, rng):
     (tmp_path / "junk.field").write_bytes(b"nope")
     with pytest.raises(ContractError):
         load_field(tmp_path / "junk.field")
+
+
+@pytest.mark.parametrize(
+    "extents, cells_from, cells_to",
+    [
+        ((1.0, 2.0), (32, 32), (48, 48)),
+        ((1.0, 2.0), (48, 48), (32, 32)),
+        ((1.0, 2.0), (16, 40), (64, 40)),
+        ((1.0, 0.7, 1.3), (8, 8, 8), (12, 12, 12)),
+    ],
+)
+def test_prolong_reproduces_constants_and_linear_fields(extents, cells_from, cells_to):
+    """Interpolation is exact on constants everywhere, and on a field that is
+    linear in each coordinate at every target centre inside the hull of the
+    source centres."""
+    box = Box(extents)
+    src, dst = build_grid(box, cells_from), build_grid(box, cells_to)
+    const = prolong(ScalarField(src, np.full(src.shape, 0.1)), dst)
+    assert const.grid == dst
+    assert np.all(const.values == 0.1)
+
+    def linear(grid):
+        return sum((d + 1.5) * x for d, x in enumerate(grid.centers())) - 0.25
+
+    got = prolong(ScalarField(src, linear(src)), dst).values
+    inside = np.ones(dst.shape, dtype=bool)
+    for d, x in enumerate(dst.centers()):
+        c = src.axis_centers(d)
+        inside &= (x >= c[0]) & (x <= c[-1])
+    assert inside.any()
+    assert np.allclose(got[inside], linear(dst)[inside], rtol=0, atol=1e-13)
+    # outside the hull each axis holds its edge value, so the field stays
+    # within the source's range
+    assert got.min() >= linear(src).min() and got.max() <= linear(src).max()
+
+
+def test_prolong_same_grid_copies_and_other_domain_raises(rng):
+    grid = build_grid(Box((1.0, 1.0)), (16, 16))
+    u = ScalarField(grid, rng.standard_normal(grid.shape))
+    same = prolong(u, grid)
+    assert np.array_equal(same.values, u.values)
+    assert not np.shares_memory(same.values, u.values)
+    with pytest.raises(ContractError):
+        prolong(u, build_grid(Box((1.0, 2.0)), (16, 16)))
+    with pytest.raises(ContractError):
+        prolong(u, build_grid(Box((1.0, 1.0, 1.0)), (16, 16, 16)))

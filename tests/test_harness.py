@@ -1,8 +1,10 @@
 """Experiment harness: config parsing, record store, sweeps, reports, CLI."""
 
+import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,6 +24,7 @@ from gradlab.harness import (
     run_experiment,
     sweep,
 )
+from gradlab.harness import runner as runner_module
 from gradlab.harness.cli import main
 from gradlab.harness.records import list_records, load_record_field
 from gradlab.harness.runner import _sweep_variants
@@ -125,6 +128,20 @@ def test_digest_ignores_layout_not_values():
     assert changed.digest() != cfg.digest()
 
 
+def test_readme_config_blocks_parse():
+    """Every ini block in README parses, and its comments after values do
+    not reach the digest."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for text in blocks:
+        assert re.search(r"\s;", text)  # the block does carry inline comments
+        bare = re.sub(r"\s+;.*", "", text)
+        cfg = parse_config(text)
+        assert cfg == parse_config(bare)
+        assert cfg.digest() == parse_config(bare).digest()
+
+
 def test_validate_checks_source_membership():
     bad = parse_config(
         SINGULAR.replace("power = 0.55", "power = 0.9").replace("q = 3", "q = 3")
@@ -189,6 +206,53 @@ def test_eps_and_h_sweeps(tmp_path):
     assert spread <= 0.05
     h_rows = sweep(cfg, "h", tmp_path / "h")
     assert [r.payload["parameters"]["cells"] for r in h_rows] == [[32, 32], [48, 48]]
+    # the 48^2 point starts from the 32^2 solution, prolonged
+    assert len(h_rows[1].payload["solve"]["stages"]) == 1
+    _assert_matches_cold(h_rows[1], run_experiment(cfg))
+
+
+def test_lambda_sweep_is_a_warm_chain(tmp_path):
+    cfg = parse_config(SINGULAR + "lambda_sweep = 0.5 1 2\n")
+    rows = sweep(cfg, "lambda", tmp_path)
+    assert [r.payload["parameters"]["lambda"] for r in rows] == ["1/2", "1", "2"]
+    assert len(rows[0].payload["solve"]["stages"]) > 1
+    for row in rows[1:]:
+        assert len(row.payload["solve"]["stages"]) == 1
+    _assert_matches_cold(rows[-1], run_experiment(cfg.override("lambda", "2.0")))
+
+
+def _assert_matches_cold(warm, cold):
+    """A warm-chained point agrees with a cold solve of its config within
+    ``10 tol / (lam h)``, and every ledger verdict is the same."""
+    params = cold.payload["parameters"]
+    tol = parse_config(SINGULAR).solver.tol
+    bound = 10 * tol / (float(Fraction(params["lambda"])) / max(params["cells"]))
+    assert warm.payload["parameters"] == params
+    assert np.max(np.abs(warm.u.values - cold.u.values)) <= bound
+    for key, value in cold.payload["norms"].items():
+        assert warm.payload["norms"][key] == pytest.approx(value, rel=bound, abs=1e-15)
+
+    def verdicts(payload):
+        return {
+            (name, row["lemma"]): row["passed"]
+            for name, block in payload["ledgers"].items()
+            for row in block["rows"]
+        }
+
+    assert verdicts(cold.payload)
+    assert verdicts(warm.payload) == verdicts(cold.payload)
+
+
+def test_runner_has_no_thread_pool():
+    """Every sweep axis is one serial warm chain."""
+    tree = ast.parse(Path(runner_module.__file__).read_text())
+    imported = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not any(name and name.startswith("concurrent") for name in imported)
 
 
 def test_k_sweep_reuses_one_solve(tmp_path):
@@ -237,22 +301,24 @@ def test_sweep_axis_validation(tmp_path):
         sweep(cfg, "temperature", tmp_path)
 
 
+def _cosine_exact(coords):
+    x, y = coords
+    return np.cos(np.pi * x) * np.cos(np.pi * y)
+
+
+def _cosine_forcing(coords, eps=1e-2):
+    x, y = coords
+    base = (1 + 2 * np.pi**2) * np.cos(np.pi * x) * np.cos(np.pi * y)
+    ham = eps + np.pi**2 / 2 - (np.pi**2 / 2) * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    return base + ham
+
+
 def test_convergence_study_second_order(box2d):
     """Manufactured continuum solution for p=2, gamma=2, lam=1: with
     u* = cos(pi x) cos(pi y) the forcing reduces to a closed form."""
-    def u_exact(coords):
-        x, y = coords
-        return np.cos(np.pi * x) * np.cos(np.pi * y)
-
-    def f_exact(coords, eps=1e-2):
-        x, y = coords
-        base = (1 + 2 * np.pi**2) * np.cos(np.pi * x) * np.cos(np.pi * y)
-        ham = eps + np.pi**2 / 2 - (np.pi**2 / 2) * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-        return base + ham
-
     study = convergence_study(
         box2d, p=2.0, gamma=2.0, lam=1.0, eps=1e-2,
-        f_exact=f_exact, u_exact=u_exact, base_cells=16, levels=3,
+        f_exact=_cosine_forcing, u_exact=_cosine_exact, base_cells=16, levels=3,
     )
     assert len(study.levels) == 3
     assert all(lv.converged for lv in study.levels)
@@ -282,6 +348,29 @@ def test_convergence_study_records_only_package_errors(
     else:
         study = convergence_study(box2d, **args)
         assert not any(lv.converged for lv in study.levels)
+
+
+def test_convergence_study_chains_from_the_last_converged_level(box2d, monkeypatch):
+    """Only the first level is cold; a failed level is recorded and the next
+    one starts from the last level that converged."""
+    calls = []
+    real_solve = runner_module.solve
+
+    def solve(problem, grid, options=None, initial=None, continuation=True):
+        start = initial.grid.cells[0] if initial is not None else None
+        calls.append((grid.cells[0], start, continuation))
+        if grid.cells[0] == 16:
+            raise NonconvergenceError("stalled")
+        return real_solve(problem, grid, options, initial=initial, continuation=continuation)
+
+    monkeypatch.setattr("gradlab.harness.runner.solve", solve)
+    study = convergence_study(
+        box2d, p=2.0, gamma=2.0, lam=1.0, eps=1e-2,
+        f_exact=_cosine_forcing, u_exact=_cosine_exact, base_cells=8, levels=4,
+    )
+    assert calls == [(8, None, True), (16, 8, False), (32, 8, False), (64, 32, False)]
+    assert [lv.converged for lv in study.levels] == [True, False, True, True]
+    assert study.orders_linf[0] >= 1.7
 
 
 def test_convergence_study_needs_three_levels(box2d):

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 import gradlab.solver
 from gradlab.errors import (
+    ContractError,
     NonconvergenceError,
     ParameterError,
     UnsupportedRegimeError,
@@ -382,6 +383,19 @@ def test_nonconvergence_carries_best_iterate(box2d):
     assert err.best_iterate is not None
     assert err.best_iterate.values.shape == (32, 32)
     assert err.report is not None and not err.report.converged
+
+
+def test_solve_starts_from_a_field_on_another_grid(p3_problem, p3_solution_48, box2d):
+    """A coarse solution, prolonged, starts a one-stage solve on a finer grid
+    of the same domain; a field on another domain is refused."""
+    grid = build_grid(box2d, (64, 64))
+    u, report = solve(p3_problem, grid, initial=p3_solution_48, continuation=False)
+    assert report.converged and len(report.stages) == 1
+    assert report.total_iterations <= 5
+    assert u.grid == grid
+    elsewhere = ScalarField(build_grid(Box((1.0, 2.0)), (48, 48)), p3_solution_48.values)
+    with pytest.raises(ContractError):
+        solve(p3_problem, grid, initial=elsewhere)
 
 
 def test_epsilon_sweep_norms_stable(p2_problem, box2d):
