@@ -66,8 +66,15 @@ class LedgerRow:
     relation: str  # "ge" | "le" | "identity" | "fitted"
     lhs: float
     rhs: float
-    tol: float
+    h: float  # grid spacing the row was evaluated at
     constants: dict = field(default_factory=dict)
+
+    @property
+    def tol(self) -> float:
+        """``sqrt(h) |lhs|`` for inequalities, ``h max(|lhs|, |rhs|)`` otherwise."""
+        if self.relation in ("ge", "le"):
+            return float(np.sqrt(self.h) * abs(self.lhs))
+        return float(self.h * max(abs(self.lhs), abs(self.rhs)))
 
     @property
     def slack(self) -> float:
@@ -121,14 +128,6 @@ class BernsteinLedger:
         }
 
 
-def _ineq_tol(h: float, lhs: float) -> float:
-    return float(np.sqrt(h) * abs(lhs))
-
-
-def _identity_tol(h: float, lhs: float, rhs: float) -> float:
-    return float(h * max(abs(lhs), abs(rhs)))
-
-
 # ---------------------------------------------------------------------------
 # solution bundle
 # ---------------------------------------------------------------------------
@@ -165,11 +164,7 @@ class SolutionBundle:
         return float(values.sum() * self.grid.cell_volume)
 
 
-def prepare_bundle(
-    problem: ProblemSpec,
-    u: ScalarField,
-    residual_gate: float = RESIDUAL_GATE,
-) -> SolutionBundle:
+def prepare_bundle(problem: ProblemSpec, u: ScalarField) -> SolutionBundle:
     """Precompute the pointwise fields and constants the ledger rows share.
 
     Rejects fields that do not actually solve the discrete problem: the rows
@@ -179,10 +174,10 @@ def prepare_bundle(
     f = sample_source(problem.source, u.grid)
     res = solver_residual(problem, u, f)
     res_norm = float(np.sqrt(np.sum(res.values**2) * u.grid.cell_volume))
-    if res_norm > residual_gate:
+    if res_norm > RESIDUAL_GATE:
         raise UnconvergedInputError(
             f"field has discrete residual {res_norm:.3e} "
-            f"(gate {residual_gate:.1e}); solve before checking"
+            f"(gate {RESIDUAL_GATE:.1e}); solve before checking"
         )
     du = gradient(u).components
     w = problem.eps + np.sum(du**2, axis=0)
@@ -271,7 +266,7 @@ def weak_identity_check(bundle: SolutionBundle, beta: float) -> LedgerRow:
         relation="identity",
         lhs=lhs,
         rhs=rhs,
-        tol=_identity_tol(h, lhs, rhs),
+        h=h,
         constants={"beta": beta, "relative_gap": abs(lhs - rhs) / scale},
     )
 
@@ -344,7 +339,7 @@ def thm1_ledger(
             relation="ge",
             lhs=pairing,
             rhs=zeta1 * A + beta * zeta2 * B,
-            tol=_ineq_tol(h, pairing),
+            h=h,
             constants={"zeta1": zeta1, "zeta2": zeta2, "beta": beta},
         )
     )
@@ -360,7 +355,7 @@ def thm1_ledger(
             relation="ge",
             lhs=diff2_lhs,
             rhs=diff2_rhs,
-            tol=_ineq_tol(h, diff2_lhs),
+            h=h,
             constants={
                 "zeta1": zeta1,
                 "c1": c1,
@@ -381,7 +376,7 @@ def thm1_ledger(
             relation="fitted",
             lhs=diff3_lhs,
             rhs=zeta3 * S1,
-            tol=_identity_tol(h, diff3_lhs, zeta3 * S1),
+            h=h,
             constants={
                 "zeta3": zeta3,
                 "zeta4": 0.0,
@@ -396,7 +391,7 @@ def thm1_ledger(
             relation="le",
             lhs=data_phi,
             rhs=delta1 * D + (c2 / delta1) * F,
-            tol=_ineq_tol(h, data_phi),
+            h=h,
             constants={"delta1": delta1, "c2": c2},
         )
     )
@@ -406,7 +401,7 @@ def thm1_ledger(
             relation="le",
             lhs=h_phi,
             rhs=c3 * G + c4 * D,
-            tol=_ineq_tol(h, h_phi),
+            h=h,
             constants={"c3": c3, "c4": c4, "c_grad": bundle.c_grad},
         )
     )
@@ -420,7 +415,7 @@ def thm1_ledger(
             relation="le",
             lhs=cor_lhs,
             rhs=cor_rhs,
-            tol=_ineq_tol(h, cor_lhs),
+            h=h,
             constants={
                 "zeta3": zeta3,
                 "zeta4": 0.0,
@@ -533,7 +528,7 @@ def thm2_ledger(
             relation="ge",
             lhs=pairing,
             rhs=t2s1_rhs,
-            tol=_ineq_tol(h, pairing),
+            h=h,
             constants={"env_lower": env_lo, "beta": beta, "k": k},
         )
     )
@@ -543,7 +538,7 @@ def thm2_ledger(
             relation="ge",
             lhs=L2,
             rhs=c10 * T2 - c11 * Q,
-            tol=_ineq_tol(h, L2),
+            h=h,
             constants={"c10": c10, "c11": c11, "stretch": stretch},
         )
     )
@@ -565,7 +560,7 @@ def thm2_ledger(
             relation="le",
             lhs=t2s4_lhs,
             rhs=t2s4_rhs,
-            tol=_ineq_tol(h, t2s4_lhs),
+            h=h,
             constants={
                 "delta": delta,
                 "c14": c14,
@@ -595,7 +590,7 @@ def thm2_ledger(
             relation="le",
             lhs=main_lhs,
             rhs=main_rhs,
-            tol=_ineq_tol(h, main_lhs),
+            h=h,
             constants={
                 "c15": c15,
                 "zeta": zeta,
@@ -816,8 +811,11 @@ def scaling_fit(
 
     The estimate predicts sublinear growth with exponent ``1/(p-1)``; the
     reported slope is the log-log least-squares fit over the top half of the
-    scales, where the nonlinearity dominates.  Failed solves are recorded
-    and skipped, but at least three fitted points are required.
+    scales, where the nonlinearity dominates.  The scales run as a warm
+    chain: the first solves cold, and each later one starts from the last
+    converged scale's solution (see :func:`gradlab.solver.solve`).  Failed
+    solves are recorded and skipped, but at least three fitted points are
+    required.
     """
     scales = [float(s) for s in scales]
     if len(scales) < 5:
@@ -828,11 +826,12 @@ def scaling_fit(
     eta_f, _, q_eta_f = theorem1_exponents(ns, Fraction(problem.p).limit_denominator(10**6), Fraction(beta).limit_denominator(10**6))
     eta, q_eta = float(eta_f), float(q_eta_f)
     xs, ys, used_scales, failures = [], [], [], []
+    u = None  # the last converged scale's solution
     for s in scales:
         spec = dataclasses.replace(problem, source=Scaled(problem.source, s))
         f = sample_source(spec.source, grid)
         try:
-            u, _ = solve(spec, grid, options)
+            u, _ = solve(spec, grid, options, initial=u)
         except GradlabError as exc:  # failures are data here
             failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
             continue

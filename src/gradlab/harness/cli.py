@@ -14,7 +14,7 @@ from ..errors import GradlabError, NonconvergenceError
 from ..model.exponents import build_exponent_table
 from ..model.families import check_growth_conditions, check_structure_conditions
 from .config import load_config
-from .runner import emit_report, run_experiment, sweep
+from .runner import emit_report, exponent_table, run_experiment, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,15 +53,7 @@ def _cmd_check(args) -> int:
           f"envelopes=[{srep.env_lower:.6g}, {srep.env_upper:.6g}]")
     print(f"growth: passed={grep.passed} lower={grep.lower_constant:.6g} "
           f"gradient={grep.upper_constant:.6g}")
-    table = build_exponent_table(
-        len(config.extents),
-        config.p,
-        config.gamma,
-        config.q,
-        lam=config.lam,
-        beta=config.beta,
-        sobolev_dim=config.sobolev_dim,
-    )
+    table = exponent_table(config)
     print(f"regime: {table.regime} (tags: {', '.join(table.tags)})")
     return EXIT_OK
 

@@ -49,16 +49,7 @@ _KNOWN_KEYS = {
         "scale",
     },
     "grid": {"extents", "cells"},
-    "solver": {
-        "tol",
-        "max_iter",
-        "damping_factor",
-        "armijo",
-        "eps_ratio",
-        "gamma_stages",
-        "min_step",
-        "continuation",
-    },
+    "solver": {"tol", "max_iter", "continuation"},
     "analysis": {
         "beta",
         "ledgers",
@@ -70,7 +61,6 @@ _KNOWN_KEYS = {
         "h_sweep",
         "maxreg_q",
     },
-    "output": {"directory", "formats"},
 }
 
 _REQUIRED = {"problem": {"p", "gamma", "lambda", "eps", "q", "source"}, "grid": {"extents", "cells"}}
@@ -95,7 +85,6 @@ class RunConfig:
     cells: tuple
     # solver
     solver: SolverOptions
-    continuation: bool
     # analysis
     beta: Fraction
     ledgers: tuple
@@ -106,9 +95,6 @@ class RunConfig:
     lambda_sweep: tuple
     h_sweep: tuple
     maxreg_q: Fraction
-    # output
-    directory: str
-    formats: tuple
     canonical_text: str = field(repr=False, default="")
 
     def digest(self) -> str:
@@ -160,8 +146,8 @@ class RunConfig:
             source=self.build_source(),
         )
 
-    def build_grid(self, cells: tuple | None = None) -> Grid:
-        return build_grid(Box(self.extents), cells or self.cells)
+    def build_grid(self) -> Grid:
+        return build_grid(Box(self.extents), self.cells)
 
     def validate(self) -> None:
         """Checks beyond syntax: membership of the source in the stated L^q."""
@@ -281,15 +267,10 @@ def parse_config(text: str) -> RunConfig:
         solver = SolverOptions(
             tol=solver_value("tol", float),
             max_iter=solver_value("max_iter", int),
-            damping_factor=solver_value("damping_factor", float),
-            armijo=solver_value("armijo", float),
-            eps_ratio=solver_value("eps_ratio", float),
-            gamma_stages=solver_value("gamma_stages", int),
-            min_step=solver_value("min_step", float),
+            continuation=solver_value("continuation", _boolean),
         )
     except ParameterError as exc:
         raise ConfigError(f"bad [solver] section: {exc}") from exc
-    continuation = _value(parser, "solver", "continuation", _boolean, True)
 
     def analysis(key, convert, default=None):
         return _value(parser, "analysis", key, convert, default)
@@ -313,7 +294,6 @@ def parse_config(text: str) -> RunConfig:
         extents=extents,
         cells=cells,
         solver=solver,
-        continuation=continuation,
         beta=analysis("beta", to_fraction, Fraction(4)),
         ledgers=ledgers,
         k_levels=analysis("k_levels", _floats, ()),
@@ -323,11 +303,6 @@ def parse_config(text: str) -> RunConfig:
         lambda_sweep=analysis("lambda_sweep", _floats, ()),
         h_sweep=analysis("h_sweep", _ints, ()),
         maxreg_q=analysis("maxreg_q", to_fraction, q),
-        directory=_get(parser, "output", "directory", "runs"),
-        formats=tuple(
-            tok.strip().lower()
-            for tok in _get(parser, "output", "formats", "json").split()
-        ),
         canonical_text=_canonical_text(parser),
     )
     return config

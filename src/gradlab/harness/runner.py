@@ -49,7 +49,8 @@ class ExperimentResult:
     fresh: bool
 
 
-def _exponent_table(config: RunConfig):
+def exponent_table(config: RunConfig):
+    """The exponent table of ``config``'s problem and analysis settings."""
     return build_exponent_table(
         len(config.cells),
         config.p,
@@ -87,27 +88,18 @@ def run_experiment(
     """Solve one config and evaluate its requested analyses.
 
     The returned payload is deterministic for a given config and initial
-    iterate; timing and provenance go to the meta side of the record.  A
-    warm start from ``initial`` solves in one stage at the target (eps,
-    gamma); only a cold start follows the continuation schedule.
-    ``initial`` may live on another grid of the same domain, and is then
-    prolonged onto this config's grid.  A solve that fails raises, and no
-    record is written; in a sweep, that stops the chain and later points
-    are not run.
+    iterate; timing and provenance go to the meta side of the record.
+    ``initial``, if given, starts the solve as :func:`gradlab.solver.solve`
+    describes.  A solve that fails raises, and no record is written; in a
+    sweep, that stops the chain and later points are not run.
     """
     problem = config.build_problem()
     grid = config.build_grid()
     t0 = time.perf_counter()
-    u, report = solve(
-        problem,
-        grid,
-        config.solver,
-        initial=initial,
-        continuation=config.continuation and initial is None,
-    )
+    u, report = solve(problem, grid, config.solver, initial=initial)
     wall = time.perf_counter() - t0
 
-    table = _exponent_table(config)
+    table = exponent_table(config)
 
     payload: dict = {
         "config_digest": config.digest(),
@@ -226,7 +218,7 @@ def _sweep_variants(config: RunConfig, axis: str) -> list:
     if not values:
         raise ConfigError(f"{axis} sweep needs {field!r} values in [analysis]")
     if axis == "k":
-        if _exponent_table(config).thm2 is None:
+        if exponent_table(config).thm2 is None:
             raise RegimeError("k sweep needs a superlevel regime (no thm2 block)")
         config = config.override("ledgers", "thm2")
     if axis == "h":
@@ -238,10 +230,9 @@ def _sweep_variants(config: RunConfig, axis: str) -> list:
 def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> list:
     """Run a family of experiments along one axis, as one warm chain.
 
-    Each point starts from the previous point's solution, prolonged onto its
-    own grid on the ``h`` axis, so only the first point walks the
-    continuation schedule and every later one solves in one stage at its
-    own target.  A k point has the same target as the point before it, so
+    The first point solves cold; each later point starts from the previous
+    point's solution (see :func:`gradlab.solver.solve` for what a warm
+    start does).  A k point has the same target as the point before it, so
     it takes no Newton step and only evaluates ``thm2`` at its own level.
     A point that fails raises and stops the chain: later points are not run.
     """
@@ -299,11 +290,10 @@ def convergence_study(
     """Solve against a known continuum solution on a doubling grid ladder.
 
     ``f_exact`` and ``u_exact`` take the tuple of center coordinate arrays.
-    The ladder runs as a warm chain: only the first level walks the
-    continuation schedule, and each later one starts from the last converged
-    level's solution, prolonged onto its grid, and solves in one stage.  A
-    level that fails to solve is recorded and skipped; orders are then
-    computed over consecutive successful pairs.
+    The ladder runs as a warm chain: the first level solves cold, and each
+    later one starts from the last converged level's solution (see
+    :func:`gradlab.solver.solve`).  A level that fails to solve is recorded
+    and skipped; orders are then computed over consecutive successful pairs.
     """
     if levels < 3:
         raise ConfigError("convergence study needs at least 3 levels")
@@ -320,9 +310,7 @@ def convergence_study(
         )
         exact = np.asarray(u_exact(centers), dtype=float)
         try:
-            u, _ = solve(
-                problem, grid, options, initial=prev, continuation=prev is None
-            )
+            u, _ = solve(problem, grid, options, initial=prev)
         except GradlabError:  # the study reports partial results
             rows.append(StudyLevel(n, grid.max_spacing, False, None, None))
             continue

@@ -36,10 +36,10 @@ forcing term within its budget falls back to a sparse direct solve.  Newton
 itself still accepts a step, and a stage converges, only on the true
 residual.
 
-Supernatural gradient growth shrinks Newton basins badly, so the solve walks
-a continuation path: first the regularization eps is lowered geometrically
-from order one, then gamma is raised linearly to its target.  Every stage
-restarts Newton from the previous stage's solution.
+Supernatural gradient growth shrinks Newton basins badly, so a cold solve
+walks a continuation path: first the regularization eps is lowered
+geometrically from order one, then gamma is raised linearly to its target.
+Every stage restarts Newton from the previous stage's solution.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .grid import (
     face_average,
     face_normal_differences,
     gradient,
+    lp_norm,
     prolong,
 )
 from .model.families import PowerHamiltonian
@@ -77,19 +78,26 @@ from .model.sources import Tabulated, sample_source
 class SolverOptions:
     tol: float = 1e-10  # residual tolerance in the discrete L2 norm
     max_iter: int = 50  # Newton iterations per continuation stage
-    damping_factor: float = 0.5
-    armijo: float = 1e-4
-    eps_ratio: float = 0.1  # geometric eps continuation ratio
-    gamma_stages: int = 4  # linear gamma continuation stages
-    min_step: float = 2.0**-30
+    continuation: bool = True  # a cold start walks the continuation schedule
 
     def __post_init__(self):
-        # a ratio of 1 or more never ends the eps schedule or the line search
-        for name in ("damping_factor", "eps_ratio"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ParameterError(f"{name} must lie in (0, 1), got {value}")
+        # a tolerance that is not positive, or nan, is never met and an
+        # infinite one always is; a negative budget leaves a stage with no
+        # residual at all
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ParameterError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_iter < 0:
+            raise ParameterError(f"max_iter must be nonnegative, got {self.max_iter}")
 
+
+# Newton's line search: backtracking factor, Armijo constant and the step
+# length below which a stage has stalled
+_DAMPING_FACTOR = 0.5
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-30
+# continuation schedule: geometric eps ratio and linear gamma stages
+_EPS_RATIO = 0.1
+_GAMMA_STAGES = 4
 
 # inner linear solve: GMRES restart length and restart cycles before the
 # direct fallback, and the forcing term _FORCING * min(1, |R|) floored at
@@ -363,17 +371,17 @@ def jacobian(problem: ProblemSpec, u: ScalarField) -> sp.csr_matrix:
     return J
 
 
-def _continuation_schedule(eps_target: float, gamma_target: float, options: SolverOptions):
+def _continuation_schedule(eps_target: float, gamma_target: float):
     eps_stages = []
     e = max(eps_target, 1.0)
     while e > eps_target * (1.0 + 1e-12):
         eps_stages.append(e)
-        e *= options.eps_ratio
+        e *= _EPS_RATIO
     eps_stages.append(eps_target)
     gamma0 = min(gamma_target, 2.0)
     stages = [(e, gamma0) for e in eps_stages]
     if gamma_target > 2.0:
-        gammas = np.linspace(2.0, gamma_target, max(2, options.gamma_stages))
+        gammas = np.linspace(2.0, gamma_target, _GAMMA_STAGES)
         stages.extend((eps_target, float(g)) for g in gammas[1:])
     return stages
 
@@ -400,10 +408,10 @@ def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
             trial = u + alpha * delta
             rt = _residual_values(grid, coeff, ham, lam, f_values, trial)
             merit_trial = 0.5 * _discrete_l2(grid, rt) ** 2
-            if merit_trial <= merit * (1.0 - 2.0 * options.armijo * alpha):
+            if merit_trial <= merit * (1.0 - 2.0 * _ARMIJO * alpha):
                 break
-            alpha *= options.damping_factor
-            if alpha < options.min_step:
+            alpha *= _DAMPING_FACTOR
+            if alpha < _MIN_STEP:
                 return u, history, damping_events, False
         if alpha < 1.0:
             damping_events += 1
@@ -416,14 +424,18 @@ def solve(
     grid: Grid,
     options: SolverOptions | None = None,
     initial: ScalarField | None = None,
-    continuation: bool = True,
 ) -> tuple[ScalarField, SolveReport]:
     """Solve the discrete problem on ``grid``.
 
-    Newton starts from ``initial`` when one is given.  It may live on another
-    grid of the same domain, such as a coarser solve of the same problem;
-    it is then prolonged onto ``grid`` (:func:`gradlab.grid.prolong`).  A
-    field on another domain raises :class:`ContractError`.
+    A cold start, from the constant ``mean(f) / lam``, walks the
+    continuation schedule when ``options.continuation`` is set and otherwise
+    solves in one stage at the target (eps, gamma).  A warm start from
+    ``initial`` always solves in one stage at the target: it is already near
+    a solution, and the schedule's first stages would only pull it away.
+    ``initial`` may live on another grid of the same domain, such as a
+    coarser solve of the same problem; it is then prolonged onto ``grid``
+    (:func:`gradlab.grid.prolong`).  A field on another domain raises
+    :class:`ContractError`.
 
     Raises :class:`NonconvergenceError` with the best iterate attached if any
     continuation stage stalls.  A vanishing zero-order coefficient has no
@@ -442,10 +454,9 @@ def solve(
         u = prolong(initial, grid).values
     else:
         u = np.full(grid.shape, float(f_values.mean()) / problem.lam)
-    if continuation:
-        schedule = _continuation_schedule(problem.eps, problem.gamma, options)
-    else:
-        schedule = [(problem.eps, problem.gamma)]
+    schedule = [(problem.eps, problem.gamma)]
+    if initial is None and options.continuation:
+        schedule = _continuation_schedule(problem.eps, problem.gamma)
     stages = []
     for eps_s, gamma_s in schedule:
         ham = PowerHamiltonian(gamma_s, eps_s)
@@ -535,26 +546,17 @@ def epsilon_sweep(
         eta = 2.0 * problem.gamma - problem.p + 1.0
     rows = []
     prev: ScalarField | None = None
-    for i, eps in enumerate(eps_list):
+    for eps in eps_list:
         spec = dataclasses.replace(
             problem, eps=eps, hamiltonian=PowerHamiltonian(problem.gamma, eps)
         )
-        u, report = solve(
-            spec, grid, options, initial=prev, continuation=(prev is None)
-        )
+        u, report = solve(spec, grid, options, initial=prev)
         du = gradient(u)
         rows.append(
             EpsSweepRow(
                 eps=eps,
-                grad_norm_qgamma=float(
-                    np.sum(du.magnitude().values ** (q * problem.gamma))
-                    * grid.cell_volume
-                )
-                ** (1.0 / (q * problem.gamma)),
-                grad_norm_eta=float(
-                    np.sum(du.magnitude().values ** eta) * grid.cell_volume
-                )
-                ** (1.0 / eta),
+                grad_norm_qgamma=lp_norm(du, q * problem.gamma),
+                grad_norm_eta=lp_norm(du, eta),
                 report=report,
             )
         )

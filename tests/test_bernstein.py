@@ -202,3 +202,48 @@ def test_scaling_fit_records_only_package_errors(
     grid = build_grid(box2d, (16, 16))
     with pytest.raises(expected):
         scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0)
+
+
+def test_scaling_fit_chains_from_the_last_converged_scale(p3_problem, box2d, monkeypatch):
+    """Only the first scale is cold; a failed scale is recorded and the next
+    one starts from the last scale that converged."""
+    solved = {}  # id of each returned field -> its scale
+    calls = []  # (scale, scale of the initial field, stages solved)
+
+    def fake_solve(problem, grid, options=None, initial=None):
+        scale = problem.source.factor
+        start = solved[id(initial)] if initial is not None else None
+        if scale == 4.0:
+            calls.append((scale, start, None))
+            raise NonconvergenceError("stalled")
+        u, report = solve(problem, grid, options, initial=initial)
+        solved[id(u)] = scale
+        calls.append((scale, start, len(report.stages)))
+        return u, report
+
+    monkeypatch.setattr("gradlab.bernstein.solve", fake_solve)
+    grid = build_grid(box2d, (16, 16))
+    fit = scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0)
+    assert calls[0][:2] == (1.0, None) and calls[0][2] > 1
+    assert calls[1:] == [(2.0, 1.0, 1), (4.0, 2.0, None), (8.0, 2.0, 1), (16.0, 8.0, 1)]
+    assert fit.scales == [1.0, 2.0, 8.0, 16.0]
+    assert [f["scale"] for f in fit.failures] == [4.0]
+
+
+def test_ledger_tolerances_follow_the_relation(sing_problem, sing_solution_48):
+    """Every row's tolerance is sqrt(h)|lhs| for an inequality and
+    h max(|lhs|, |rhs|) for an identity or a fitted row."""
+    bundle = prepare_bundle(sing_problem, sing_solution_48)
+    h = bundle.grid.max_spacing
+    rows = [weak_identity_check(bundle, beta=5.0)]
+    rows += thm1_ledger(bundle, beta=5.0, sobolev_dim=3).rows
+    rows += thm2_ledger(bundle, k=1.0, beta=5.0, sobolev_dim=3).rows
+    assert {r.relation for r in rows} == {"ge", "le", "identity", "fitted"}
+    for r in rows:
+        if r.relation in ("ge", "le"):
+            expected = np.sqrt(h) * abs(r.lhs)
+        else:
+            expected = h * max(abs(r.lhs), abs(r.rhs))
+        assert r.h == h
+        assert r.tol == expected, r.lemma
+        assert r.to_dict()["tol"] == expected

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -80,8 +81,7 @@ def test_parse_minimal_and_defaults():
     assert cfg.eps == pytest.approx(1e-2)
     assert cfg.beta == Fraction(4)
     assert cfg.cells == (24, 24)
-    assert cfg.directory == "runs"
-    assert cfg.formats == ("json",)
+    assert cfg.solver.continuation is True
     assert cfg.ledgers == ()
     cfg.validate()
 
@@ -101,13 +101,83 @@ def test_parse_minimal_and_defaults():
         lambda t: t + "\n[analysis]\nsobolev_dim = three\n",
         lambda t: t + "\n[solver]\nmax_iter = ten\n",
         lambda t: t + "\n[solver]\ncontinuation = maybe\n",
-        lambda t: t + "\n[solver]\neps_ratio = 1\n",
-        lambda t: t + "\n[solver]\ndamping_factor = 1.5\n",
+        lambda t: t + "\n[solver]\nmax_iter = -1\n",
+        lambda t: t + "\n[solver]\ntol = 0\n",
+        lambda t: t + "\n[solver]\ntol = nan\n",
     ],
 )
 def test_parse_rejections(mutate):
     with pytest.raises(ConfigError):
         parse_config(mutate(SMOOTH))
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("solver", "damping_factor"),
+        ("solver", "armijo"),
+        ("solver", "eps_ratio"),
+        ("solver", "gamma_stages"),
+        ("solver", "min_step"),
+        ("output", "directory"),
+        ("output", "formats"),
+    ],
+)
+def test_newton_constants_and_output_section_are_not_settings(section, key):
+    """The Newton constants and the [output] section are not settings: a
+    config that names one is refused like any other unknown key."""
+    with pytest.raises(ConfigError, match=rf"unknown (key {key!r}|section \[{section}\])"):
+        parse_config(SMOOTH + f"\n[{section}]\n{key} = 1\n")
+
+
+class _SettingReads(ast.NodeVisitor):
+    """Attribute names read off a config or solver options, outside the
+    parser: ``config.x``, ``options.x``, ``<...>.solver.x``, and ``self.x``
+    in a ``RunConfig`` method."""
+
+    RECEIVERS = {"config", "options"}
+
+    def __init__(self):
+        self.names = set()
+        self.classes = []
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        if node.name != "parse_config":
+            self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        value = node.value
+        if isinstance(node.ctx, ast.Load) and (
+            (isinstance(value, ast.Name) and value.id in self.RECEIVERS)
+            or (isinstance(value, ast.Attribute) and value.attr == "solver")
+            or (
+                isinstance(value, ast.Name)
+                and value.id == "self"
+                and self.classes[-1:] == ["RunConfig"]
+            )
+        ):
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_setting_is_read_outside_the_parser():
+    """A config or solver field that only the parser touches is a setting
+    nothing honours; it has to go, not sit in the digest."""
+    from gradlab.harness.config import RunConfig
+    from gradlab.solver import SolverOptions
+
+    reads = _SettingReads()
+    for path in Path(gradlab.__file__).parent.rglob("*.py"):
+        reads.visit(ast.parse(path.read_text()))
+    # the sweep value lists are read by name, getattr(config, field)
+    reads.names |= {field for field, _ in runner_module._SWEEP_AXES.values()}
+    fields = {f.name for cls in (RunConfig, SolverOptions) for f in dataclasses.fields(cls)}
+    assert fields - reads.names == set()
 
 
 def test_radial_source_needs_geometry():
@@ -353,22 +423,25 @@ def test_convergence_study_records_only_package_errors(
 def test_convergence_study_chains_from_the_last_converged_level(box2d, monkeypatch):
     """Only the first level is cold; a failed level is recorded and the next
     one starts from the last level that converged."""
-    calls = []
+    calls = []  # (cells, cells of the initial field, stages solved)
     real_solve = runner_module.solve
 
-    def solve(problem, grid, options=None, initial=None, continuation=True):
+    def solve(problem, grid, options=None, initial=None):
         start = initial.grid.cells[0] if initial is not None else None
-        calls.append((grid.cells[0], start, continuation))
         if grid.cells[0] == 16:
+            calls.append((16, start, None))
             raise NonconvergenceError("stalled")
-        return real_solve(problem, grid, options, initial=initial, continuation=continuation)
+        u, report = real_solve(problem, grid, options, initial=initial)
+        calls.append((grid.cells[0], start, len(report.stages)))
+        return u, report
 
     monkeypatch.setattr("gradlab.harness.runner.solve", solve)
     study = convergence_study(
         box2d, p=2.0, gamma=2.0, lam=1.0, eps=1e-2,
         f_exact=_cosine_forcing, u_exact=_cosine_exact, base_cells=8, levels=4,
     )
-    assert calls == [(8, None, True), (16, 8, False), (32, 8, False), (64, 32, False)]
+    assert calls[0][:2] == (8, None) and calls[0][2] > 1
+    assert calls[1:] == [(16, 8, None), (32, 8, 1), (64, 32, 1)]
     assert [lv.converged for lv in study.levels] == [True, False, True, True]
     assert study.orders_linf[0] >= 1.7
 
@@ -489,6 +562,15 @@ def test_cli_nonconvergence_exit(tmp_path):
     )
     cfg = _write(tmp_path, "stall.ini", text)
     assert main(["solve", cfg, "--out", str(tmp_path / "runs")]) == 3
+
+
+@pytest.mark.parametrize("setting", ["max_iter = -1", "tol = 0", "tol = nan"])
+def test_cli_bad_solver_setting_exits_2(tmp_path, capsys, setting):
+    """A solver setting no solve can honour is a config error, reported
+    before any Newton step, not a crash or a stall."""
+    cfg = _write(tmp_path, "bad.ini", SMOOTH + f"\n[solver]\n{setting}\n")
+    assert main(["solve", cfg]) == 2
+    assert "bad [solver] section" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_report(tmp_path, capsys):

@@ -37,6 +37,7 @@ from gradlab.solver import (
     _FORCING_MIN,
     LinearSolveStats,
     SolverOptions,
+    _continuation_schedule,
     _dct_preconditioner,
     _discrete_l2,
     _jacobian_matrix,
@@ -350,11 +351,13 @@ def test_stage_history_monotone(p2_problem, box2d):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("eps_ratio", 1.0), ("eps_ratio", 0.0), ("damping_factor", 1.0)]
+    "key, value",
+    [("tol", 0.0), ("tol", -1e-10), ("tol", float("nan")), ("tol", float("inf")),
+     ("max_iter", -1)],
 )
-def test_solver_options_reject_ratios_outside_unit_interval(key, value):
-    """A ratio of 1 or more would never end the eps schedule or the line
-    search; no solve is run with one."""
+def test_solver_options_reject_bad_tol_and_max_iter(key, value):
+    """A tolerance that no residual meets, or that every residual meets, and
+    a negative iteration budget are input errors, not solver stalls."""
     with pytest.raises(ParameterError, match=key):
         SolverOptions(**{key: value})
 
@@ -376,8 +379,7 @@ def test_nonconvergence_carries_best_iterate(box2d):
         solve(
             prob,
             build_grid(box2d, (32, 32)),
-            options=SolverOptions(max_iter=2),
-            continuation=False,
+            options=SolverOptions(max_iter=2, continuation=False),
         )
     err = info.value
     assert err.best_iterate is not None
@@ -387,15 +389,34 @@ def test_nonconvergence_carries_best_iterate(box2d):
 
 def test_solve_starts_from_a_field_on_another_grid(p3_problem, p3_solution_48, box2d):
     """A coarse solution, prolonged, starts a one-stage solve on a finer grid
-    of the same domain; a field on another domain is refused."""
+    of the same domain, under default options; a field on another domain is
+    refused."""
     grid = build_grid(box2d, (64, 64))
-    u, report = solve(p3_problem, grid, initial=p3_solution_48, continuation=False)
+    u, report = solve(p3_problem, grid, initial=p3_solution_48)
     assert report.converged and len(report.stages) == 1
     assert report.total_iterations <= 5
     assert u.grid == grid
     elsewhere = ScalarField(build_grid(Box((1.0, 2.0)), (48, 48)), p3_solution_48.values)
     with pytest.raises(ContractError):
         solve(p3_problem, grid, initial=elsewhere)
+
+
+def test_only_a_cold_start_walks_the_continuation_schedule(p3_problem, box2d):
+    """``continuation`` decides a cold solve's stages; a warm solve takes one
+    stage at the target whatever the option says."""
+    grid = build_grid(box2d, (16, 16))
+    target = (p3_problem.eps, p3_problem.gamma)
+    u, cold = solve(p3_problem, grid)
+    schedule = [(s.eps, s.gamma) for s in cold.stages]
+    assert schedule == _continuation_schedule(*target)
+    assert len(schedule) > 1 and schedule[-1] == target
+    for options, initial in [
+        (SolverOptions(continuation=False), None),
+        (SolverOptions(), u),
+        (SolverOptions(continuation=False), u),
+    ]:
+        _, report = solve(p3_problem, grid, options, initial=initial)
+        assert [(s.eps, s.gamma) for s in report.stages] == [target]
 
 
 def test_epsilon_sweep_norms_stable(p2_problem, box2d):
