@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, ResolutionError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _MIN_CELLS = 8
 _FIELD_MAGIC = b"GLF1"
@@ -378,9 +381,14 @@ def normal_derivative_scan(u: ScalarField) -> NormalScan:
 # ---------------------------------------------------------------------------
 # sparse operator builders (C-order flattening)
 # ---------------------------------------------------------------------------
+# These are the tests' reference for the solver's Jacobian and preconditioner;
+# no solve calls them, so each imports scipy.sparse where it runs and a
+# process that only audits a stored solution never loads it.
 
 
 def _kron_along(mat: sp.spmatrix, shape: tuple[int, ...], axis: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     before = int(np.prod(shape[:axis], dtype=np.int64)) if axis > 0 else 1
     after = int(np.prod(shape[axis + 1 :], dtype=np.int64)) if axis + 1 < len(shape) else 1
     out = mat
@@ -392,6 +400,8 @@ def _kron_along(mat: sp.spmatrix, shape: tuple[int, ...], axis: int) -> sp.csr_m
 
 
 def _centered_1d(n: int, h: float) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     main = np.zeros(n)
     upper = np.full(n - 1, 0.5 / h)
     lower = np.full(n - 1, -0.5 / h)
@@ -405,6 +415,8 @@ def _centered_1d(n: int, h: float) -> sp.csr_matrix:
 
 
 def _face_difference_1d(n: int, h: float) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     m = sp.lil_matrix((n + 1, n))
     for f in range(1, n):
         m[f, f - 1] = -1.0 / h
@@ -413,6 +425,8 @@ def _face_difference_1d(n: int, h: float) -> sp.csr_matrix:
 
 
 def _face_average_1d(n: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     m = sp.lil_matrix((n + 1, n))
     m[0, 0] = 1.0
     m[n, n - 1] = 1.0
@@ -463,15 +477,24 @@ def save_field(path, field: ScalarField) -> None:
 
 def load_field(path) -> ScalarField:
     with open(path, "rb") as fh:
+
+        def take(size):
+            chunk = fh.read(size)
+            if len(chunk) != size:
+                raise ContractError(f"{path}: truncated field snapshot")
+            return chunk
+
         magic = fh.read(4)
         if magic != _FIELD_MAGIC:
             raise ContractError(f"{path}: not a field snapshot")
-        version, ndim = struct.unpack("<II", fh.read(8))
+        version, ndim = struct.unpack("<II", take(8))
         if version != 1:
             raise ContractError(f"{path}: unsupported snapshot version {version}")
-        cells = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        extents = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
+        cells = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        extents = struct.unpack(f"<{ndim}d", take(8 * ndim))
         count = int(np.prod(cells))
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        data = np.frombuffer(take(count * 8), dtype="<f8", count=count)
+        if fh.read(1):
+            raise ContractError(f"{path}: trailing bytes after the field data")
     grid = Grid(Box(extents), cells)
     return ScalarField(grid, data.reshape(cells).astype(float))

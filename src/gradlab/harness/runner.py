@@ -365,8 +365,7 @@ REPORT_COLUMNS = [
 ]
 
 
-def _report_row(record_dir: Path) -> dict:
-    payload, meta = load_record(record_dir)
+def _report_row(name: str, payload: dict, meta: dict) -> dict:
     params = payload.get("parameters", {})
     norms = payload.get("norms", {})
     solve_block = payload.get("solve", {})
@@ -381,7 +380,7 @@ def _report_row(record_dir: Path) -> dict:
     weak = ledgers.get("weak")
     scan = ledgers.get("scan")
     return {
-        "record": record_dir.name,
+        "record": name,
         "sweep_axis": meta.get("sweep_axis") or "",
         "sweep_value": meta.get("sweep_value", ""),
         "p": params.get("p", ""),
@@ -424,7 +423,8 @@ def emit_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     dirs = [d for d in records_dir.iterdir() if d.is_dir() and (d / "record.json").exists()] if records_dir.exists() else []
     dirs.sort(key=lambda d: d.name)
-    rows = [_report_row(d) for d in dirs]
+    loaded = [(d.name, *load_record(d)) for d in dirs]
+    rows = [_report_row(*record) for record in loaded]
     written = {}
 
     if "csv" in formats:
@@ -436,10 +436,10 @@ def emit_report(
                 writer.writerow(row)
         written["report.csv"] = csv_path
     if "json" in formats:
-        full = []
-        for d in dirs:
-            payload, meta = load_record(d)
-            full.append({"record": d.name, "meta": meta, "payload": payload})
+        full = [
+            {"record": name, "meta": meta, "payload": payload}
+            for name, payload, meta in loaded
+        ]
         json_path = out_dir / "report.json"
         json_path.write_text(json.dumps(full, sort_keys=True, indent=1))
         written["report.json"] = json_path

@@ -36,6 +36,13 @@ forcing term within its budget falls back to a sparse direct solve.  Newton
 itself still accepts a step, and a stage converges, only on the true
 residual.
 
+The GMRES is this module's own, restarted, with classical Gram-Schmidt
+twice over the basis block and Givens rotations (Saad and Schultz 1986);
+each cycle ends on the true residual ``|b - J delta|``.  scipy is imported
+where it runs: ``scipy.sparse`` to build a Jacobian, ``scipy.fft`` to apply
+the preconditioner and ``scipy.sparse.linalg`` only for a direct fallback,
+so a process that takes no Newton step loads none of them.
+
 Supernatural gradient growth shrinks Newton basins badly, so a cold solve
 walks a continuation path: first the regularization eps is lowered
 geometrically from order one, then gamma is raised linearly to its target.
@@ -46,12 +53,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, spsolve
 
 from .errors import (
     ContractError,
@@ -72,6 +80,9 @@ from .grid import (
 from .model.families import PowerHamiltonian
 from .model.problem import ProblemSpec
 from .model.sources import Tabulated, sample_source
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -168,7 +179,9 @@ def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return mu
 
 
-def _dct_preconditioner(grid: Grid, lam: float, abar: float) -> LinearOperator:
+def _dct_preconditioner(
+    grid: Grid, lam: float, abar: float
+) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of ``lam I + abar sum_d G_d^T G_d`` by two DCTs."""
     # imported here so that a process that never takes a Newton step does not
     # pay for loading scipy.fft
@@ -180,7 +193,79 @@ def _dct_preconditioner(grid: Grid, lam: float, abar: float) -> LinearOperator:
         rhat = dctn(r.reshape(grid.shape), type=2, norm="ortho")
         return idctn(rhat / denom, type=2, norm="ortho").ravel()
 
-    return LinearOperator((grid.size, grid.size), matvec=apply, dtype=float)
+    return apply
+
+
+def spsolve(A, b):
+    """Sparse direct solve; only the fallback of a stalled GMRES loads
+    scipy.sparse.linalg."""
+    from scipy.sparse.linalg import spsolve as direct
+
+    return direct(A, b)
+
+
+def _gmres(J, M, b, target):
+    """Restarted GMRES for ``J delta = b``, right-preconditioned by ``M``.
+
+    Returns ``(delta, iterations, converged)``.  Each cycle runs Arnoldi on
+    ``J M`` from the true residual, for at most ``_GMRES_RESTART`` steps, and
+    then adds ``M V y`` to ``delta``, with ``y`` the least-squares solution
+    kept up to date by Givens rotations (Saad and Schultz 1986).  A cycle
+    ends early when the rotated residual estimate meets ``target`` or on a
+    happy breakdown, where ``J M`` maps the Krylov space into itself.
+    ``converged`` is the true residual test ``|b - J delta| <= target``,
+    made after each cycle; there are at most ``_GMRES_CYCLES`` cycles.
+    """
+    n = b.size
+    m = min(_GMRES_RESTART, n)
+    V = np.empty((m + 1, n))
+    R = np.zeros((m, m))  # the Hessenberg matrix, rotated to upper triangular
+    cs, sn = [0.0] * m, [0.0] * m
+    delta = np.zeros(n)
+    r, rnorm = b, float(np.linalg.norm(b))
+    iterations = 0
+    for _ in range(_GMRES_CYCLES):
+        if rnorm <= target:
+            return delta, iterations, True
+        V[0] = r / rnorm
+        g = [rnorm] + [0.0] * m  # rotated right-hand side; |g[j + 1]| is the residual
+        for j in range(m):
+            w = J @ M(V[j])
+            w_norm = np.linalg.norm(w)
+            # classical Gram-Schmidt with one re-orthogonalisation: two
+            # products over the basis block in place of a loop over vectors
+            basis = V[: j + 1]
+            h = basis @ w
+            w -= h @ basis
+            c = basis @ w
+            w -= c @ basis
+            column = (h + c).tolist()
+            beta = float(np.linalg.norm(w))
+            iterations += 1
+            # zero to rounding: J M maps the Krylov space into itself
+            breakdown = beta <= np.finfo(float).eps * w_norm
+            if not breakdown:
+                V[j + 1] = w / beta
+            # the cycle's earlier rotations, then a new one that zeroes beta
+            for k in range(j):
+                x0, x1 = column[k], column[k + 1]
+                column[k] = cs[k] * x0 + sn[k] * x1
+                column[k + 1] = cs[k] * x1 - sn[k] * x0
+            rho = math.hypot(column[j], beta)
+            cs[j], sn[j] = column[j] / rho, beta / rho
+            column[j] = rho
+            R[: j + 1, j] = column
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            if breakdown or abs(g[j + 1]) <= target:
+                break
+        k = j + 1
+        y = np.linalg.solve(R[:k, :k], g[:k])
+        delta += M(y @ V[:k])
+        r = b - J @ delta
+        rnorm = float(np.linalg.norm(r))
+        if breakdown:
+            break
+    return delta, iterations, bool(rnorm <= target)
 
 
 def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
@@ -191,30 +276,14 @@ def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
     below one half.
     """
     eta = max(_FORCING_MIN, _FORCING * min(1.0, rn), 0.5 * tol / rn)
-    M = _dct_preconditioner(grid, lam, abar)
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    # right preconditioning: GMRES minimizes |r + J M y|, the true residual
-    y, info = gmres(
-        LinearOperator(J.shape, matvec=lambda v: J @ M.matvec(v), dtype=float),
-        -r.ravel(),
-        rtol=eta,
-        atol=0.0,
-        restart=_GMRES_RESTART,
-        maxiter=_GMRES_CYCLES,
-        callback=count,
-        callback_type="pr_norm",
+    b = -r.ravel()
+    delta, iterations, converged = _gmres(
+        J, _dct_preconditioner(grid, lam, abar), b, eta * np.linalg.norm(b)
     )
     stats.krylov_iterations += iterations
-    if info != 0:
+    if not converged:
         stats.direct_fallbacks += 1
-        delta = spsolve(J.tocsc(), -r.ravel())
-    else:
-        delta = M.matvec(y)
+        delta = spsolve(J.tocsc(), b)
     return delta.reshape(grid.shape)
 
 
@@ -346,6 +415,9 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
         at(-unit[e])[...] -= t
     indptr, indices, index = _jacobian_pattern(grid, wide)
     data = np.bincount(index, weights=coefs.ravel(), minlength=indices.size)
+    # imported here, as scipy.fft is in _dct_preconditioner
+    import scipy.sparse as sp
+
     J = sp.csr_matrix(
         (data, indices.copy(), indptr.copy()), shape=(grid.size, grid.size)
     )

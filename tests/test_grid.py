@@ -1,5 +1,7 @@
 """Grid calculus: discrete operators and their exactness properties."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,26 @@ def test_field_serialization_round_trip(tmp_path, rng):
     (tmp_path / "junk.field").write_bytes(b"nope")
     with pytest.raises(ContractError):
         load_field(tmp_path / "junk.field")
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob[:-8],  # truncated data block
+        lambda blob: blob[:20],  # truncated header
+        lambda blob: blob + bytes(8),  # trailing bytes
+    ],
+    ids=["truncated-data", "truncated-header", "trailing-bytes"],
+)
+def test_load_field_rejects_malformed_snapshots(tmp_path, rng, damage):
+    """A snapshot whose length does not match its header is refused with a
+    ContractError that names the file."""
+    grid = build_grid(Box((1.5, 0.5, 1.0)), (8, 10, 12))
+    path = tmp_path / "u.field"
+    save_field(path, ScalarField(grid, rng.standard_normal(grid.shape)))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ContractError, match=re.escape(str(path))):
+        load_field(path)
 
 
 @pytest.mark.parametrize(

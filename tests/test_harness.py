@@ -16,7 +16,7 @@ import pytest
 
 import gradlab
 from gradlab.errors import ConfigError, NonconvergenceError, RegimeError
-from gradlab.grid import Box
+from gradlab.grid import Box, save_field
 from gradlab.harness import (
     convergence_study,
     emit_report,
@@ -481,6 +481,22 @@ def test_emit_report_with_records(tmp_path):
     assert all(len(ln.split()) == 2 for ln in lines)
 
 
+def test_emit_report_loads_each_record_once(tmp_path, monkeypatch):
+    for amplitude in (8, 9):
+        cfg = parse_config(SMOOTH.replace("amplitude = 8", f"amplitude = {amplitude}"))
+        run_experiment(cfg, tmp_path / "records")
+    calls = []
+
+    def counted(path):
+        calls.append(Path(path).name)
+        return load_record(path)
+
+    monkeypatch.setattr(runner_module, "load_record", counted)
+    written = emit_report(tmp_path / "records", tmp_path / "out")
+    assert len(json.loads(written["report.json"].read_text())) == 2
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -579,6 +595,58 @@ def test_cli_sweep_and_report(tmp_path, capsys):
     assert main(["sweep", cfg, "--axis", "h", "--out", out_dir]) == 0
     assert main(["report", out_dir, "--out", str(tmp_path / "rep")]) == 0
     assert (tmp_path / "rep" / "report.csv").exists()
+
+
+_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+import gradlab.bernstein
+import gradlab.harness.cli
+from gradlab.grid import load_field
+from gradlab.harness import parse_config, run_experiment
+from gradlab.solver import solve
+
+step, config_path, field_path = sys.argv[1:]
+cfg = parse_config(Path(config_path).read_text())
+newton = 0
+if step == "audit":
+    result = run_experiment(cfg, initial=load_field(field_path))
+    newton = result.payload["solve"]["total_iterations"]
+elif step == "solve":
+    newton = solve(cfg.build_problem(), cfg.build_grid())[1].total_iterations
+print(json.dumps({"newton": newton, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "step, absent",
+    [
+        ("import", ("scipy.sparse", "scipy.fft")),
+        ("audit", ("scipy.sparse", "scipy.fft")),
+        ("solve", ("scipy.sparse.linalg", "scipy.linalg")),
+    ],
+)
+def test_scipy_loads_only_where_it_runs(tmp_path, step, absent):
+    """Importing the CLI and the ledgers, or re-auditing a converged field
+    without a Newton step, loads no sparse or FFT module; a Krylov solve
+    loads no dense or sparse linear-algebra module."""
+    text = SMOOTH.replace("cells = 24 24", "cells = 16 16")
+    config_path = _write(tmp_path, "probe.ini", text)
+    field_path = tmp_path / "u.field"
+    save_field(field_path, run_experiment(parse_config(text)).u)
+    src = str(Path(gradlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, step, config_path, str(field_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert (probe["newton"] > 0) == (step == "solve")
+    loaded = [
+        m for m in probe["modules"]
+        if any(m == a or m.startswith(a + ".") for a in absent)
+    ]
+    assert loaded == []
 
 
 def test_console_entry_point(tmp_path):

@@ -40,6 +40,7 @@ from gradlab.solver import (
     _continuation_schedule,
     _dct_preconditioner,
     _discrete_l2,
+    _gmres,
     _jacobian_matrix,
     _jacobian_pattern,
     _neumann_eigenvalues,
@@ -341,6 +342,49 @@ def test_forcing_floor_stops_at_half_the_newton_tolerance(case):
     assert _discrete_l2(grid, floored) <= 0.5 * tol
 
 
+def _gmres_system(case):
+    grid, lam, J, abar, r = _step_system(case)
+    return J, _dct_preconditioner(grid, lam, abar), -r.ravel()
+
+
+@pytest.mark.parametrize("case", ["2d-p3", "3d-radial"])
+@pytest.mark.parametrize("rel", [1e-2, 1e-8])
+def test_gmres_meets_target_on_the_true_residual(case, rel):
+    J, M, b = _gmres_system(case)
+    target = rel * np.linalg.norm(b)
+    delta, iterations, converged = _gmres(J, M, b, target)
+    assert converged and iterations > 0
+    assert np.linalg.norm(b - J @ delta) <= target
+
+
+def test_gmres_stops_on_a_happy_breakdown(rng):
+    """With J and M the identity the first Krylov vector spans the solution,
+    so a zero target still stops after one iteration."""
+    b = rng.standard_normal(50)
+    delta, iterations, _ = _gmres(sp.identity(50, format="csr"), lambda v: v, b, 0.0)
+    assert iterations == 1
+    assert np.allclose(delta, b, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("case, rel", [("2d-p3", 1e-2), ("3d-radial", 1e-4)])
+def test_gmres_restarts_and_still_meets_target(monkeypatch, case, rel):
+    monkeypatch.setattr(gradlab.solver, "_GMRES_RESTART", 3)
+    J, M, b = _gmres_system(case)
+    target = rel * np.linalg.norm(b)
+    delta, iterations, converged = _gmres(J, M, b, target)
+    assert converged and iterations > 3
+    assert np.linalg.norm(b - J @ delta) <= target
+
+
+def test_gmres_reports_an_unmet_target(monkeypatch):
+    monkeypatch.setattr(gradlab.solver, "_GMRES_CYCLES", 1)
+    J, M, b = _gmres_system("2d-p3")
+    delta, iterations, converged = _gmres(J, M, b, 1e-30 * np.linalg.norm(b))
+    assert converged is False
+    assert iterations == gradlab.solver._GMRES_RESTART
+    assert np.linalg.norm(b - J @ delta) < np.linalg.norm(b)
+
+
 def test_stage_history_monotone(p2_problem, box2d):
     u, report = solve(p2_problem, build_grid(box2d, (32, 32)))
     assert report.converged
@@ -444,9 +488,9 @@ def test_dct_preconditioner_inverts_neumann_operator(rng, extents, cells):
     op = lam * sp.identity(grid.size) + abar * laplacian
     inverse = _dct_preconditioner(grid, lam, abar)
     x = rng.standard_normal(grid.size)
-    assert np.max(np.abs(inverse @ (op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(inverse(op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
     b = op @ x
-    assert np.max(np.abs(op @ (inverse @ b) - b)) <= 1e-12 * np.max(np.abs(b))
+    assert np.max(np.abs(op @ inverse(b) - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_direct_fallback_matches_krylov_solve(monkeypatch):
@@ -463,10 +507,10 @@ def test_direct_fallback_matches_krylov_solve(monkeypatch):
     assert sum(s.krylov_iterations for s in krylov.stages) > 0
     assert all(s.direct_fallbacks == 0 for s in krylov.stages)
 
-    def stalled_gmres(A, b, **kwargs):
-        return np.zeros_like(b), 1
+    def stalled_gmres(J, M, b, target):
+        return np.zeros_like(b), 0, False
 
-    monkeypatch.setattr(gradlab.solver, "gmres", stalled_gmres)
+    monkeypatch.setattr(gradlab.solver, "_gmres", stalled_gmres)
     u_direct, direct = solve(prob, grid, options)
     assert direct.converged
     assert [s.direct_fallbacks for s in direct.stages] == [
