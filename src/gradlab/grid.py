@@ -108,6 +108,13 @@ class Grid:
     def refined(self, factor: int = 2) -> "Grid":
         return Grid(self.domain, tuple(n * factor for n in self.cells))
 
+    def coarsened(self) -> "Grid | None":
+        """The grid with every axis halved, or ``None`` when an axis is odd
+        or would fall below ``_MIN_CELLS`` cells."""
+        if all(n % 2 == 0 and n // 2 >= _MIN_CELLS for n in self.cells):
+            return Grid(self.domain, tuple(n // 2 for n in self.cells))
+        return None
+
 
 def build_grid(domain: Box, cells: tuple[int, ...]) -> Grid:
     return Grid(domain, cells)
@@ -170,6 +177,23 @@ def prolong(field: ScalarField, grid: Grid) -> ScalarField:
         # this form keeps a constant exact
         values = a + t * (np.take(values, lo + 1, axis=d) - a)
     return ScalarField(grid, values)
+
+
+def restrict(field: ScalarField, grid: Grid) -> ScalarField:
+    """``field`` averaged onto ``grid``, a coarsening of its grid.
+
+    Each coarse cell takes the mean of the fine cells it covers, so a
+    constant maps to itself and the discrete integral ``sum f |cell|`` is
+    kept to rounding.  Every fine cell count must be a multiple of the
+    coarse one.
+    """
+    if field.grid.domain != grid.domain:
+        raise ContractError("cannot restrict a field onto another domain")
+    if any(n % m for n, m in zip(field.grid.cells, grid.cells)):
+        raise ContractError(f"{grid.cells} is not a coarsening of {field.grid.cells}")
+    blocks = [k for m, n in zip(grid.cells, field.grid.cells) for k in (m, n // m)]
+    axes = tuple(range(1, 2 * grid.ndim, 2))
+    return ScalarField(grid, field.values.reshape(blocks).mean(axis=axes))
 
 
 # ---------------------------------------------------------------------------

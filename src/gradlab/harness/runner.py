@@ -125,6 +125,7 @@ def run_experiment(
             "total_iterations": report.total_iterations,
             "stages": [
                 {
+                    "cells": list(s.cells),
                     "eps": s.eps,
                     "gamma": s.gamma,
                     "iterations": s.iterations,
@@ -191,6 +192,7 @@ def run_experiment(
         "solve": {
             "stages": [
                 {
+                    "cells": list(s.cells),
                     "eps": s.eps,
                     "gamma": s.gamma,
                     "iterations": s.iterations,

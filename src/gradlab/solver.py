@@ -46,7 +46,12 @@ so a process that takes no Newton step loads none of them.
 Supernatural gradient growth shrinks Newton basins badly, so a cold solve
 walks a continuation path: first the regularization eps is lowered
 geometrically from order one, then gamma is raised linearly to its target.
-Every stage restarts Newton from the previous stage's solution.
+Every stage restarts Newton from the previous stage's solution.  The path is
+walked on the coarsest grid of a nested iteration, the target grid halved
+along every axis for as long as it can be, and each finer grid then takes one
+Newton stage at the target from the prolonged coarser solution: Newton's
+step count does not grow under refinement (Allgower, Boehmer, Potra and
+Rheinboldt 1986), so the fine grids pay for a few steps instead of the path.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from .grid import (
     gradient,
     lp_norm,
     prolong,
+    restrict,
 )
 from .model.families import PowerHamiltonian
 from .model.problem import ProblemSpec
@@ -130,6 +136,7 @@ class LinearSolveStats:
 
 @dataclass
 class StageReport:
+    cells: tuple  # the grid the stage ran on
     eps: float
     gamma: float
     iterations: int
@@ -499,19 +506,30 @@ def solve(
 ) -> tuple[ScalarField, SolveReport]:
     """Solve the discrete problem on ``grid``.
 
-    A cold start, from the constant ``mean(f) / lam``, walks the
-    continuation schedule when ``options.continuation`` is set and otherwise
-    solves in one stage at the target (eps, gamma).  A warm start from
-    ``initial`` always solves in one stage at the target: it is already near
-    a solution, and the schedule's first stages would only pull it away.
-    ``initial`` may live on another grid of the same domain, such as a
-    coarser solve of the same problem; it is then prolonged onto ``grid``
-    (:func:`gradlab.grid.prolong`).  A field on another domain raises
-    :class:`ContractError`.
+    A cold start with ``options.continuation`` set is a nested iteration.
+    Every axis of ``grid`` is halved for as long as each axis is even and
+    keeps at least ``_MIN_CELLS`` cells (:meth:`gradlab.grid.Grid.coarsened`).
+    The coarsest grid starts from the constant ``mean(f) / lam`` and walks
+    the continuation schedule; each finer grid, up to ``grid``, takes one
+    stage at the target (eps, gamma) from the prolonged coarser solution.
+    A coarse grid's source is the block mean of the finer grid's
+    (:func:`gradlab.grid.restrict`), so a :class:`Tabulated` source serves
+    too, and every grid solves to the same ``tol``.  A grid that cannot be
+    halved is its own coarsest grid.  Without continuation, a cold start
+    solves from the constant in one stage at the target on ``grid``.
 
-    Raises :class:`NonconvergenceError` with the best iterate attached if any
-    continuation stage stalls.  A vanishing zero-order coefficient has no
-    direct solve; probe ``lam -> 0`` through the sweep axis instead.
+    A warm start from ``initial`` always solves in one stage at the target
+    on ``grid``: it is already near a solution, and the schedule's first
+    stages would only pull it away.  ``initial`` may live on another grid
+    of the same domain, such as a coarser solve of the same problem; it is
+    then prolonged onto ``grid`` (:func:`gradlab.grid.prolong`).  A field on
+    another domain raises :class:`ContractError`.
+
+    Each :class:`StageReport` names the grid it ran on.  Raises
+    :class:`NonconvergenceError` if any stage stalls, with that stage's
+    grid in the message and its iterate, a field on that grid, attached.  A
+    vanishing zero-order coefficient has no direct solve; probe
+    ``lam -> 0`` through the sweep axis instead.
     """
     if problem.lam == 0:
         raise UnsupportedRegimeError(
@@ -521,54 +539,69 @@ def solve(
         raise ContractError("grid domain does not match the problem domain")
     options = options or SolverOptions()
     start = time.perf_counter()
-    f_values = sample_source(problem.source, grid).values
-    if initial is not None:
-        u = prolong(initial, grid).values
-    else:
-        u = np.full(grid.shape, float(f_values.mean()) / problem.lam)
-    schedule = [(problem.eps, problem.gamma)]
+    target = [(problem.eps, problem.gamma)]
+    # the sources on each grid, finest first: a coarse grid's is the block
+    # mean of the finer one's
+    sources = [sample_source(problem.source, grid)]
+    schedule = target
     if initial is None and options.continuation:
         schedule = _continuation_schedule(problem.eps, problem.gamma)
+        while (coarse := sources[-1].grid.coarsened()) is not None:
+            sources.append(restrict(sources[-1], coarse))
+    u = initial
+    if u is None:
+        base = sources[-1]
+        u = ScalarField(
+            base.grid, np.full(base.grid.shape, float(base.values.mean()) / problem.lam)
+        )
     stages = []
-    for eps_s, gamma_s in schedule:
-        ham = PowerHamiltonian(gamma_s, eps_s)
-        stats = LinearSolveStats()
-        u, history, damping, ok = _newton_stage(
-            grid, problem.coefficient, ham, problem.lam, f_values, u, options, stats
-        )
-        stages.append(
-            StageReport(
-                eps=eps_s,
-                gamma=gamma_s,
-                iterations=len(history) - 1,
-                residual_norm=history[-1],
-                damping_events=damping,
-                residual_history=history,
-                krylov_iterations=stats.krylov_iterations,
-                direct_fallbacks=stats.direct_fallbacks,
+    for f in reversed(sources):
+        level = f.grid
+        u_values = prolong(u, level).values
+        for eps_s, gamma_s in schedule:
+            ham = PowerHamiltonian(gamma_s, eps_s)
+            stats = LinearSolveStats()
+            u_values, history, damping, ok = _newton_stage(
+                level, problem.coefficient, ham, problem.lam, f.values, u_values,
+                options, stats,
             )
-        )
-        if not ok:
-            report = SolveReport(
-                stages=stages,
-                converged=False,
-                residual_norm=history[-1],
-                wall_time=time.perf_counter() - start,
+            stages.append(
+                StageReport(
+                    cells=level.cells,
+                    eps=eps_s,
+                    gamma=gamma_s,
+                    iterations=len(history) - 1,
+                    residual_norm=history[-1],
+                    damping_events=damping,
+                    residual_history=history,
+                    krylov_iterations=stats.krylov_iterations,
+                    direct_fallbacks=stats.direct_fallbacks,
+                )
             )
-            raise NonconvergenceError(
-                f"Newton stalled at stage eps={eps_s:.3g}, gamma={gamma_s:.3g} "
-                f"with residual {history[-1]:.3e}",
-                best_iterate=ScalarField(grid, u),
-                residual_norm=history[-1],
-                report=report,
-            )
+            if not ok:
+                report = SolveReport(
+                    stages=stages,
+                    converged=False,
+                    residual_norm=history[-1],
+                    wall_time=time.perf_counter() - start,
+                )
+                raise NonconvergenceError(
+                    f"Newton stalled on {'×'.join(map(str, level.cells))} at stage "
+                    f"eps={eps_s:.3g}, gamma={gamma_s:.3g} "
+                    f"with residual {history[-1]:.3e}",
+                    best_iterate=ScalarField(level, u_values),
+                    residual_norm=history[-1],
+                    report=report,
+                )
+        u = ScalarField(level, u_values)
+        schedule = target  # every finer grid takes one stage at the target
     report = SolveReport(
         stages=stages,
         converged=True,
         residual_norm=stages[-1].residual_norm,
         wall_time=time.perf_counter() - start,
     )
-    return ScalarField(grid, u), report
+    return u, report
 
 
 def manufacture_source(problem: ProblemSpec, u_star: ScalarField) -> Tabulated:

@@ -25,6 +25,7 @@ from gradlab.grid import (
     lp_norm,
     normal_derivative_scan,
     prolong,
+    restrict,
     save_field,
     second_derivatives,
 )
@@ -246,3 +247,55 @@ def test_prolong_same_grid_copies_and_other_domain_raises(rng):
         prolong(u, build_grid(Box((1.0, 2.0)), (16, 16)))
     with pytest.raises(ContractError):
         prolong(u, build_grid(Box((1.0, 1.0, 1.0)), (16, 16, 16)))
+
+
+@pytest.mark.parametrize(
+    "cells, coarsest",
+    [
+        ((16, 16), (8, 8)),
+        ((96, 96), (12, 12)),
+        ((16, 16, 16), (8, 8, 8)),
+        ((64, 32), (16, 8)),
+        ((12, 12), (12, 12)),
+        ((15, 16), (15, 16)),
+        ((9, 9, 9), (9, 9, 9)),
+    ],
+)
+def test_coarsening_halves_every_axis_while_it_can(cells, coarsest):
+    """Every axis is halved together, and only while each axis is even and
+    keeps at least 8 cells."""
+    grid = build_grid(Box((1.0,) * len(cells)), cells)
+    while (coarse := grid.coarsened()) is not None:
+        assert all(2 * m == n for m, n in zip(coarse.cells, grid.cells))
+        grid = coarse
+    assert grid.cells == coarsest
+
+
+@pytest.mark.parametrize(
+    "extents, fine, coarse",
+    [((1.0, 2.5), (32, 16), (16, 8)), ((1.0, 0.7, 1.3), (16, 20, 8), (8, 10, 8))],
+)
+def test_restrict_keeps_constants_and_the_discrete_integral(rng, extents, fine, coarse):
+    box = Box(extents)
+    src, dst = build_grid(box, fine), build_grid(box, coarse)
+    const = restrict(ScalarField(src, np.full(src.shape, 0.1)), dst)
+    assert const.grid == dst
+    assert np.allclose(const.values, 0.1, rtol=1e-15, atol=0)
+    f = ScalarField(src, rng.standard_normal(src.shape) + 2.0)
+    mean = restrict(f, dst)
+    assert integrate(mean) == pytest.approx(integrate(f), rel=1e-13)
+    # the first coarse cell is the mean of the fine cells it covers
+    block = f.values[tuple(slice(0, n // m) for n, m in zip(fine, coarse))]
+    assert mean.values.flat[0] == pytest.approx(block.mean(), rel=1e-14)
+
+
+def test_restrict_refuses_a_grid_that_is_not_a_coarsening(rng):
+    grid = build_grid(Box((1.0, 1.0)), (16, 16))
+    u = ScalarField(grid, rng.standard_normal(grid.shape))
+    for other in [
+        build_grid(Box((1.0, 1.0)), (12, 8)),
+        build_grid(Box((1.0, 1.0)), (32, 32)),
+        build_grid(Box((1.0, 2.0)), (8, 8)),
+    ]:
+        with pytest.raises(ContractError):
+            restrict(u, other)

@@ -16,7 +16,7 @@ import pytest
 
 import gradlab
 from gradlab.errors import ConfigError, NonconvergenceError, RegimeError
-from gradlab.grid import Box, save_field
+from gradlab.grid import Box, ScalarField, save_field
 from gradlab.harness import (
     convergence_study,
     emit_report,
@@ -29,6 +29,8 @@ from gradlab.harness import runner as runner_module
 from gradlab.harness.cli import main
 from gradlab.harness.records import list_records, load_record_field
 from gradlab.harness.runner import _sweep_variants
+from gradlab.model import PowerHamiltonian, sample_source
+from gradlab.solver import LinearSolveStats, _continuation_schedule, _newton_stage
 
 SMOOTH = """
 [problem]
@@ -69,6 +71,30 @@ ledgers = thm2
 k_levels = 1.0 1.3 1.6 1.9 2.2
 epsilon_sweep = 1e-1 1e-2 1e-3
 h_sweep = 32 48
+"""
+
+
+RADIAL_3D = """
+[problem]
+p = 2
+gamma = 6
+lambda = 1
+eps = 1e-2
+q = 3
+source = radial
+center = 0.5 0.5 0.5
+power = 0.8
+amplitude = 15
+
+[grid]
+extents = 1 1 1
+cells = 16 16 16
+
+[analysis]
+beta = 5
+sobolev_dim = 3
+ledgers = weak thm1 thm2 scan maxreg
+k_levels = 1.0 1.3 1.6 1.9 2.2
 """
 
 
@@ -381,6 +407,57 @@ def _cosine_forcing(coords, eps=1e-2):
     base = (1 + 2 * np.pi**2) * np.cos(np.pi * x) * np.cos(np.pi * y)
     ham = eps + np.pi**2 / 2 - (np.pi**2 / 2) * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
     return base + ham
+
+
+def _verdicts(payload):
+    """Every ledger verdict of a payload, by ledger and row."""
+    out = {}
+    for name, block in payload["ledgers"].items():
+        if name in ("thm1", "thm2"):
+            out.update({f"{name}.{r['lemma']}": r["passed"] for r in block["rows"]})
+        elif name == "scan":
+            out[name] = (block["small_branch_ok"], tuple(block["chebyshev_ok"]))
+        elif name == "maxreg":
+            out[name] = block["relative_agreement"] <= 64 * sys.float_info.epsilon
+        else:
+            out[name] = block["passed"]
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SINGULAR.replace("cells = 48 48", "cells = 32 32").replace(
+            "ledgers = thm2", "ledgers = weak thm1 thm2 scan maxreg"
+        ),
+        RADIAL_3D,
+    ],
+    ids=["readme-32", "radial-16cubed"],
+)
+def test_nested_cold_solve_matches_a_single_grid_continuation_solve(text):
+    """The nested solve and a continuation walk on the target grid alone
+    reach the same solution, to what two residuals below tol allow, and
+    the same ledger verdicts."""
+    config = parse_config(text)
+    problem, grid, options = config.build_problem(), config.build_grid(), config.solver
+    f = sample_source(problem.source, grid).values
+    u = np.full(grid.shape, f.mean() / problem.lam)
+    for eps, gamma in _continuation_schedule(problem.eps, problem.gamma):
+        u, _, _, ok = _newton_stage(
+            grid, problem.coefficient, PowerHamiltonian(gamma, eps), problem.lam,
+            f, u, options, LinearSolveStats(),
+        )
+        assert ok
+    single = run_experiment(config, initial=ScalarField(grid, u))
+    assert single.payload["solve"]["total_iterations"] == 0
+    nested = run_experiment(config)
+    for stages in (nested.payload["solve"]["stages"], nested.meta["solve"]["stages"]):
+        assert stages[0]["cells"] == [8] * grid.ndim
+        assert stages[-1]["cells"] == list(grid.cells)
+    bound = 10 * options.tol / (problem.lam * grid.max_spacing)
+    assert np.max(np.abs(nested.u.values - single.u.values)) <= bound
+    assert _verdicts(nested.payload) == _verdicts(single.payload)
+    assert len(_verdicts(nested.payload)) > 10
 
 
 def test_convergence_study_second_order(box2d):

@@ -245,13 +245,23 @@ def test_jacobian_pattern_cache_is_thread_safe(rng):
     assert _jacobian_pattern.cache_info().currsize <= 8
 
 
-def test_p3_solve_builds_only_the_wide_pattern(box2d):
+def test_p3_solve_builds_only_the_wide_pattern(box2d, monkeypatch):
     """The stencil width follows a' alone, so the constant first iterate of a
-    p != 2 solve does not build a narrow pattern that no later step uses."""
+    p != 2 solve does not build a narrow pattern that no later step uses: a
+    nested cold solve builds one wide pattern per grid and no narrow one."""
+    built = set()
+
+    def recording(grid, wide):
+        built.add((grid.cells, wide))
+        return _jacobian_pattern(grid, wide)
+
     _jacobian_pattern.cache_clear()
+    monkeypatch.setattr(gradlab.solver, "_jacobian_pattern", recording)
     _, report = solve(_problem(box2d, p=3.0, gamma=3.0), build_grid(box2d, (16, 16)))
     assert report.converged
-    assert _jacobian_pattern.cache_info().misses == 1
+    assert {s.cells for s in report.stages} == {(8, 8), (16, 16)}
+    assert built == {((8, 8), True), ((16, 16), True)}
+    assert _jacobian_pattern.cache_info().misses == 2
 
 
 def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
@@ -261,7 +271,7 @@ def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
     calls = []
 
     def counting(grid, coeff, ham, lam, f_values, u_values):
-        calls.append((ham, u_values.copy()))
+        calls.append((grid.cells, ham, u_values.copy()))
         return _residual_values(grid, coeff, ham, lam, f_values, u_values)
 
     monkeypatch.setattr(gradlab.solver, "_residual_values", counting)
@@ -271,10 +281,18 @@ def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
     _, report = solve(prob, build_grid(box2d, (16, 16)))
     assert report.converged
     assert any(s.damping_events for s in report.stages)
-    for i, (ham, u) in enumerate(calls):
-        assert not any(h == ham and np.array_equal(v, u) for h, v in calls[:i])
+    for i, (cells, ham, u) in enumerate(calls):
+        assert not any(
+            c == cells and h == ham and np.array_equal(v, u) for c, h, v in calls[:i]
+        )
+    # a stage is identified by its grid and its (eps, gamma)
+    keys = [(s.cells, s.eps, s.gamma) for s in report.stages]
+    assert len(set(keys)) == len(keys)
     for stage in report.stages:
-        evals = sum(h.eps == stage.eps and h.gamma == stage.gamma for h, _ in calls)
+        evals = sum(
+            c == stage.cells and h.eps == stage.eps and h.gamma == stage.gamma
+            for c, h, _ in calls
+        )
         trials = evals - 1
         # a damped step backtracks at least once; an undamped one never does
         assert trials >= stage.iterations + stage.damping_events
@@ -446,21 +464,60 @@ def test_solve_starts_from_a_field_on_another_grid(p3_problem, p3_solution_48, b
 
 
 def test_only_a_cold_start_walks_the_continuation_schedule(p3_problem, box2d):
-    """``continuation`` decides a cold solve's stages; a warm solve takes one
-    stage at the target whatever the option says."""
-    grid = build_grid(box2d, (16, 16))
+    """A cold solve walks the continuation schedule on the coarsest grid and
+    then takes one stage at the target on each finer grid; a warm solve, or a
+    cold one without continuation, takes one stage at the target on its own
+    grid."""
+    grid = build_grid(box2d, (32, 32))
     target = (p3_problem.eps, p3_problem.gamma)
     u, cold = solve(p3_problem, grid)
-    schedule = [(s.eps, s.gamma) for s in cold.stages]
-    assert schedule == _continuation_schedule(*target)
+    stages = [(s.cells, (s.eps, s.gamma)) for s in cold.stages]
+    schedule = _continuation_schedule(*target)
     assert len(schedule) > 1 and schedule[-1] == target
+    assert stages == [((8, 8), st) for st in schedule] + [
+        ((16, 16), target),
+        ((32, 32), target),
+    ]
     for options, initial in [
         (SolverOptions(continuation=False), None),
         (SolverOptions(), u),
         (SolverOptions(continuation=False), u),
     ]:
         _, report = solve(p3_problem, grid, options, initial=initial)
-        assert [(s.eps, s.gamma) for s in report.stages] == [target]
+        assert [(s.cells, (s.eps, s.gamma)) for s in report.stages] == [
+            ((32, 32), target)
+        ]
+
+
+def test_cold_solve_from_a_tabulated_source_is_nested(box2d):
+    """A table cannot be sampled on another grid; the coarse grids take its
+    block means, as they do for every source, so the nested solve from a
+    table of a source is the solve from that source, bit for bit."""
+    prob = _problem(box2d, p=3.0, gamma=3.0)
+    grid = build_grid(box2d, (32, 32))
+    table = _problem(
+        box2d, p=3.0, gamma=3.0, source=Tabulated(sample_source(prob.source, grid).values)
+    )
+    u, report = solve(table, grid)
+    assert report.converged
+    assert [s.cells for s in report.stages][-3:] == [(8, 8), (16, 16), (32, 32)]
+    ref, _ = solve(prob, grid)
+    assert np.array_equal(u.values, ref.values)
+
+
+def test_stall_on_a_coarse_grid_names_that_grid(box2d):
+    """A nested solve that stalls on a coarse grid says which grid, and its
+    best iterate lives there."""
+    prob = _problem(
+        box2d, p=3.0, gamma=4.0, eps=1e-6,
+        source=CosineProduct(amplitude=60.0, modes=(2, 1)),
+    )
+    with pytest.raises(NonconvergenceError, match="stalled on 8×8 at stage") as info:
+        solve(prob, build_grid(box2d, (32, 32)), options=SolverOptions(max_iter=1))
+    err = info.value
+    assert err.best_iterate.grid.cells == (8, 8)
+    assert err.report.stages[-1].cells == (8, 8)
+    assert not err.report.converged
 
 
 def test_epsilon_sweep_norms_stable(p2_problem, box2d):
