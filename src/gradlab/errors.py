@@ -45,7 +45,7 @@ class UnconvergedInputError(GradlabError, ValueError):
 
 
 class UnsupportedRegimeError(GradlabError, ValueError):
-    """A direct solve was requested for parameters the solver does not
+    """A solve was requested for parameters the solver does not
     handle (for instance a vanishing zero-order coefficient)."""
 
 

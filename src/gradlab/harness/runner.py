@@ -197,7 +197,6 @@ def run_experiment(
                     "gamma": s.gamma,
                     "iterations": s.iterations,
                     "krylov_iterations": s.krylov_iterations,
-                    "direct_fallbacks": s.direct_fallbacks,
                 }
                 for s in report.stages
             ],

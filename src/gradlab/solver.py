@@ -31,17 +31,18 @@ with the residual, which keeps Newton's quadratic rate without over-solving
 early steps.  The term is floored at ``0.5 tol / |R|``: a step whose linear
 residual is below half the Newton tolerance already does all that tolerance
 asks, so the last step of a stage is not solved to far below it (Eisenstat
-and Walker 1996; Kelley 1995, sec. 6.3).  A step whose GMRES run misses the
-forcing term within its budget falls back to a sparse direct solve.  Newton
-itself still accepts a step, and a stage converges, only on the true
-residual.
+and Walker 1996; Kelley 1995, sec. 6.3).  A GMRES run that misses the
+forcing term within its budget still gives a descent direction for
+``|R|^2 / 2`` whenever it reduced the linear residual at all (Kelley 1995,
+sec. 6), so the line search alone decides such a step.  Newton accepts a
+step, and a stage converges, only on the true residual.
 
 The GMRES is this module's own, restarted, with classical Gram-Schmidt
 twice over the basis block and Givens rotations (Saad and Schultz 1986);
-each cycle ends on the true residual ``|b - J delta|``.  scipy is imported
-where it runs: ``scipy.sparse`` to build a Jacobian, ``scipy.fft`` to apply
-the preconditioner and ``scipy.sparse.linalg`` only for a direct fallback,
-so a process that takes no Newton step loads none of them.
+each cycle ends on the true residual ``|b - J delta|``.  It is the
+module's one linear solve, :func:`spsolve`.  scipy is imported where it
+runs: ``scipy.sparse`` to build a Jacobian and ``scipy.fft`` to apply the
+preconditioner, so a process that takes no Newton step loads neither.
 
 Supernatural gradient growth shrinks Newton basins badly, so a cold solve
 walks a continuation path: first the regularization eps is lowered
@@ -59,7 +60,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -116,8 +116,8 @@ _MIN_STEP = 2.0**-30
 _EPS_RATIO = 0.1
 _GAMMA_STAGES = 4
 
-# inner linear solve: GMRES restart length and restart cycles before the
-# direct fallback, and the forcing term _FORCING * min(1, |R|) floored at
+# inner linear solve: GMRES restart length and restart cycles per Newton
+# step, and the forcing term _FORCING * min(1, |R|) floored at
 # _FORCING_MIN and at 0.5 tol / |R|; a forcing term of order |R| keeps
 # Newton q-quadratic (Kelley 1995, sec. 6.1)
 _GMRES_RESTART = 30
@@ -131,7 +131,6 @@ class LinearSolveStats:
     """Linear-solver work of one continuation stage."""
 
     krylov_iterations: int = 0
-    direct_fallbacks: int = 0
 
 
 @dataclass
@@ -144,7 +143,6 @@ class StageReport:
     damping_events: int
     residual_history: list = field(default_factory=list)
     krylov_iterations: int = 0
-    direct_fallbacks: int = 0
 
 
 @dataclass
@@ -152,7 +150,6 @@ class SolveReport:
     stages: list
     converged: bool
     residual_norm: float
-    wall_time: float = 0.0
 
     @property
     def total_iterations(self) -> int:
@@ -203,25 +200,18 @@ def _dct_preconditioner(
     return apply
 
 
-def spsolve(A, b):
-    """Sparse direct solve; only the fallback of a stalled GMRES loads
-    scipy.sparse.linalg."""
-    from scipy.sparse.linalg import spsolve as direct
-
-    return direct(A, b)
-
-
-def _gmres(J, M, b, target):
+def spsolve(J, M, b, target):
     """Restarted GMRES for ``J delta = b``, right-preconditioned by ``M``.
 
-    Returns ``(delta, iterations, converged)``.  Each cycle runs Arnoldi on
-    ``J M`` from the true residual, for at most ``_GMRES_RESTART`` steps, and
-    then adds ``M V y`` to ``delta``, with ``y`` the least-squares solution
-    kept up to date by Givens rotations (Saad and Schultz 1986).  A cycle
-    ends early when the rotated residual estimate meets ``target`` or on a
-    happy breakdown, where ``J M`` maps the Krylov space into itself.
-    ``converged`` is the true residual test ``|b - J delta| <= target``,
-    made after each cycle; there are at most ``_GMRES_CYCLES`` cycles.
+    Returns ``(delta, iterations)``.  Each cycle runs Arnoldi on ``J M``
+    from the true residual, for at most ``_GMRES_RESTART`` steps, and then
+    adds ``M V y`` to ``delta``, with ``y`` the least-squares solution kept
+    up to date by Givens rotations (Saad and Schultz 1986).  A cycle ends
+    early when the rotated residual estimate meets ``target`` or on a happy
+    breakdown, where ``J M`` maps the Krylov space into itself.  The run
+    stops once the true residual ``|b - J delta|``, taken after each cycle,
+    meets ``target``, and otherwise after ``_GMRES_CYCLES`` cycles with the
+    last iterate.
     """
     n = b.size
     m = min(_GMRES_RESTART, n)
@@ -233,7 +223,7 @@ def _gmres(J, M, b, target):
     iterations = 0
     for _ in range(_GMRES_CYCLES):
         if rnorm <= target:
-            return delta, iterations, True
+            return delta, iterations
         V[0] = r / rnorm
         g = [rnorm] + [0.0] * m  # rotated right-hand side; |g[j + 1]| is the residual
         for j in range(m):
@@ -272,25 +262,23 @@ def _gmres(J, M, b, target):
         rnorm = float(np.linalg.norm(r))
         if breakdown:
             break
-    return delta, iterations, bool(rnorm <= target)
+    return delta, iterations
 
 
 def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
-    """Inexact Newton step ``J delta = -r``; direct solve if GMRES stalls.
+    """Inexact Newton step ``J delta = -r`` by GMRES.
 
-    ``|r + J delta| <= eta |r|`` on the true linear residual.  Since a step is
-    taken only while ``rn > tol``, the ``0.5 tol / rn`` floor keeps ``eta``
-    below one half.
+    The target is ``|r + J delta| <= eta |r|`` on the true linear residual.
+    Since a step is taken only while ``rn > tol``, the ``0.5 tol / rn`` floor
+    keeps ``eta`` below one half.  A run that misses the target returns its
+    last iterate, and the line search decides the step.
     """
     eta = max(_FORCING_MIN, _FORCING * min(1.0, rn), 0.5 * tol / rn)
     b = -r.ravel()
-    delta, iterations, converged = _gmres(
+    delta, iterations = spsolve(
         J, _dct_preconditioner(grid, lam, abar), b, eta * np.linalg.norm(b)
     )
     stats.krylov_iterations += iterations
-    if not converged:
-        stats.direct_fallbacks += 1
-        delta = spsolve(J.tocsc(), b)
     return delta.reshape(grid.shape)
 
 
@@ -528,17 +516,17 @@ def solve(
     Each :class:`StageReport` names the grid it ran on.  Raises
     :class:`NonconvergenceError` if any stage stalls, with that stage's
     grid in the message and its iterate, a field on that grid, attached.  A
-    vanishing zero-order coefficient has no direct solve; probe
-    ``lam -> 0`` through the sweep axis instead.
+    solve with a vanishing zero-order coefficient raises
+    :class:`UnsupportedRegimeError`; probe ``lam -> 0`` through the sweep
+    axis instead.
     """
     if problem.lam == 0:
         raise UnsupportedRegimeError(
-            "direct solves need lam > 0; probe lam -> 0 via the lambda sweep axis"
+            "a solve needs lam > 0; probe lam -> 0 via the lambda sweep axis"
         )
     if grid.domain != problem.domain:
         raise ContractError("grid domain does not match the problem domain")
     options = options or SolverOptions()
-    start = time.perf_counter()
     target = [(problem.eps, problem.gamma)]
     # the sources on each grid, finest first: a coarse grid's is the block
     # mean of the finer one's
@@ -575,7 +563,6 @@ def solve(
                     damping_events=damping,
                     residual_history=history,
                     krylov_iterations=stats.krylov_iterations,
-                    direct_fallbacks=stats.direct_fallbacks,
                 )
             )
             if not ok:
@@ -583,7 +570,6 @@ def solve(
                     stages=stages,
                     converged=False,
                     residual_norm=history[-1],
-                    wall_time=time.perf_counter() - start,
                 )
                 raise NonconvergenceError(
                     f"Newton stalled on {'×'.join(map(str, level.cells))} at stage "
@@ -599,7 +585,6 @@ def solve(
         stages=stages,
         converged=True,
         residual_norm=stages[-1].residual_norm,
-        wall_time=time.perf_counter() - start,
     )
     return u, report
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import gradlab.solver
 from gradlab.grid import Box, build_grid
 from gradlab.model import CosineProduct, ProblemSpec, RadialSingular
 from gradlab.solver import solve
@@ -112,3 +113,19 @@ def sing3d_solution(sing3d_problem):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def linear_solves(monkeypatch):
+    """Every call of ``gradlab.solver.spsolve`` while the test runs, as
+    ``(linear residual |b - J delta|, target)`` pairs."""
+    calls = []
+    inner = gradlab.solver.spsolve
+
+    def recorded(J, M, b, target):
+        delta, iterations = inner(J, M, b, target)
+        calls.append((float(np.linalg.norm(b - J @ delta)), target))
+        return delta, iterations
+
+    monkeypatch.setattr(gradlab.solver, "spsolve", recorded)
+    return calls

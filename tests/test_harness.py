@@ -252,7 +252,7 @@ def test_natural_growth_config_rejected_at_build():
         cfg.build_problem()
 
 
-def test_run_experiment_persists_and_caches(tmp_path):
+def test_run_experiment_persists_and_caches(tmp_path, linear_solves):
     cfg = parse_config(SMOOTH)
     result = run_experiment(cfg, tmp_path)
     assert result.fresh
@@ -266,7 +266,8 @@ def test_run_experiment_persists_and_caches(tmp_path):
     stages = meta["solve"]["stages"]
     assert len(stages) == len(payload["solve"]["stages"])
     assert sum(s["krylov_iterations"] for s in stages) > 0
-    assert all(s["direct_fallbacks"] == 0 for s in stages)
+    assert len(linear_solves) == payload["solve"]["total_iterations"]
+    assert all(res <= target for res, target in linear_solves)
     assert "krylov_iterations" not in json.dumps(payload)
     field = load_record_field(result.path)
     assert np.array_equal(field.values, result.u.values)
