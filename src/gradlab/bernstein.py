@@ -25,18 +25,11 @@ them combined checks of everything else.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    GradlabError,
-    ParameterError,
-    RegimeError,
-    UnconvergedInputError,
-)
+from .errors import ParameterError, RegimeError, UnconvergedInputError
 from .grid import (
     ScalarField,
     divergence_flux,
@@ -46,11 +39,11 @@ from .grid import (
     lp_norm,
     second_derivatives,
 )
-from .model.exponents import effective_sobolev_dimension, theorem1_exponents
+from .model.exponents import effective_sobolev_dimension
 from .model.families import check_structure_conditions
 from .model.problem import ProblemSpec
-from .model.sources import Scaled, sample_source
-from .solver import SolverOptions, residual as solver_residual, solve
+from .model.sources import sample_source
+from .solver import residual as solver_residual
 
 RESIDUAL_GATE = 1e-6  # fields with a larger discrete residual are rejected
 
@@ -765,99 +758,8 @@ def levelset_scan(
 
 
 # ---------------------------------------------------------------------------
-# scaling fit and maximal regularity
+# maximal regularity
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EstimateFit:
-    """Log-log fit of a gradient norm against the source norm it answers to."""
-
-    scales: list
-    source_norms: list
-    gradient_norms: list
-    slope: float
-    intercept: float
-    theoretical_slope: float
-    eta: float
-    q_eta: float
-    used_points: int
-    failures: list
-
-    def to_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "source_norms": list(self.source_norms),
-            "gradient_norms": list(self.gradient_norms),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "theoretical_slope": self.theoretical_slope,
-            "eta": self.eta,
-            "q_eta": self.q_eta,
-            "used_points": self.used_points,
-            "failures": list(self.failures),
-        }
-
-
-def scaling_fit(
-    problem: ProblemSpec,
-    grid,
-    scales,
-    beta,
-    options: SolverOptions | None = None,
-    sobolev_dim: int | None = None,
-) -> EstimateFit:
-    """Solve across source scales and fit the growth of the gradient norm.
-
-    The estimate predicts sublinear growth with exponent ``1/(p-1)``; the
-    reported slope is the log-log least-squares fit over the top half of the
-    scales, where the nonlinearity dominates.  The scales run as a warm
-    chain: the first solves cold, and each later one starts from the last
-    converged scale's solution (see :func:`gradlab.solver.solve`).  Failed
-    solves are recorded and skipped, but at least three fitted points are
-    required.
-    """
-    scales = [float(s) for s in scales]
-    if len(scales) < 5:
-        raise ParameterError("need at least 5 scales")
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ParameterError("scales must be strictly increasing")
-    ns = effective_sobolev_dimension(grid.ndim, sobolev_dim)
-    eta_f, _, q_eta_f = theorem1_exponents(ns, Fraction(problem.p).limit_denominator(10**6), Fraction(beta).limit_denominator(10**6))
-    eta, q_eta = float(eta_f), float(q_eta_f)
-    xs, ys, used_scales, failures = [], [], [], []
-    u = None  # the last converged scale's solution
-    for s in scales:
-        spec = dataclasses.replace(problem, source=Scaled(problem.source, s))
-        f = sample_source(spec.source, grid)
-        try:
-            u, _ = solve(spec, grid, options, initial=u)
-        except GradlabError as exc:  # failures are data here
-            failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        xs.append(lp_norm(f, q_eta))
-        ys.append(lp_norm(gradient(u), eta))
-        used_scales.append(s)
-    if len(xs) < 3:
-        raise ParameterError(
-            f"only {len(xs)} scales solved; need at least 3 points to fit"
-        )
-    top = max(3, len(xs) // 2 + len(xs) % 2)
-    lx = np.log(np.asarray(xs[-top:]))
-    ly = np.log(np.asarray(ys[-top:]))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return EstimateFit(
-        scales=used_scales,
-        source_norms=xs,
-        gradient_norms=ys,
-        slope=float(slope),
-        intercept=float(intercept),
-        theoretical_slope=1.0 / (problem.p - 1.0),
-        eta=eta,
-        q_eta=q_eta,
-        used_points=int(top),
-        failures=failures,
-    )
 
 
 @dataclass
@@ -871,14 +773,6 @@ class MaxRegNorm:
         scale = max(abs(self.via_power_field), abs(self.via_gradient_norm), 1e-300)
         return abs(self.via_power_field - self.via_gradient_norm) / scale
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "via_power_field": self.via_power_field,
-            "via_gradient_norm": self.via_gradient_norm,
-            "relative_agreement": self.relative_agreement,
-        }
-
 
 def maximal_regularity_norm(u: ScalarField, q: float, gamma: float) -> MaxRegNorm:
     """``L^q`` norm of ``|Du|^gamma``, computed along both routes.
@@ -890,10 +784,6 @@ def maximal_regularity_norm(u: ScalarField, q: float, gamma: float) -> MaxRegNor
     if q < 1:
         raise ParameterError("maximal regularity norm needs q >= 1")
     mag = gradient(u).magnitude()
-    return _maxreg_from_magnitude(mag, q, gamma)
-
-
-def _maxreg_from_magnitude(mag: ScalarField, q: float, gamma: float) -> MaxRegNorm:
     power_field = ScalarField(mag.grid, mag.values**gamma)
     via_power = lp_norm(power_field, q)
     via_gradient = lp_norm(mag, q * gamma) ** gamma

@@ -27,10 +27,6 @@ class StructureViolationError(GradlabError, ValueError):
     """A diffusion coefficient fails its structural sign conditions."""
 
 
-class MembershipError(GradlabError, ValueError):
-    """A source term is not in the Lebesgue class the run declares."""
-
-
 class ResolutionError(GradlabError, ValueError):
     """A grid is too coarse for the discrete operators to make sense."""
 

@@ -1,12 +1,14 @@
-"""Experiment harness: configs, immutable run records, sweeps, reports."""
+"""Experiment harness: configs, immutable run records, ladders of solves, reports."""
 
 from .config import RunConfig, load_config, parse_config
 from .records import load_record, list_records, persist_record
 from .runner import (
     ConvergenceStudy,
+    EstimateFit,
     convergence_study,
     emit_report,
     run_experiment,
+    scaling_fit,
     sweep,
 )
 
@@ -18,8 +20,10 @@ __all__ = [
     "list_records",
     "persist_record",
     "ConvergenceStudy",
+    "EstimateFit",
     "convergence_study",
     "emit_report",
     "run_experiment",
+    "scaling_fit",
     "sweep",
 ]

@@ -13,8 +13,9 @@ import sys
 from ..errors import GradlabError, NonconvergenceError
 from ..model.exponents import build_exponent_table
 from ..model.families import check_growth_conditions, check_structure_conditions
+from ..model.sources import sample_source
 from .config import load_config
-from .runner import emit_report, exponent_table, run_experiment, sweep
+from .runner import _SWEEP_AXES, emit_report, exponent_table, run_experiment, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,7 +46,7 @@ def _cmd_check(args) -> int:
     config = load_config(args.config)
     config.validate()
     problem = config.build_problem()
-    config.build_grid()
+    sample_source(problem.source, config.build_grid())
     srep = check_structure_conditions(problem.coefficient, config.eps, 1e4)
     grep = check_growth_conditions(problem.hamiltonian, 1.0, 1e3)
     print(f"config digest: {config.digest()}")
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a one-axis parameter sweep")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--axis", required=True,
-                         choices=["eps", "scale", "h", "k", "lambda"])
+                         choices=list(_SWEEP_AXES))
     p_sweep.add_argument("--out", default=None, help="record directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -1,4 +1,13 @@
-"""Experiment orchestration: single runs, sweeps, studies, reports."""
+"""Experiment orchestration: single runs, every ladder of solves, reports.
+
+:func:`gradlab.solver.solve` solves one problem and :mod:`gradlab.bernstein`
+audits one given solution; every ladder of solves lives here.  A
+:func:`sweep` walks one config axis (eps, source scale, grid, superlevel
+threshold or lambda), :func:`convergence_study` a grid-refinement ladder
+against a known solution, and :func:`scaling_fit` a ladder of source scales.
+Each runs as a warm chain, each point starting from an earlier point's
+solution.  :func:`emit_report` aggregates stored records.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +18,7 @@ import functools
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +31,14 @@ from ..bernstein import (
     thm2_ledger,
     weak_identity_check,
 )
-from ..errors import ConfigError, GradlabError, RegimeError
+from ..errors import ConfigError, GradlabError, ParameterError, RegimeError
 from ..grid import Box, ScalarField, build_grid, gradient, lp_norm
-from ..model.exponents import build_exponent_table
+from ..model.exponents import build_exponent_table, effective_sobolev_dimension, theorem1_exponents
 from ..model.problem import ProblemSpec
-from ..model.sources import Tabulated
+from ..model.sources import Scaled, Tabulated, sample_source
 from ..solver import SolverOptions, solve
 from .config import RunConfig
-from .records import persist_record, load_record
+from .records import list_records, load_record, persist_record
 
 # sweep axis -> (RunConfig field listing its values, config key each value sets)
 _SWEEP_AXES = {
@@ -268,13 +278,6 @@ class ConvergenceStudy:
     orders_linf: list
     orders_l2: list
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": [dataclasses.asdict(lv) for lv in self.levels],
-            "orders_linf": self.orders_linf,
-            "orders_l2": self.orders_l2,
-        }
-
 
 def convergence_study(
     box: Box,
@@ -333,6 +336,88 @@ def convergence_study(
             orders_linf.append(float(np.log2(a.error_linf / b.error_linf) / ratio))
             orders_l2.append(float(np.log2(a.error_l2 / b.error_l2) / ratio))
     return ConvergenceStudy(levels=rows, orders_linf=orders_linf, orders_l2=orders_l2)
+
+
+# ---------------------------------------------------------------------------
+# scaling fit
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EstimateFit:
+    """Log-log fit of a gradient norm against the source norm it answers to."""
+
+    scales: list
+    source_norms: list
+    gradient_norms: list
+    slope: float
+    intercept: float
+    theoretical_slope: float
+    eta: float
+    q_eta: float
+    used_points: int
+    failures: list
+
+
+def scaling_fit(
+    problem: ProblemSpec,
+    grid,
+    scales,
+    beta,
+    options: SolverOptions | None = None,
+    sobolev_dim: int | None = None,
+) -> EstimateFit:
+    """Solve across source scales and fit the growth of the gradient norm.
+
+    The estimate predicts sublinear growth with exponent ``1/(p-1)``; the
+    reported slope is the log-log least-squares fit over the top half of the
+    scales, where the nonlinearity dominates.  The scales run as a warm
+    chain: the first solves cold, and each later one starts from the last
+    converged scale's solution (see :func:`gradlab.solver.solve`).  Failed
+    solves are recorded and skipped, but at least three fitted points are
+    required.
+    """
+    scales = [float(s) for s in scales]
+    if len(scales) < 5:
+        raise ParameterError("need at least 5 scales")
+    if any(b <= a for a, b in zip(scales, scales[1:])):
+        raise ParameterError("scales must be strictly increasing")
+    ns = effective_sobolev_dimension(grid.ndim, sobolev_dim)
+    eta_f, _, q_eta_f = theorem1_exponents(ns, Fraction(problem.p).limit_denominator(10**6), Fraction(beta).limit_denominator(10**6))
+    eta, q_eta = float(eta_f), float(q_eta_f)
+    xs, ys, used_scales, failures = [], [], [], []
+    u = None  # the last converged scale's solution
+    for s in scales:
+        spec = dataclasses.replace(problem, source=Scaled(problem.source, s))
+        f = sample_source(spec.source, grid)
+        try:
+            u, _ = solve(spec, grid, options, initial=u)
+        except GradlabError as exc:  # failures are data here
+            failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        xs.append(lp_norm(f, q_eta))
+        ys.append(lp_norm(gradient(u), eta))
+        used_scales.append(s)
+    if len(xs) < 3:
+        raise ParameterError(
+            f"only {len(xs)} scales solved; need at least 3 points to fit"
+        )
+    top = max(3, len(xs) // 2 + len(xs) % 2)
+    lx = np.log(np.asarray(xs[-top:]))
+    ly = np.log(np.asarray(ys[-top:]))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    return EstimateFit(
+        scales=used_scales,
+        source_norms=xs,
+        gradient_norms=ys,
+        slope=float(slope),
+        intercept=float(intercept),
+        theoretical_slope=1.0 / (problem.p - 1.0),
+        eta=eta,
+        q_eta=q_eta,
+        used_points=int(top),
+        failures=failures,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +507,7 @@ def emit_report(
     records_dir = Path(records_dir)
     out_dir = Path(out_dir) if out_dir is not None else records_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    dirs = [d for d in records_dir.iterdir() if d.is_dir() and (d / "record.json").exists()] if records_dir.exists() else []
-    dirs.sort(key=lambda d: d.name)
-    loaded = [(d.name, *load_record(d)) for d in dirs]
+    loaded = [(d.name, *load_record(d)) for d in list_records(records_dir)]
     rows = [_report_row(*record) for record in loaded]
     written = {}
 

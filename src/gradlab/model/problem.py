@@ -53,10 +53,6 @@ class ProblemSpec:
         if abs(self.hamiltonian.eps - self.eps) > 1e-14:
             raise ParameterError("hamiltonian eps does not match the problem")
 
-    @property
-    def ndim(self) -> int:
-        return self.domain.ndim
-
     @classmethod
     def power_model(
         cls,

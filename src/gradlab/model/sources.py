@@ -1,9 +1,9 @@
 """Source terms and their sampling onto grids.
 
-Every variant knows how to evaluate itself at cell centers and how to answer
-the Lebesgue-membership question that decides whether a declared integrability
-target ``q`` is honest.  Only the radial power is genuinely singular; the
-others are bounded and belong to every class.
+:func:`sample_source` evaluates every variant at cell centers, and
+:func:`lq_membership` answers the Lebesgue-membership question that decides
+whether a declared integrability target ``q`` is honest.  Only the radial
+power is genuinely singular; the others are bounded and belong to every class.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ContractError, MembershipError, ParameterError
+from ..errors import ContractError, ParameterError
 from ..grid import Grid, ScalarField
 
 
@@ -33,16 +33,14 @@ class CosineProduct:
 class RadialSingular:
     """``f(x) = amplitude * max(|x - center|, core_radius)^(-power)``.
 
-    With zero core radius the sample is the true singular power.  The
-    constructor records the supremal integrability exponent and rejects a
-    declared target the profile does not actually reach.
+    With zero core radius the sample is the true singular power; which
+    Lebesgue classes it belongs to is :func:`lq_membership`'s answer.
     """
 
     center: tuple[float, ...]
     power: float
     amplitude: float = 1.0
     core_radius: float = 0.0
-    target_q: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -50,19 +48,6 @@ class RadialSingular:
             raise ParameterError("radial singular power must be positive")
         if self.core_radius < 0:
             raise ParameterError("core radius must be nonnegative")
-        if self.target_q is not None and self.core_radius == 0.0:
-            if self.power * self.target_q >= len(self.center):
-                raise MembershipError(
-                    f"|x|^(-{self.power}) is not in L^{self.target_q} in "
-                    f"dimension {len(self.center)}: need power*q < N"
-                )
-
-    @property
-    def q_sup(self) -> float:
-        """Supremal q with finite L^q norm (infinite once a core is cut)."""
-        if self.core_radius > 0:
-            return np.inf
-        return len(self.center) / self.power
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ Rheinboldt 1986), so the fine grids pay for a few steps instead of the path.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections.abc import Callable
@@ -79,7 +78,6 @@ from .grid import (
     face_average,
     face_normal_differences,
     gradient,
-    lp_norm,
     prolong,
     restrict,
 )
@@ -607,48 +605,3 @@ def manufacture_source(problem: ProblemSpec, u_star: ScalarField) -> Tabulated:
     )
     return Tabulated(vals)
 
-
-@dataclass
-class EpsSweepRow:
-    eps: float
-    grad_norm_qgamma: float
-    grad_norm_eta: float
-    report: SolveReport
-
-
-def epsilon_sweep(
-    problem: ProblemSpec,
-    grid: Grid,
-    eps_list,
-    options: SolverOptions | None = None,
-    q: float = 2.0,
-    eta: float | None = None,
-) -> list[EpsSweepRow]:
-    """Re-solve along decreasing regularizations, warm-starting each point.
-
-    Reports the gradient norms the estimates control so the eps-independence
-    of the bounds can be checked empirically.
-    """
-    eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or not eps_list:
-        raise ParameterError("eps values must be strictly decreasing")
-    if eta is None:
-        eta = 2.0 * problem.gamma - problem.p + 1.0
-    rows = []
-    prev: ScalarField | None = None
-    for eps in eps_list:
-        spec = dataclasses.replace(
-            problem, eps=eps, hamiltonian=PowerHamiltonian(problem.gamma, eps)
-        )
-        u, report = solve(spec, grid, options, initial=prev)
-        du = gradient(u)
-        rows.append(
-            EpsSweepRow(
-                eps=eps,
-                grad_norm_qgamma=lp_norm(du, q * problem.gamma),
-                grad_norm_eta=lp_norm(du, eta),
-                report=report,
-            )
-        )
-        prev = u
-    return rows

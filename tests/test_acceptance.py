@@ -14,7 +14,6 @@ from gradlab.bernstein import (
     levelset_scan,
     maximal_regularity_norm,
     prepare_bundle,
-    scaling_fit,
     thm1_ledger,
     thm2_ledger,
     weak_identity_check,
@@ -29,11 +28,11 @@ from gradlab.grid import (
     face_average,
     face_normal_differences,
 )
-from gradlab.harness import convergence_study
+from gradlab.harness import convergence_study, parse_config, scaling_fit, sweep
 from gradlab.model import CosineProduct, PowerDiffusion, ProblemSpec
 from gradlab.model.exponents import ProofGap, theorem2_exponents
 from gradlab.model.families import check_structure_conditions
-from gradlab.solver import epsilon_sweep, solve
+from gradlab.solver import solve
 
 F = Fraction
 
@@ -145,12 +144,31 @@ def test_c06_ledgers_pass_and_persist_under_refinement(
     _check("06 estimate ledgers hold on smooth and singular runs", body)
 
 
-def test_c07_eps_independence(p3_problem, box2d):
+# the conftest p3_problem on a 48^2 grid, swept over eps
+P3_EPS_SWEEP = """
+[problem]
+p = 3
+gamma = 3
+lambda = 1
+eps = 1e-2
+q = 3
+source = cosine
+amplitude = 20
+modes = 1 1
+
+[grid]
+extents = 1 1
+cells = 48 48
+
+[analysis]
+epsilon_sweep = 1e-1 1e-2 1e-3
+"""
+
+
+def test_c07_eps_independence():
     def body():
-        rows = epsilon_sweep(
-            p3_problem, build_grid(box2d, (48, 48)), [1e-1, 1e-2, 1e-3], q=3.0
-        )
-        norms = np.array([row.grad_norm_qgamma for row in rows])
+        results = sweep(parse_config(P3_EPS_SWEEP), "eps")
+        norms = np.array([r.payload["norms"]["du_qgamma"] for r in results])
         spread = (norms.max() - norms.min()) / norms.min()
         assert spread <= 0.05, f"spread {spread:.4f}"
 

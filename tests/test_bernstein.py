@@ -1,5 +1,6 @@
 """Differential-inequality ledgers: weak identity, both estimate chains,
-level-set dichotomy, and the maximal-regularity norm."""
+level-set dichotomy, and the maximal-regularity norm; and the harness's
+source-scale fit, whose slope the estimates predict."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from gradlab.bernstein import (
     levelset_scan,
     maximal_regularity_norm,
     prepare_bundle,
-    scaling_fit,
     thm1_ledger,
     thm2_ledger,
     weak_identity_check,
@@ -20,6 +20,7 @@ from gradlab.errors import (
     UnconvergedInputError,
 )
 from gradlab.grid import ScalarField, build_grid
+from gradlab.harness import scaling_fit
 from gradlab.model import CosineProduct, ProblemSpec, Tabulated
 from gradlab.solver import solve
 
@@ -198,7 +199,7 @@ def test_scaling_fit_records_only_package_errors(
     def failing_solve(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr("gradlab.bernstein.solve", failing_solve)
+    monkeypatch.setattr("gradlab.harness.runner.solve", failing_solve)
     grid = build_grid(box2d, (16, 16))
     with pytest.raises(expected):
         scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0)
@@ -221,7 +222,7 @@ def test_scaling_fit_chains_from_the_last_converged_scale(p3_problem, box2d, mon
         calls.append((scale, start, len(report.stages)))
         return u, report
 
-    monkeypatch.setattr("gradlab.bernstein.solve", fake_solve)
+    monkeypatch.setattr("gradlab.harness.runner.solve", fake_solve)
     grid = build_grid(box2d, (16, 16))
     fit = scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0)
     assert calls[0][:2] == (1.0, None) and calls[0][2] > 1

@@ -352,6 +352,31 @@ def test_runner_has_no_thread_pool():
     assert not any(name and name.startswith("concurrent") for name in imported)
 
 
+def test_only_the_harness_runs_ladders_of_solves():
+    """``bernstein`` audits one given solution and ``solver`` solves one
+    problem: neither runs a ladder of solves."""
+    package = Path(gradlab.__file__).parent
+    bern = ast.parse((package / "bernstein.py").read_text())
+    from_solver = {
+        alias.name
+        for node in ast.walk(bern)
+        if isinstance(node, ast.ImportFrom) and node.module == "solver"
+        for alias in node.names
+    }
+    assert from_solver and "solve" not in from_solver
+    solver = ast.parse((package / "solver.py").read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(solver)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "solve"
+    }
+    assert callers <= {"solve"}
+
+
 def test_k_sweep_reuses_one_solve(tmp_path):
     cfg = parse_config(SINGULAR)
     rows = sweep(cfg, "k", tmp_path)
@@ -602,10 +627,30 @@ def test_cli_config_failures(tmp_path, capsys):
     assert "'eps'" in capsys.readouterr().err
 
 
-def test_cli_check_rejects_grid_that_solve_rejects(tmp_path, capsys):
-    coarse = _write(tmp_path, "coarse.ini", SMOOTH.replace("cells = 24 24", "cells = 48 4"))
-    assert main(["check", coarse]) == 2
-    assert "cells" in capsys.readouterr().err
+_SINGULAR_16 = SINGULAR.replace("cells = 48 48", "cells = 16 16")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SMOOTH.replace("cells = 24 24", "cells = 48 4"), "cells"),
+        (SMOOTH.replace("modes = 1 1", "modes = 1"), "cosine mode vector"),
+        (_SINGULAR_16.replace("center = 0.5 0.5", "center = 0.5"), "singularity center"),
+        (
+            _SINGULAR_16.replace("center = 0.5 0.5", "center = 0.53125 0.53125"),
+            "coincides with the singularity",
+        ),
+    ],
+    ids=["coarse-grid", "cosine-modes", "radial-center-dimension", "radial-center-on-a-cell"],
+)
+def test_cli_check_rejects_grid_that_solve_rejects(tmp_path, capsys, text, message):
+    """A config that ``solve`` rejects before any Newton step fails ``check``
+    with the same message."""
+    cfg = _write(tmp_path, "bad.ini", text)
+    assert main(["check", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["solve", cfg]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_solve_and_bernstein_smooth(tmp_path, capsys):

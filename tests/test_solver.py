@@ -24,6 +24,7 @@ from gradlab.grid import (
     gradient,
     lp_norm,
 )
+from gradlab.harness import parse_config, sweep
 from gradlab.model import (
     CosineProduct,
     PerturbedPower,
@@ -45,7 +46,6 @@ from gradlab.solver import (
     _neumann_eigenvalues,
     _newton_direction,
     _residual_values,
-    epsilon_sweep,
     jacobian,
     manufacture_source,
     residual,
@@ -524,14 +524,31 @@ def test_stall_on_a_coarse_grid_names_that_grid(box2d):
     assert not err.report.converged
 
 
-def test_epsilon_sweep_norms_stable(p2_problem, box2d):
-    rows = epsilon_sweep(
-        p2_problem, build_grid(box2d, (32, 32)), [1e-1, 1e-2, 1e-3], q=3.0
-    )
-    norms = np.array([row.grad_norm_qgamma for row in rows])
+def test_epsilon_sweep_norms_stable():
+    """The conftest p2_problem on a 32^2 grid, solved along an eps sweep."""
+    text = """
+[problem]
+p = 2
+gamma = 2
+lambda = 1
+eps = 1e-2
+q = 3
+source = cosine
+amplitude = 8
+modes = 1 1
+
+[grid]
+extents = 1 1
+cells = 32 32
+
+[analysis]
+epsilon_sweep = 1e-1 1e-2 1e-3
+"""
+    results = sweep(parse_config(text), "eps")
+    norms = np.array([r.payload["norms"]["du_qgamma"] for r in results])
     spread = (norms.max() - norms.min()) / norms.min()
     assert spread <= 0.05
-    assert all(row.report.converged for row in rows)
+    assert all(r.payload["solve"]["converged"] for r in results)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradlab.errors import ContractError, MembershipError, ParameterError
+from gradlab.errors import ContractError, ParameterError
 from gradlab.grid import Box, build_grid, normal_derivative_scan
 from gradlab.model.sources import (
     CosineProduct,
@@ -44,12 +44,14 @@ def test_cosine_product_rejects_negative_modes():
 
 
 def test_radial_singular_membership_constructor():
-    with pytest.raises(MembershipError):
-        RadialSingular(center=(0.5, 0.5), power=0.9, target_q=3.0)
-    ok = RadialSingular(center=(0.5, 0.5, 0.5), power=0.9, target_q=3.0)
-    assert ok.q_sup == pytest.approx(3.0 / 0.9)
+    """|x|^(-power) is in L^q exactly when power*q < N, and in every L^q
+    once a core is cut."""
+    assert lq_membership(RadialSingular(center=(0.5, 0.5), power=0.9), 3.0, 2) is False
+    ok = RadialSingular(center=(0.5, 0.5, 0.5), power=0.9)
+    assert lq_membership(ok, 3.0, 3) is True
+    assert lq_membership(ok, 3.4, 3) is False  # past q_sup = 3 / 0.9
     cored = RadialSingular(center=(0.5, 0.5), power=0.9, core_radius=0.1)
-    assert cored.q_sup == np.inf
+    assert lq_membership(cored, 1e6, 2) is True
 
 
 def test_radial_membership_against_refining_quadrature():
