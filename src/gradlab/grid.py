@@ -13,7 +13,7 @@ Scalar data lives at cell centers, shape ``grid.cells``.  Face data along
 axis ``d`` has shape ``cells`` with entry ``d`` enlarged by one; index ``i``
 along that axis addresses the face between cells ``i-1`` and ``i``, with the
 two boundary faces at the ends.  Arrays are C-ordered throughout, which is
-also the order used by the sparse operator builders and the binary field
+also the order of the solver's flattened unknowns and of the binary field
 format.
 """
 
@@ -21,14 +21,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, ParameterError, ResolutionError
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 _MIN_CELLS = 8
 _FIELD_MAGIC = b"GLF1"
@@ -400,87 +396,6 @@ def normal_derivative_scan(u: ScalarField) -> NormalScan:
         scan.values[(d, 1)] = high
         scan.max_value = max(scan.max_value, float(low.max()), float(high.max()))
     return scan
-
-
-# ---------------------------------------------------------------------------
-# sparse operator builders (C-order flattening)
-# ---------------------------------------------------------------------------
-# These are the tests' reference for the solver's Jacobian and preconditioner;
-# no solve calls them, so each imports scipy.sparse where it runs and a
-# process that only audits a stored solution never loads it.
-
-
-def _kron_along(mat: sp.spmatrix, shape: tuple[int, ...], axis: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    before = int(np.prod(shape[:axis], dtype=np.int64)) if axis > 0 else 1
-    after = int(np.prod(shape[axis + 1 :], dtype=np.int64)) if axis + 1 < len(shape) else 1
-    out = mat
-    if after > 1:
-        out = sp.kron(out, sp.identity(after, format="csr"), format="csr")
-    if before > 1:
-        out = sp.kron(sp.identity(before, format="csr"), out, format="csr")
-    return out.tocsr()
-
-
-def _centered_1d(n: int, h: float) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    main = np.zeros(n)
-    upper = np.full(n - 1, 0.5 / h)
-    lower = np.full(n - 1, -0.5 / h)
-    m = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    # mirror ghosts collapse the boundary rows onto interior neighbours
-    m[0, 0] = -0.5 / h
-    m[0, 1] = 0.5 / h
-    m[n - 1, n - 2] = -0.5 / h
-    m[n - 1, n - 1] = 0.5 / h
-    return m.tocsr()
-
-
-def _face_difference_1d(n: int, h: float) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    m = sp.lil_matrix((n + 1, n))
-    for f in range(1, n):
-        m[f, f - 1] = -1.0 / h
-        m[f, f] = 1.0 / h
-    return m.tocsr()
-
-
-def _face_average_1d(n: int) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    m = sp.lil_matrix((n + 1, n))
-    m[0, 0] = 1.0
-    m[n, n - 1] = 1.0
-    for f in range(1, n):
-        m[f, f - 1] = 0.5
-        m[f, f] = 0.5
-    return m.tocsr()
-
-
-def centered_gradient_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Sparse form of the centered gradient component along ``axis``."""
-    return _kron_along(
-        _centered_1d(grid.cells[axis], grid.spacing[axis]), grid.shape, axis
-    )
-
-
-def face_difference_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Cells to faces: normal difference with zero boundary rows."""
-    shape = list(grid.shape)
-    out = _kron_along(
-        _face_difference_1d(grid.cells[axis], grid.spacing[axis]),
-        tuple(shape),
-        axis,
-    )
-    return out
-
-
-def face_average_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Cells to faces: arithmetic average, edge cells copied to boundary faces."""
-    return _kron_along(_face_average_1d(grid.cells[axis]), grid.shape, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,6 @@ class PerturbedPower:
 CoefficientFamily = PowerDiffusion | PerturbedPower
 
 
-def eval_diffusion(family: CoefficientFamily, t: float) -> tuple[float, float]:
-    """Return ``(a(t), a'(t))`` at a single argument ``t > 0``."""
-    if t <= 0:
-        raise ParameterError("diffusion coefficient is defined for t > 0")
-    return float(family.a(t)), float(family.a_prime(t))
-
-
 @dataclass
 class AssumptionReport:
     """Sampled structural constants of a diffusion coefficient.
@@ -174,7 +167,7 @@ class PowerHamiltonian:
             raise ParameterError("regularization eps must be nonnegative")
         # re-verify the closed-form gradient growth constant numerically
         s = np.geomspace(1.0, 1e3, 64)
-        grad = self.gamma * (self.eps + s**2) ** ((self.gamma - 2.0) / 2.0) * s
+        grad = 2.0 * self.h_prime_of_w(self.eps + s**2) * s
         if np.any(grad > self.gradient_growth_constant * s ** (self.gamma - 1.0) * (1 + 1e-12)):
             raise StructureViolationError(
                 "gradient growth constant violated; is eps larger than 1?"
@@ -190,31 +183,12 @@ class PowerHamiltonian:
         """Constant C with ``|H_xi(xi)| <= C |xi|^(gamma-1)`` for ``|xi| >= 1``."""
         return self.gamma * 2.0 ** (self.gamma / 2.0)
 
-    def value(self, xi) -> float:
-        xi = np.asarray(xi, dtype=float)
-        return float((self.eps + np.dot(xi, xi)) ** (self.gamma / 2.0))
-
-    def gradient(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        w = self.eps + np.dot(xi, xi)
-        if w == 0.0:
-            return np.zeros_like(xi)
-        return self.gamma * w ** ((self.gamma - 2.0) / 2.0) * xi
-
-    # vectorized forms in terms of w = eps + |Du|^2, used by the solver
+    # H and h' as functions of w = eps + |xi|^2, so H_xi = 2 h'(w) xi
     def h_of_w(self, w):
         return np.asarray(w, dtype=float) ** (self.gamma / 2.0)
 
     def h_prime_of_w(self, w):
         return 0.5 * self.gamma * np.asarray(w, dtype=float) ** (self.gamma / 2.0 - 1.0)
-
-
-HamiltonianFamily = PowerHamiltonian
-
-
-def eval_hamiltonian(family: HamiltonianFamily, xi) -> tuple[float, np.ndarray]:
-    """Return ``(H(xi), H_xi(xi))`` at a single gradient vector."""
-    return family.value(xi), family.gradient(xi)
 
 
 @dataclass
@@ -233,7 +207,7 @@ class GrowthReport:
 
 
 def check_growth_conditions(
-    family: HamiltonianFamily, s_min: float, s_max: float, samples: int = 512
+    family: PowerHamiltonian, s_min: float, s_max: float, samples: int = 512
 ) -> GrowthReport:
     """Sample the radial growth constants of ``H`` over ``|xi|`` in a range.
 
@@ -247,8 +221,9 @@ def check_growth_conditions(
     if s_min >= s_max:
         raise ParameterError("need s_min < s_max")
     s = np.geomspace(s_min, s_max, samples)
-    h = (family.eps + s**2) ** (family.gamma / 2.0)
-    grad = family.gamma * (family.eps + s**2) ** ((family.gamma - 2.0) / 2.0) * s
+    w = family.eps + s**2
+    h = family.h_of_w(w)
+    grad = 2.0 * family.h_prime_of_w(w) * s
     lower = float((h / s**family.gamma).min())
     upper = float((grad / s ** (family.gamma - 1.0)).max())
     flags = {

@@ -8,7 +8,6 @@ from ..errors import ParameterError, RegimeError
 from ..grid import Box
 from .families import (
     CoefficientFamily,
-    HamiltonianFamily,
     PowerDiffusion,
     PowerHamiltonian,
 )
@@ -31,7 +30,7 @@ class ProblemSpec:
     lam: float
     eps: float
     coefficient: CoefficientFamily
-    hamiltonian: HamiltonianFamily
+    hamiltonian: PowerHamiltonian
     source: SourceSpec
 
     def __post_init__(self):
@@ -42,7 +41,7 @@ class ProblemSpec:
                 f"supernatural growth requires gamma > p-1 "
                 f"(gamma={self.gamma}, p={self.p})"
             )
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ParameterError("regularization eps must be positive")
         if self.lam < 0:
             raise ParameterError("zero-order coefficient lambda must be nonnegative")

@@ -93,18 +93,17 @@ def lq_membership(source: SourceSpec, q: float, ndim: int) -> bool:
 
 
 def sample_source(source: SourceSpec, grid: Grid) -> ScalarField:
-    """Evaluate the source at cell centers."""
+    """Evaluate the source at cell centers; every sampled value must be finite."""
     if isinstance(source, Tabulated):
         if source.values.shape != grid.shape:
             raise ContractError(
                 f"tabulated source shape {source.values.shape} does not match "
                 f"grid {grid.shape}"
             )
-        return ScalarField(grid, source.values.copy())
-    if isinstance(source, Scaled):
-        base = sample_source(source.base, grid)
-        return ScalarField(grid, source.factor * base.values)
-    if isinstance(source, CosineProduct):
+        vals = source.values.copy()
+    elif isinstance(source, Scaled):
+        vals = source.factor * sample_source(source.base, grid).values
+    elif isinstance(source, CosineProduct):
         if len(source.modes) != grid.ndim:
             raise ContractError("cosine mode vector must match the grid dimension")
         vals = np.full(grid.shape, source.amplitude)
@@ -113,8 +112,7 @@ def sample_source(source: SourceSpec, grid: Grid) -> ScalarField:
             vals = vals * np.cos(
                 source.modes[d] * np.pi * centers[d] / grid.domain.extents[d]
             )
-        return ScalarField(grid, vals)
-    if isinstance(source, RadialSingular):
+    elif isinstance(source, RadialSingular):
         if len(source.center) != grid.ndim:
             raise ContractError("singularity center must match the grid dimension")
         centers = grid.centers()
@@ -129,8 +127,8 @@ def sample_source(source: SourceSpec, grid: Grid) -> ScalarField:
                 "a cell center coincides with the singularity; shift the center "
                 "or use an even cell count"
             )
-        return ScalarField(grid, source.amplitude * dist ** (-source.power))
-    if isinstance(source, SeededSmoothRandom):
+        vals = source.amplitude * dist ** (-source.power)
+    elif isinstance(source, SeededSmoothRandom):
         rng = np.random.default_rng(source.seed)
         vals = np.zeros(grid.shape)
         centers = grid.centers()
@@ -146,5 +144,10 @@ def sample_source(source: SourceSpec, grid: Grid) -> ScalarField:
             for d in range(grid.ndim):
                 term = term * np.cos(m[d] * np.pi * centers[d] / grid.domain.extents[d])
             vals += term
-        return ScalarField(grid, vals)
-    raise ParameterError(f"unknown source kind: {type(source).__name__}")
+    else:
+        raise ParameterError(f"unknown source kind: {type(source).__name__}")
+    if not np.all(np.isfinite(vals)):
+        raise ParameterError(
+            f"the {type(source).__name__} source is not finite on the grid {grid.cells}"
+        )
+    return ScalarField(grid, vals)

@@ -11,32 +11,26 @@ from gradlab.model.families import (
     PowerHamiltonian,
     check_growth_conditions,
     check_structure_conditions,
-    eval_diffusion,
-    eval_hamiltonian,
 )
 
 
 def test_power_diffusion_values():
     a2 = PowerDiffusion(2.0)
-    assert eval_diffusion(a2, 7.3) == (1.0, 0.0)
+    assert (a2.a(7.3), a2.a_prime(7.3)) == (1.0, 0.0)
     a3 = PowerDiffusion(3.0)
-    a, ap = eval_diffusion(a3, 4.0)
-    assert a == pytest.approx(2.0, abs=1e-15)
-    assert ap == pytest.approx(0.25, abs=1e-15)
+    assert a3.a(4.0) == pytest.approx(2.0, abs=1e-15)
+    assert a3.a_prime(4.0) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_power_diffusion_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         PowerDiffusion(1.0)
-    with pytest.raises(ParameterError):
-        eval_diffusion(PowerDiffusion(2.0), 0.0)
 
 
 def test_perturbed_power_values():
     fam = PerturbedPower(2.0, 0.1)
-    a, ap = eval_diffusion(fam, 1.0)
-    assert a == pytest.approx(1.0, abs=1e-15)
-    assert ap == pytest.approx(0.1, abs=1e-15)
+    assert fam.a(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert fam.a_prime(1.0) == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(ParameterError):
         PerturbedPower(2.0, 0.25)
 
@@ -87,9 +81,10 @@ def test_structure_check_parameter_validation():
 
 def test_hamiltonian_values_and_constants():
     ham = PowerHamiltonian(2.0, eps=0.0)
-    value, grad = eval_hamiltonian(ham, (3.0, 4.0))
-    assert value == pytest.approx(25.0)
-    assert np.allclose(grad, (6.0, 8.0))
+    xi = np.array([3.0, 4.0])
+    w = ham.eps + xi @ xi
+    assert ham.h_of_w(w) == pytest.approx(25.0)
+    assert np.allclose(2.0 * ham.h_prime_of_w(w) * xi, (6.0, 8.0))
     assert ham.lower_growth_constant == 2.0
     # gradient growth constant gamma * 2^(gamma/2)
     assert PowerHamiltonian(3.0).gradient_growth_constant == pytest.approx(
@@ -130,8 +125,8 @@ def test_growth_conditions_power_family():
     t=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
 )
 def test_power_ratio_is_p_minus_2(p, t):
-    a, ap = eval_diffusion(PowerDiffusion(p), t)
-    assert 2.0 * t * ap / a == pytest.approx(p - 2.0, abs=1e-10)
+    fam = PowerDiffusion(p)
+    assert 2.0 * t * fam.a_prime(t) / fam.a(t) == pytest.approx(p - 2.0, abs=1e-10)
 
 
 @given(
@@ -140,9 +135,8 @@ def test_power_ratio_is_p_minus_2(p, t):
 )
 def test_hamiltonian_growth_bounds_pointwise(gamma, s):
     ham = PowerHamiltonian(gamma, eps=0.5)
-    xi = np.zeros(2)
-    xi[0] = s
-    value = ham.value(xi)
-    grad = np.linalg.norm(ham.gradient(xi))
+    w = ham.eps + s**2
+    value = ham.h_of_w(w)
+    grad = 2.0 * ham.h_prime_of_w(w) * s
     assert value >= ham.lower_growth_constant / 2.0 * s**gamma - 1e-9
     assert grad <= ham.gradient_growth_constant * s ** (gamma - 1.0) * (1 + 1e-12)

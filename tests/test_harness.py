@@ -352,6 +352,24 @@ def test_runner_has_no_thread_pool():
     assert not any(name and name.startswith("concurrent") for name in imported)
 
 
+def test_only_the_solver_imports_scipy():
+    """The stencils in ``grid`` are the only discrete operators; scipy serves
+    the solver's sparse Jacobian and DCT preconditioner alone."""
+    package = Path(gradlab.__file__).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"solver.py"}
+
+
 def test_only_the_harness_runs_ladders_of_solves():
     """``bernstein`` audits one given solution and ``solver`` solves one
     problem: neither runs a ladder of solves."""
@@ -640,8 +658,17 @@ _SINGULAR_16 = SINGULAR.replace("cells = 48 48", "cells = 16 16")
             _SINGULAR_16.replace("center = 0.5 0.5", "center = 0.53125 0.53125"),
             "coincides with the singularity",
         ),
+        (_SINGULAR_16.replace("eps = 1e-2", "eps = nan"), "eps must be positive"),
+        (_SINGULAR_16.replace("amplitude = 30", "amplitude = nan"), "not finite"),
     ],
-    ids=["coarse-grid", "cosine-modes", "radial-center-dimension", "radial-center-on-a-cell"],
+    ids=[
+        "coarse-grid",
+        "cosine-modes",
+        "radial-center-dimension",
+        "radial-center-on-a-cell",
+        "nan-eps",
+        "nan-amplitude",
+    ],
 )
 def test_cli_check_rejects_grid_that_solve_rejects(tmp_path, capsys, text, message):
     """A config that ``solve`` rejects before any Newton step fails ``check``

@@ -1,5 +1,6 @@
 """Newton solver: exactness checks, Jacobian consistency, continuation."""
 
+import functools
 import sys
 import threading
 
@@ -18,9 +19,9 @@ from gradlab.grid import (
     Box,
     ScalarField,
     build_grid,
-    centered_gradient_matrix,
-    face_average_matrix,
-    face_difference_matrix,
+    divergence_flux,
+    face_average,
+    face_normal_differences,
     gradient,
     lp_norm,
 )
@@ -128,12 +129,38 @@ def test_jacobian_matches_directional_difference(rng, p, gamma, cells):
     assert np.max(np.abs(jvp - fd)) <= 1e-6 * scale
 
 
+@functools.cache
+def _stencil_matrix(grid, apply):
+    """The matrices of the linear stencil ``apply``, one per array it returns:
+    column k is ``apply`` of the k-th unit cell vector, in C order."""
+    columns = []
+    for k in range(grid.size):
+        unit = np.zeros(grid.shape)
+        unit.flat[k] = 1.0
+        columns.append([np.ravel(part) for part in apply(ScalarField(grid, unit))])
+    return tuple(sp.csr_matrix(np.column_stack(part)) for part in zip(*columns))
+
+
+def _gradients(u):
+    return gradient(u).components
+
+
+def _face_averages(u):
+    return [face_average(u.values, u.grid, d) for d in range(u.grid.ndim)]
+
+
+def _neumann_laplacian(u):
+    faces = face_normal_differences(u)
+    return [-divergence_flux(u.grid, [np.ones(f.shape) for f in faces], faces).values]
+
+
 def _reference_jacobian(grid, coeff, ham, lam, u_values):
-    """The Jacobian by sparse-matrix products, term by term."""
+    """The Jacobian by sparse-matrix products, term by term, with each
+    operator's matrix taken from its stencil."""
     ops = {
-        "C": [centered_gradient_matrix(grid, d) for d in range(grid.ndim)],
-        "G": [face_difference_matrix(grid, d) for d in range(grid.ndim)],
-        "A": [face_average_matrix(grid, d) for d in range(grid.ndim)],
+        "C": _stencil_matrix(grid, _gradients),
+        "G": _stencil_matrix(grid, face_normal_differences),
+        "A": _stencil_matrix(grid, _face_averages),
     }
     uflat = u_values.ravel()
     n = uflat.size
@@ -211,8 +238,8 @@ def test_jacobian_edits_leave_the_next_jacobian_alone(box2d, rng):
 
 
 def test_jacobian_pattern_cache_is_thread_safe(rng):
-    """Threaded sweeps build and evict patterns concurrently: more (grid,
-    width) keys than the cache holds, read from more threads than cores."""
+    """Concurrent callers build and evict patterns: more (grid, width) keys
+    than the cache holds, read from more threads than cores."""
     cases = []
     for i in range(6):
         box = Box((1.0, 1.0 + 0.1 * i))
@@ -560,9 +587,7 @@ def test_dct_preconditioner_inverts_neumann_operator(rng, extents, cells):
     preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d."""
     grid = build_grid(Box(extents), cells)
     lam, abar = 0.3, 1.7
-    laplacian = sum(
-        G.T @ G for G in (face_difference_matrix(grid, d) for d in range(grid.ndim))
-    )
+    (laplacian,) = _stencil_matrix(grid, _neumann_laplacian)
     op = lam * sp.identity(grid.size) + abar * laplacian
     inverse = _dct_preconditioner(grid, lam, abar)
     x = rng.standard_normal(grid.size)
