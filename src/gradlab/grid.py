@@ -40,8 +40,11 @@ class Box:
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         if len(self.extents) not in (2, 3):
             raise ParameterError("box domains are supported in 2 or 3 dimensions")
-        if any(e <= 0 for e in self.extents):
-            raise ParameterError("box extents must be positive")
+        # nan fails every comparison, so test for what is allowed
+        if not all(np.isfinite(e) and e > 0 for e in self.extents):
+            raise ParameterError(
+                f"box extents must be finite and positive, got {self.extents}"
+            )
 
     @property
     def ndim(self) -> int:

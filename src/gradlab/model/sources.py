@@ -44,8 +44,10 @@ class RadialSingular:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.power <= 0:
-            raise ParameterError("radial singular power must be positive")
+        if not (np.isfinite(self.power) and self.power > 0):
+            raise ParameterError(
+                f"radial singular power must be finite and positive, got {self.power}"
+            )
         if self.core_radius < 0:
             raise ParameterError("core radius must be nonnegative")
 

@@ -22,13 +22,18 @@ through one fixed index from (offset, cell) to CSR position.
 Each Newton step is solved inexactly by GMRES.  The preconditioner is the
 constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
 the grid mean of ``a(w)``: with mirror ghosts the cell-centred Neumann
-Laplacian is diagonal in the DCT-II basis, so applying its inverse costs two
-fast transforms.  GMRES is right-preconditioned: it runs on ``J M`` and the
-step is ``M y``, so the residual it stops on is the true linear residual
-``|r + J delta|`` on which the forcing condition is defined.  It stops at the
-forcing term ``0.1 min(1, |R|)``, loose far from the solution and tightening
-with the residual, which keeps Newton's quadratic rate without over-solving
-early steps.  The term is floored at ``0.5 tol / |R|``: a step whose linear
+Laplacian is diagonal in the DCT-II basis, so applying its inverse costs a
+transform there and back.  On grids whose every axis has at most
+``_DENSE_DCT_MAX`` cells each transform is one product per axis with a
+cached dense DCT-II matrix (the fast diagonalization method of Lynch, Rice
+and Thomas 1964), which on such short axes is cheaper than a call into
+``scipy.fft``; a grid with a longer axis takes the FFT.  GMRES is
+right-preconditioned: it runs on ``J M`` and the step is ``M y``, so the
+residual it stops on is the true linear residual ``|r + J delta|`` on which
+the forcing condition is defined.  It stops at the forcing term
+``0.1 min(1, |R|)``, loose far from the solution and tightening with the
+residual, which keeps Newton's quadratic rate without over-solving early
+steps.  The term is floored at ``0.5 tol / |R|``: a step whose linear
 residual is below half the Newton tolerance already does all that tolerance
 asks, so the last step of a stage is not solved to far below it (Eisenstat
 and Walker 1996; Kelley 1995, sec. 6.3).  A GMRES run that misses the
@@ -42,7 +47,8 @@ twice over the basis block and Givens rotations (Saad and Schultz 1986);
 each cycle ends on the true residual ``|b - J delta|``.  It is the
 module's one linear solve, :func:`spsolve`.  scipy is imported where it
 runs: ``scipy.sparse`` to build a Jacobian and ``scipy.fft`` to apply the
-preconditioner, so a process that takes no Newton step loads neither.
+preconditioner on a long axis, so a process that takes no Newton step loads
+neither, and one whose axes are all short loads no ``scipy.fft``.
 
 Supernatural gradient growth shrinks Newton basins badly, so a cold solve
 walks a continuation path: first the regularization eps is lowered
@@ -83,7 +89,7 @@ from .grid import (
 )
 from .model.families import PowerHamiltonian
 from .model.problem import ProblemSpec
-from .model.sources import Tabulated, sample_source
+from .model.sources import sample_source
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -181,15 +187,53 @@ def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return mu
 
 
+# longest axis on which the preconditioner applies the DCT as a dense
+# matrix: the dense product costs O(n) per cell and the FFT O(log n), and in
+# 2D the FFT overtakes it between 128 and 160 cells per axis
+_DENSE_DCT_MAX = 128
+
+
+@functools.lru_cache(maxsize=8)
+def _dct_matrix(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix ``C[k, j] = c_k cos(pi k (j + 1/2) / n)``."""
+    k = np.arange(n).reshape(-1, 1)
+    C = np.sqrt(2.0 / n) * np.cos(np.pi * k * (np.arange(n) + 0.5) / n)
+    C[0] /= np.sqrt(2.0)
+    C.flags.writeable = False  # shared by every caller of the cache
+    return C
+
+
 def _dct_preconditioner(
     grid: Grid, lam: float, abar: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverse of ``lam I + abar sum_d G_d^T G_d`` by two DCTs."""
-    # imported here so that a process that never takes a Newton step does not
-    # pay for loading scipy.fft
-    from scipy.fft import dctn, idctn
-
+    """Exact inverse of ``lam I + abar sum_d G_d^T G_d`` in the DCT-II basis,
+    by dense per-axis products when every axis has at most
+    ``_DENSE_DCT_MAX`` cells and by ``scipy.fft`` otherwise."""
     denom = lam + abar * _neumann_eigenvalues(grid)
+    if max(grid.cells) <= _DENSE_DCT_MAX:
+        *first, last = grid.cells
+        # C along every axis but the last, as one product per leading index
+        # over the axis's (n, trail) slab; the last axis is one product
+        slabs = [
+            (_dct_matrix(n), (math.prod(first[:d]), n, -1))
+            for d, n in enumerate(first)
+        ]
+        C_last = _dct_matrix(last)
+
+        def apply(r):
+            x = r.reshape(-1, last) @ C_last.T
+            for C, slab in slabs:
+                x = C @ x.reshape(slab)
+            x = x.reshape(denom.shape) / denom
+            for C, slab in slabs:
+                x = C.T @ x.reshape(slab)
+            return (x.reshape(-1, last) @ C_last).ravel()
+
+        return apply
+
+    # imported here so that a process that never takes a Newton step on a
+    # long axis does not pay for loading scipy.fft
+    from scipy.fft import dctn, idctn
 
     def apply(r):
         rhat = dctn(r.reshape(grid.shape), type=2, norm="ortho")
@@ -338,7 +382,7 @@ def _jacobian_pattern(grid: Grid, wide: bool):
         np.sum(below, axis=0, out=index[k])
         index[k] += indptr[:-1]
     index = index.ravel()
-    # shared by every caller of the cache, across threads
+    # shared by every caller of the cache
     for a in (indptr, indices, index):
         a.flags.writeable = False
     return indptr, indices, index
@@ -408,7 +452,8 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
         at(-unit[e])[...] -= t
     indptr, indices, index = _jacobian_pattern(grid, wide)
     data = np.bincount(index, weights=coefs.ravel(), minlength=indices.size)
-    # imported here, as scipy.fft is in _dct_preconditioner
+    # imported here so that a process that never takes a Newton step does not
+    # pay for loading scipy.sparse
     import scipy.sparse as sp
 
     J = sp.csr_matrix(
@@ -585,23 +630,4 @@ def solve(
         residual_norm=stages[-1].residual_norm,
     )
     return u, report
-
-
-def manufacture_source(problem: ProblemSpec, u_star: ScalarField) -> Tabulated:
-    """Source that makes ``u_star`` an exact discrete solution.
-
-    The returned table is the residual of ``u_star`` with zero source, so
-    feeding it back gives a residual that vanishes to rounding.
-    """
-    if u_star.grid.domain != problem.domain:
-        raise ContractError("field domain does not match the problem domain")
-    vals = _residual_values(
-        u_star.grid,
-        problem.coefficient,
-        problem.hamiltonian,
-        problem.lam,
-        np.zeros(u_star.grid.shape),
-        u_star.values,
-    )
-    return Tabulated(vals)
 

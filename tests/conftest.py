@@ -13,9 +13,25 @@ import numpy as np
 import pytest
 
 import gradlab.solver
-from gradlab.grid import Box, build_grid
-from gradlab.model import CosineProduct, ProblemSpec, RadialSingular
-from gradlab.solver import solve
+from gradlab.grid import Box, ScalarField, build_grid
+from gradlab.model import CosineProduct, ProblemSpec, RadialSingular, Tabulated
+from gradlab.solver import residual, solve
+
+
+@pytest.fixture(scope="session")
+def manufacture_source():
+    """``manufacture(problem, u_star)``: the source that makes ``u_star`` an
+    exact discrete solution.
+
+    The table is the residual of ``u_star`` with zero source, so feeding it
+    back gives a residual that vanishes to rounding.
+    """
+
+    def manufacture(problem, u_star):
+        zero = ScalarField(u_star.grid, np.zeros(u_star.grid.shape))
+        return Tabulated(residual(problem, u_star, zero).values)
+
+    return manufacture
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,7 @@ from gradlab.solver import (
     LinearSolveStats,
     SolverOptions,
     _continuation_schedule,
+    _dct_matrix,
     _dct_preconditioner,
     _discrete_l2,
     _jacobian_matrix,
@@ -48,7 +49,6 @@ from gradlab.solver import (
     _newton_direction,
     _residual_values,
     jacobian,
-    manufacture_source,
     residual,
     solve,
     spsolve,
@@ -83,7 +83,7 @@ def test_trivial_solve_recovers_constant(box2d):
     assert np.allclose(u.values, 5.0, atol=1e-12)
 
 
-def test_manufactured_source_round_trip(box2d):
+def test_manufactured_source_round_trip(box2d, manufacture_source):
     grid = build_grid(box2d, (32, 32))
     x, y = grid.centers()
     u_star = ScalarField(grid, 0.3 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
@@ -580,11 +580,18 @@ epsilon_sweep = 1e-1 1e-2 1e-3
 
 @pytest.mark.parametrize(
     "extents, cells",
-    [((1.0, 2.5), (8, 13)), ((1.0, 0.7, 1.3), (8, 10, 9))],
+    [
+        ((1.0, 2.5), (8, 13)),
+        ((1.0, 0.7, 1.3), (8, 10, 9)),
+        # the longest axis below and past _DENSE_DCT_MAX, spacing 1/8 as above
+        ((1.0, 15.0), (8, 120)),
+        ((1.0, 17.0), (8, 136)),
+    ],
 )
 def test_dct_preconditioner_inverts_neumann_operator(rng, extents, cells):
     """The DCT-II diagonalizes the mirror-ghost Laplacian on any box, so the
-    preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d."""
+    preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d,
+    applied by dense matrices or, on a long axis, by the FFT."""
     grid = build_grid(Box(extents), cells)
     lam, abar = 0.3, 1.7
     (laplacian,) = _stencil_matrix(grid, _neumann_laplacian)
@@ -641,17 +648,20 @@ def test_linear_solve_without_progress_stalls(monkeypatch):
 
 
 def test_eigenvalue_cache_is_thread_safe():
-    """Every caller shares the bounded eigenvalue cache, threads included:
-    with more grids than it holds, evictions in one thread never hand
-    another a wrong array."""
+    """Every caller shares the bounded eigenvalue and DCT-matrix caches,
+    threads included: with more grids and axis lengths than they hold,
+    evictions in one thread never hand another a wrong array."""
     grids = [build_grid(Box((1.0, 1.0)), (8 + i, 8)) for i in range(12)]
     expected = [np.array(_neumann_eigenvalues(g)) for g in grids]
+    matrices = [np.array(_dct_matrix(g.cells[0])) for g in grids]
     errors = []
 
     def worker(offset):
         for k in range(200):
             i = (offset + k) % len(grids)
             if not np.array_equal(_neumann_eigenvalues(grids[i]), expected[i]):
+                errors.append(i)
+            if not np.array_equal(_dct_matrix(grids[i].cells[0]), matrices[i]):
                 errors.append(i)
 
     interval = sys.getswitchinterval()
@@ -667,3 +677,5 @@ def test_eigenvalue_cache_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert _neumann_eigenvalues.cache_info().currsize <= 8
+    assert _dct_matrix.cache_info().currsize <= 8
+    assert not _dct_matrix(8).flags.writeable
