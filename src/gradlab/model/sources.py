@@ -48,8 +48,10 @@ class RadialSingular:
             raise ParameterError(
                 f"radial singular power must be finite and positive, got {self.power}"
             )
-        if self.core_radius < 0:
-            raise ParameterError("core radius must be nonnegative")
+        if not (np.isfinite(self.core_radius) and self.core_radius >= 0):
+            raise ParameterError(
+                f"core radius must be finite and nonnegative, got {self.core_radius}"
+            )
 
 
 @dataclass(frozen=True)

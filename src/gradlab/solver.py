@@ -23,14 +23,14 @@ Each Newton step is solved inexactly by GMRES.  The preconditioner is the
 constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
 the grid mean of ``a(w)``: with mirror ghosts the cell-centred Neumann
 Laplacian is diagonal in the DCT-II basis, so applying its inverse costs a
-transform there and back.  On grids whose every axis has at most
-``_DENSE_DCT_MAX`` cells each transform is one product per axis with a
+transform there and back.  Each transform is one product per axis with a
 cached dense DCT-II matrix (the fast diagonalization method of Lynch, Rice
-and Thomas 1964), which on such short axes is cheaper than a call into
-``scipy.fft``; a grid with a longer axis takes the FFT.  GMRES is
-right-preconditioned: it runs on ``J M`` and the step is ``M y``, so the
-residual it stops on is the true linear residual ``|r + J delta|`` on which
-the forcing condition is defined.  It stops at the forcing term
+and Thomas 1964).  That is O(n) work per cell on an axis of n cells, against
+an FFT's O(log n), but it is one BLAS call per axis with no per-call
+dispatch, and it is the faster of the two on axes up to about 128 cells.
+GMRES is right-preconditioned: it runs on ``J M`` and the step is ``M y``,
+so the residual it stops on is the true linear residual ``|r + J delta|`` on
+which the forcing condition is defined.  It stops at the forcing term
 ``0.1 min(1, |R|)``, loose far from the solution and tightening with the
 residual, which keeps Newton's quadratic rate without over-solving early
 steps.  The term is floored at ``0.5 tol / |R|``: a step whose linear
@@ -46,9 +46,8 @@ The GMRES is this module's own, restarted, with classical Gram-Schmidt
 twice over the basis block and Givens rotations (Saad and Schultz 1986);
 each cycle ends on the true residual ``|b - J delta|``.  It is the
 module's one linear solve, :func:`spsolve`.  scipy is imported where it
-runs: ``scipy.sparse`` to build a Jacobian and ``scipy.fft`` to apply the
-preconditioner on a long axis, so a process that takes no Newton step loads
-neither, and one whose axes are all short loads no ``scipy.fft``.
+runs: ``scipy.sparse`` to build a Jacobian, so a process that takes no
+Newton step does not load it.
 
 Supernatural gradient growth shrinks Newton basins badly, so a cold solve
 walks a continuation path: first the regularization eps is lowered
@@ -187,12 +186,6 @@ def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return mu
 
 
-# longest axis on which the preconditioner applies the DCT as a dense
-# matrix: the dense product costs O(n) per cell and the FFT O(log n), and in
-# 2D the FFT overtakes it between 128 and 160 cells per axis
-_DENSE_DCT_MAX = 128
-
-
 @functools.lru_cache(maxsize=8)
 def _dct_matrix(n: int) -> np.ndarray:
     """The orthonormal DCT-II matrix ``C[k, j] = c_k cos(pi k (j + 1/2) / n)``."""
@@ -207,37 +200,24 @@ def _dct_preconditioner(
     grid: Grid, lam: float, abar: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of ``lam I + abar sum_d G_d^T G_d`` in the DCT-II basis,
-    by dense per-axis products when every axis has at most
-    ``_DENSE_DCT_MAX`` cells and by ``scipy.fft`` otherwise."""
+    by dense per-axis products."""
     denom = lam + abar * _neumann_eigenvalues(grid)
-    if max(grid.cells) <= _DENSE_DCT_MAX:
-        *first, last = grid.cells
-        # C along every axis but the last, as one product per leading index
-        # over the axis's (n, trail) slab; the last axis is one product
-        slabs = [
-            (_dct_matrix(n), (math.prod(first[:d]), n, -1))
-            for d, n in enumerate(first)
-        ]
-        C_last = _dct_matrix(last)
-
-        def apply(r):
-            x = r.reshape(-1, last) @ C_last.T
-            for C, slab in slabs:
-                x = C @ x.reshape(slab)
-            x = x.reshape(denom.shape) / denom
-            for C, slab in slabs:
-                x = C.T @ x.reshape(slab)
-            return (x.reshape(-1, last) @ C_last).ravel()
-
-        return apply
-
-    # imported here so that a process that never takes a Newton step on a
-    # long axis does not pay for loading scipy.fft
-    from scipy.fft import dctn, idctn
+    *first, last = grid.cells
+    # C along every axis but the last, as one product per leading index over
+    # the axis's (n, trail) slab; the last axis is one product
+    slabs = [
+        (_dct_matrix(n), (math.prod(first[:d]), n, -1)) for d, n in enumerate(first)
+    ]
+    C_last = _dct_matrix(last)
 
     def apply(r):
-        rhat = dctn(r.reshape(grid.shape), type=2, norm="ortho")
-        return idctn(rhat / denom, type=2, norm="ortho").ravel()
+        x = r.reshape(-1, last) @ C_last.T
+        for C, slab in slabs:
+            x = C @ x.reshape(slab)
+        x = x.reshape(denom.shape) / denom
+        for C, slab in slabs:
+            x = C.T @ x.reshape(slab)
+        return (x.reshape(-1, last) @ C_last).ravel()
 
     return apply
 

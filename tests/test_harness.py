@@ -662,6 +662,10 @@ _SINGULAR_16 = SINGULAR.replace("cells = 48 48", "cells = 16 16")
         (_SINGULAR_16.replace("amplitude = 30", "amplitude = nan"), "not finite"),
         (_SINGULAR_16.replace("extents = 1 1", "extents = 1 nan"), "box extents"),
         (_SINGULAR_16.replace("power = 0.55", "power = nan"), "singular power"),
+        (
+            _SINGULAR_16.replace("power = 0.55", "power = 0.55\ncore_radius = nan"),
+            "core radius",
+        ),
     ],
     ids=[
         "coarse-grid",
@@ -672,6 +676,7 @@ _SINGULAR_16 = SINGULAR.replace("cells = 48 48", "cells = 16 16")
         "nan-amplitude",
         "nan-extent",
         "nan-power",
+        "nan-core",
     ],
 )
 def test_cli_check_rejects_grid_that_solve_rejects(tmp_path, capsys, text, message):
@@ -782,8 +787,8 @@ print(json.dumps({"newton": newton, "modules": sorted(sys.modules)}))
 )
 def test_scipy_loads_only_where_it_runs(tmp_path, step, absent):
     """Importing the CLI and the ledgers, or re-auditing a converged field
-    without a Newton step, loads no sparse or FFT module; a Krylov solve on
-    short axes loads no dense or sparse linear-algebra module and no FFT."""
+    without a Newton step, loads no sparse or FFT module; a Krylov solve
+    loads no dense or sparse linear-algebra module and no FFT."""
     text = SMOOTH.replace("cells = 24 24", "cells = 16 16")
     config_path = _write(tmp_path, "probe.ini", text)
     field_path = tmp_path / "u.field"

@@ -580,18 +580,11 @@ epsilon_sweep = 1e-1 1e-2 1e-3
 
 @pytest.mark.parametrize(
     "extents, cells",
-    [
-        ((1.0, 2.5), (8, 13)),
-        ((1.0, 0.7, 1.3), (8, 10, 9)),
-        # the longest axis below and past _DENSE_DCT_MAX, spacing 1/8 as above
-        ((1.0, 15.0), (8, 120)),
-        ((1.0, 17.0), (8, 136)),
-    ],
+    [((1.0, 2.5), (8, 13)), ((1.0, 0.7, 1.3), (8, 10, 9))],
 )
 def test_dct_preconditioner_inverts_neumann_operator(rng, extents, cells):
     """The DCT-II diagonalizes the mirror-ghost Laplacian on any box, so the
-    preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d,
-    applied by dense matrices or, on a long axis, by the FFT."""
+    preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d."""
     grid = build_grid(Box(extents), cells)
     lam, abar = 0.3, 1.7
     (laplacian,) = _stencil_matrix(grid, _neumann_laplacian)
