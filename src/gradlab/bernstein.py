@@ -101,12 +101,6 @@ class BernsteinLedger:
     h: float
     family: str  # "full-gradient" | "superlevel"
 
-    def row(self, lemma: str) -> LedgerRow:
-        for r in self.rows:
-            if r.lemma == lemma:
-                return r
-        raise KeyError(lemma)
-
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
@@ -177,7 +171,7 @@ def prepare_bundle(problem: ProblemSpec, u: ScalarField) -> SolutionBundle:
     v = np.sqrt(w)
     dw = gradient(ScalarField(u.grid, w)).components
     dv = gradient(ScalarField(u.grid, v)).components
-    hess2 = second_derivatives(u)[0].values
+    hess2 = second_derivatives(u).values
     # structural constants over the range the solution actually visits
     t_lo = float(w.min()) * (1.0 - 1e-9)
     t_hi = float(w.max()) * (1.0 + 1e-9)
@@ -210,7 +204,7 @@ def _full_gradient_test_function(bundle: SolutionBundle, beta: float) -> np.ndar
     """phi = -2 div(Du w^beta), assembled in flux form."""
     g = bundle.grid
     faces = face_normal_differences(bundle.u)
-    coeffs = [face_average(bundle.w, g, d) ** beta for d in range(g.ndim)]
+    coeffs = [face_average(bundle.w, d) ** beta for d in range(g.ndim)]
     return -2.0 * divergence_flux(g, coeffs, faces).values
 
 
@@ -220,7 +214,7 @@ def _superlevel_test_function(bundle: SolutionBundle, beta: float, k: float) -> 
     faces = face_normal_differences(bundle.u)
     coeffs = []
     for d in range(g.ndim):
-        v_face = face_average(bundle.v, g, d)
+        v_face = face_average(bundle.v, d)
         vk_face = np.maximum(v_face - k, 0.0)
         coeffs.append(vk_face**beta / v_face)
     return divergence_flux(g, coeffs, faces).values

@@ -1,26 +1,27 @@
 """Cell-centered finite-volume grids on box domains with Neumann ghosts.
 
-All differential operators use even-reflection (mirror) ghost cells, so the
-discrete normal derivative vanishes identically on every boundary face.  The
-divergence is assembled in flux form with zero boundary flux, which makes the
-discrete divergence theorem and the gradient/divergence adjointness exact up
-to rounding.  The integral checks downstream lean on both identities, so do
-not change the ghost policy without revisiting them.
+The centred gradient and the second differences use even-reflection
+(mirror) ghost cells.  The divergence is assembled in flux form with zero
+boundary flux, which makes the discrete divergence theorem and the
+gradient/divergence adjointness exact up to rounding.  The integral checks
+downstream lean on both identities, so do not change the boundary policy
+without revisiting them.
 
 Conventions
 -----------
 Scalar data lives at cell centers, shape ``grid.cells``.  Face data along
-axis ``d`` has shape ``cells`` with entry ``d`` enlarged by one; index ``i``
-along that axis addresses the face between cells ``i-1`` and ``i``, with the
-two boundary faces at the ends.  Arrays are C-ordered throughout, which is
-also the order of the solver's flattened unknowns and of the binary field
-format.
+axis ``d`` holds the interior faces only: shape ``cells`` with entry ``d``
+one shorter, index ``i`` along that axis addressing the face between cells
+``i`` and ``i+1``.  The boundary faces have no entry, because their flux is
+zero; :func:`divergence_flux` is the one place that puts it in.  Arrays are
+C-ordered throughout, which is also the order of the solver's flattened
+unknowns and of the binary field format.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +50,6 @@ class Box:
     @property
     def ndim(self) -> int:
         return len(self.extents)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extents))
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,6 @@ class Grid:
         """Cell-center coordinate arrays, broadcast to the full grid shape."""
         axes = [self.axis_centers(d) for d in range(self.ndim)]
         return list(np.meshgrid(*axes, indexing="ij"))
-
-    def refined(self, factor: int = 2) -> "Grid":
-        return Grid(self.domain, tuple(n * factor for n in self.cells))
 
     def coarsened(self) -> "Grid | None":
         """The grid with every axis halved, or ``None`` when an axis is odd
@@ -230,24 +224,13 @@ def gradient(u: ScalarField) -> VectorField:
 
 
 def face_normal_differences(u: ScalarField) -> list[np.ndarray]:
-    """Face-normal differences ``(u_R - u_L)/h`` per axis, zero on the boundary."""
-    g = u.grid
-    out = []
-    for d in range(g.ndim):
-        shape = list(g.shape)
-        shape[d] += 1
-        faces = np.zeros(shape)
-        interior = [slice(None)] * g.ndim
-        interior[d] = slice(1, -1)
-        faces[tuple(interior)] = np.diff(u.values, axis=d) / g.spacing[d]
-        out.append(faces)
-    return out
+    """Interior-face normal differences ``(u_R - u_L)/h``, one array per axis."""
+    return [np.diff(u.values, axis=d) / h for d, h in enumerate(u.grid.spacing)]
 
 
-def face_average(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Arithmetic face average of a cell array; boundary faces copy the edge cell."""
-    p = _mirror_pad(values, axis)
-    return 0.5 * (_shift(p, axis, 1, 0) + _shift(p, axis, 0, -1))
+def face_average(values: np.ndarray, axis: int) -> np.ndarray:
+    """Arithmetic average of a cell array on the interior faces along ``axis``."""
+    return 0.5 * (_shift(values, axis, 1, 0) + _shift(values, axis, 0, -1))
 
 
 def divergence_flux(
@@ -255,28 +238,26 @@ def divergence_flux(
     coefficient_at_faces: list[np.ndarray],
     grad_normal_at_faces: list[np.ndarray],
 ) -> ScalarField:
-    """Flux-form divergence ``div(c * g)`` from per-axis face data.
+    """Flux-form divergence ``div(c * g)`` from per-axis interior-face data.
 
-    Boundary faces carry zero flux regardless of the supplied values, which
-    is the discrete Neumann condition.  The cell sum of the result times the
-    cell volume therefore telescopes to zero exactly.
+    The boundary faces carry zero flux, which is the discrete Neumann
+    condition.  The cell sum of the result times the cell volume therefore
+    telescopes to zero exactly.
     """
     if len(coefficient_at_faces) != grid.ndim or len(grad_normal_at_faces) != grid.ndim:
         raise ContractError("need one face array per axis")
     div = np.zeros(grid.shape)
     for d in range(grid.ndim):
         shape = list(grid.shape)
-        shape[d] += 1
+        shape[d] -= 1
         c = np.asarray(coefficient_at_faces[d], dtype=float)
         gn = np.asarray(grad_normal_at_faces[d], dtype=float)
         if c.shape != tuple(shape) or gn.shape != tuple(shape):
             raise ContractError(f"face arrays along axis {d} must have shape {shape}")
-        flux = c * gn
-        edge = [slice(None)] * grid.ndim
-        edge[d] = 0
-        flux[tuple(edge)] = 0.0
-        edge[d] = -1
-        flux[tuple(edge)] = 0.0
+        # every face, the two zero-flux boundary faces included
+        shape[d] += 2
+        flux = np.zeros(shape)
+        np.multiply(c, gn, out=_shift(flux, d, 1, -1))
         div += np.diff(flux, axis=d) / grid.spacing[d]
     return ScalarField(grid, div)
 
@@ -298,40 +279,25 @@ def dirichlet_form(
     total = 0.0
     for d in range(grid.ndim):
         c = np.asarray(coefficient_at_faces[d], dtype=float)
-        edge = [slice(None)] * grid.ndim
-        prod = c * gu[d] * gv[d]
-        edge[d] = 0
-        prod[tuple(edge)] = 0.0
-        edge[d] = -1
-        prod[tuple(edge)] = 0.0
-        total += prod.sum()
+        total += (c * gu[d] * gv[d]).sum()
     return float(total * grid.cell_volume)
 
 
-def second_derivatives(u: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Pointwise Hessian invariants ``(|D2u|^2, laplacian, infinity-laplacian)``.
+def second_derivatives(u: ScalarField) -> ScalarField:
+    """The squared Frobenius norm of the Hessian, ``|D2u|^2``, per cell.
 
     Pure second differences are the standard three-point stencil, mixed ones
-    the centered cross stencil, both with mirror ghosts.  The infinity
-    laplacian contracts the Hessian twice against the centered gradient.
+    the centered cross stencil, both with mirror ghosts.
     """
     g = u.grid
     n = g.ndim
-    grad = gradient(u).components
-    pure = []
+    frob = np.zeros(g.shape)
     for d in range(n):
         p = _mirror_pad(u.values, d)
-        pure.append(
-            (_shift(p, d, 2, 0) - 2.0 * u.values + _shift(p, d, 0, -2))
-            / g.spacing[d] ** 2
+        pure = (_shift(p, d, 2, 0) - 2.0 * u.values + _shift(p, d, 0, -2)) / (
+            g.spacing[d] ** 2
         )
-    frob = np.zeros(g.shape)
-    lap = np.zeros(g.shape)
-    inf_lap = np.zeros(g.shape)
-    for d in range(n):
-        frob += pure[d] ** 2
-        lap += pure[d]
-        inf_lap += pure[d] * grad[d] * grad[d]
+        frob += pure**2
     for d in range(n):
         for e in range(d + 1, n):
             p = _mirror_pad(_mirror_pad(u.values, d), e)
@@ -341,22 +307,12 @@ def second_derivatives(u: ScalarField) -> tuple[ScalarField, ScalarField, Scalar
             mm = _shift(_shift(p, d, 0, -2), e, 0, -2)
             mixed = (pp - pm - mp + mm) / (4.0 * g.spacing[d] * g.spacing[e])
             frob += 2.0 * mixed**2
-            inf_lap += 2.0 * mixed * grad[d] * grad[e]
-    return (
-        ScalarField(g, frob),
-        ScalarField(g, lap),
-        ScalarField(g, inf_lap),
-    )
+    return ScalarField(g, frob)
 
 
 # ---------------------------------------------------------------------------
 # integrals and norms
 # ---------------------------------------------------------------------------
-
-
-def integrate(field: ScalarField) -> float:
-    """Midpoint-rule integral over the box."""
-    return float(field.values.sum() * field.grid.cell_volume)
 
 
 def lp_norm(field: ScalarField | VectorField, q: float) -> float:
@@ -369,36 +325,6 @@ def lp_norm(field: ScalarField | VectorField, q: float) -> float:
     if np.isinf(q):
         return float(vals.max())
     return float((np.sum(vals**q) * field.grid.cell_volume) ** (1.0 / q))
-
-
-@dataclass
-class NormalScan:
-    """Outward one-sided normal derivatives on each boundary face."""
-
-    values: dict = field(default_factory=dict)  # (axis, side) -> ndarray
-    max_value: float = -np.inf
-
-
-def normal_derivative_scan(u: ScalarField) -> NormalScan:
-    """One-sided outward normal differences across every boundary face.
-
-    Positive entries flag outward growth; a field compatible with the interior
-    maximum structure of the gradient should scan nonpositive up to O(h).
-    """
-    g = u.grid
-    scan = NormalScan()
-    for d in range(g.ndim):
-        h = g.spacing[d]
-        lo = [slice(None)] * g.ndim
-        nxt = [slice(None)] * g.ndim
-        lo[d], nxt[d] = 0, 1
-        low = (u.values[tuple(lo)] - u.values[tuple(nxt)]) / h
-        lo[d], nxt[d] = -1, -2
-        high = (u.values[tuple(lo)] - u.values[tuple(nxt)]) / h
-        scan.values[(d, 0)] = low
-        scan.values[(d, 1)] = high
-        scan.max_value = max(scan.max_value, float(low.max()), float(high.max()))
-    return scan
 
 
 # ---------------------------------------------------------------------------

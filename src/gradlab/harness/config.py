@@ -31,23 +31,37 @@ from ..model.sources import (
 )
 from ..solver import SolverOptions
 
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split())
+
+
+def _ints(raw: str) -> tuple:
+    return tuple(int(tok) for tok in raw.split())
+
+
+# the [problem] keys that every source kind takes
+_PROBLEM_KEYS = {"p", "gamma", "lambda", "eps", "q", "source", "scale"}
+
+# kind -> (class, {key: (convert, default)}).  A default of ``...`` marks a
+# required key; one of ``None`` leaves an absent key out of the parameters,
+# so the class's own default applies.
+_SOURCES = {
+    "cosine": (CosineProduct, {"amplitude": (float, 1.0), "modes": (_ints, (1, 1))}),
+    "radial": (
+        RadialSingular,
+        {
+            "center": (_floats, ...),
+            "power": (float, ...),
+            "amplitude": (float, 1.0),
+            "core_radius": (float, None),
+        },
+    ),
+    "random": (SeededSmoothRandom, {"seed": (int, ...), "cutoff": (int, None)}),
+}
+
 _KNOWN_KEYS = {
-    "problem": {
-        "p",
-        "gamma",
-        "lambda",
-        "eps",
-        "q",
-        "source",
-        "amplitude",
-        "modes",
-        "center",
-        "power",
-        "core_radius",
-        "seed",
-        "cutoff",
-        "scale",
-    },
+    "problem": _PROBLEM_KEYS.union(*(keys for _, keys in _SOURCES.values())),
     "grid": {"extents", "cells"},
     "solver": {"tol", "max_iter", "continuation"},
     "analysis": {
@@ -119,21 +133,10 @@ class RunConfig:
         return variant
 
     def build_source(self):
-        params = self.source_params
-        if self.source_kind == "cosine":
-            base = CosineProduct(amplitude=params["amplitude"], modes=params["modes"])
-        elif self.source_kind == "radial":
-            base = RadialSingular(
-                center=params["center"],
-                power=params["power"],
-                amplitude=params["amplitude"],
-                core_radius=params.get("core_radius", 0.0),
-            )
-        elif self.source_kind == "random":
-            base = SeededSmoothRandom(seed=params["seed"], cutoff=params.get("cutoff", 3))
-        else:
-            raise ConfigError(f"unknown source kind {self.source_kind!r}")
-        scale = params.get("scale")
+        params = dict(self.source_params)
+        scale = params.pop("scale", None)
+        source_class, _ = _SOURCES[self.source_kind]
+        base = source_class(**params)
         return Scaled(base, scale) if scale is not None else base
 
     def build_problem(self) -> ProblemSpec:
@@ -164,14 +167,6 @@ def _parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";",)
     )
-
-
-def _floats(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.split())
-
-
-def _ints(raw: str) -> tuple:
-    return tuple(int(tok) for tok in raw.split())
 
 
 def _boolean(raw: str) -> bool:
@@ -230,28 +225,17 @@ def parse_config(text: str) -> RunConfig:
     eps = problem("eps", float)
 
     kind = parser.get("problem", "source").strip().lower()
-    params: dict = {}
-    if kind == "cosine":
-        params["amplitude"] = problem("amplitude", float, 1.0)
-        params["modes"] = problem("modes", _ints, (1, 1))
-    elif kind == "radial":
-        if not parser.has_option("problem", "center") or not parser.has_option(
-            "problem", "power"
-        ):
-            raise ConfigError("radial source needs 'center' and 'power'")
-        params["center"] = problem("center", _floats)
-        params["power"] = problem("power", float)
-        params["amplitude"] = problem("amplitude", float, 1.0)
-        if parser.has_option("problem", "core_radius"):
-            params["core_radius"] = problem("core_radius", float)
-    elif kind == "random":
-        if not parser.has_option("problem", "seed"):
-            raise ConfigError("random source needs 'seed'")
-        params["seed"] = problem("seed", int)
-        if parser.has_option("problem", "cutoff"):
-            params["cutoff"] = problem("cutoff", int)
-    else:
+    if kind not in _SOURCES:
         raise ConfigError(f"unknown source kind {kind!r}")
+    _, keys = _SOURCES[kind]
+    for key in parser.options("problem"):
+        if key not in _PROBLEM_KEYS and key not in keys:
+            raise ConfigError(f"{kind} source takes no key {key!r}")
+    required = [key for key, (_, default) in keys.items() if default is ...]
+    if not all(parser.has_option("problem", key) for key in required):
+        raise ConfigError(f"{kind} source needs {' and '.join(map(repr, required))}")
+    params = {key: problem(key, *entry) for key, entry in keys.items()}
+    params = {key: value for key, value in params.items() if value is not None}
     if parser.has_option("problem", "scale"):
         params["scale"] = problem("scale", float)
 

@@ -168,7 +168,7 @@ def _residual_values(grid, coeff, ham, lam, f_values, u_values):
     du = gradient(u).components
     w = ham.eps + np.sum(du**2, axis=0)
     faces = face_normal_differences(u)
-    coeffs = [coeff.a(face_average(w, grid, d)) for d in range(grid.ndim)]
+    coeffs = [coeff.a(face_average(w, d)) for d in range(grid.ndim)]
     div = divergence_flux(grid, coeffs, faces).values
     return lam * u_values - div + ham.h_of_w(w) - f_values
 
@@ -378,7 +378,7 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     u = ScalarField(grid, u_values)
     du = gradient(u).components
     w = ham.eps + np.sum(du**2, axis=0)
-    face_w = [face_average(w, grid, d) for d in range(grid.ndim)]
+    face_w = [face_average(w, d) for d in range(grid.ndim)]
     face_ap = [np.asarray(coeff.a_prime(wf), dtype=float) for wf in face_w]
     # the width depends on a' alone, not on u, so a p != 2 solve from a
     # constant iterate takes the wide stencil from its first step, and p = 2
@@ -400,15 +400,14 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     own = ham.h_prime_of_w(w)
     faces = face_normal_differences(u) if wide else None
     for d, h in enumerate(grid.spacing):
-        # each interior face along d and the cells on its left and right;
-        # boundary faces carry no flux
-        inner, left, right = (
+        # the cells on the left and right of each face along d
+        left, right = (
             tuple(s if k == d else slice(None) for k in range(grid.ndim))
-            for s in (slice(1, -1), slice(None, -1), slice(1, None))
+            for s in (slice(None, -1), slice(1, None))
         )
         # the flux a(w_f) (Du)_f enters the residual of its left cell with
         # -1/h and of its right cell with +1/h
-        t = np.asarray(coeff.a(face_w[d][inner]), dtype=float) / h**2
+        t = np.asarray(coeff.a(face_w[d]), dtype=float) / h**2
         for cells, across in ((left, unit[d]), (right, -unit[d])):
             centre[cells] += t
             at(across)[cells] -= t
@@ -416,7 +415,7 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
             continue
         # through a'(w_f), that flux over h also moves by m per unit change
         # of w at either cell of the face
-        m = 0.5 * face_ap[d][inner] * faces[d][inner] / h
+        m = 0.5 * face_ap[d] * faces[d] / h
         own[left] -= m
         own[right] += m
         for e in range(grid.ndim):

@@ -101,7 +101,7 @@ def test_c04_discrete_calculus_identities(rng):
             u = ScalarField(grid, rng.standard_normal(grid.shape))
             v = ScalarField(grid, rng.standard_normal(grid.shape))
             coeffs = [
-                0.1 + rng.random(face_average(u.values, grid, d).shape)
+                0.1 + rng.random(face_average(u.values, d).shape)
                 for d in range(grid.ndim)
             ]
             div = divergence_flux(grid, coeffs, face_normal_differences(u))

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,13 +124,21 @@ def test_parse_minimal_and_defaults():
         lambda t: t.replace("eps = 1e-2", "eps = abc"),
         lambda t: t.replace("cells = 24 24", "cells = 48 x"),
         lambda t: t + "\n[analysis]\nbeta = five\n",
-        lambda t: t.replace("source = cosine", "source = radial\ncenter = 0.5 0.5\npower = -"),
+        # without the cosine's modes, so that the bad power is what fails
+        lambda t: t.replace("source = cosine", "source = radial\ncenter = 0.5 0.5\npower = -")
+        .replace("modes = 1 1\n", ""),
         lambda t: t + "\n[analysis]\nsobolev_dim = three\n",
         lambda t: t + "\n[solver]\nmax_iter = ten\n",
         lambda t: t + "\n[solver]\ncontinuation = maybe\n",
         lambda t: t + "\n[solver]\nmax_iter = -1\n",
         lambda t: t + "\n[solver]\ntol = 0\n",
         lambda t: t + "\n[solver]\ntol = nan\n",
+        # a source key that the declared kind does not take
+        lambda t: t.replace("modes = 1 1", "modes = 1 1\ncenter = 0.5 0.5"),
+        lambda t: t.replace("source = cosine", "source = radial\ncenter = 0.5 0.5\npower = 0.5"),
+        lambda t: t.replace("source = cosine", "source = random\nseed = 3").replace(
+            "modes = 1 1\n", ""
+        ),
     ],
 )
 def test_parse_rejections(mutate):
@@ -368,6 +377,50 @@ def test_only_the_solver_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.relative_to(package).as_posix())
     assert importers == {"solver.py"}
+
+
+# kept with no caller in src/: the tests' reference for the adjointness of
+# the flux divergence
+_UNCALLED_IN_SRC = {"dirichlet_form"}
+
+
+def _identifiers(tree):
+    """Every name the tree mentions: loads, attributes, imports, and the
+    identifier-like strings that perfbench rebinds entry points by."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_every_definition_in_src_is_named_outside_itself():
+    """``src/`` holds no code that only the tests reach: each function, class
+    and method is named somewhere in ``src/`` outside its own definition, or
+    in perfbench, which rebinds layer entry points by name."""
+    package = Path(gradlab.__file__).parent
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = [ast.parse(path.read_text()) for path in package.rglob("*.py")]
+    named = Counter()
+    for tree in trees:
+        named.update(_identifiers(tree))
+    for path in perfbench.glob("*.py"):
+        named.update(_identifiers(ast.parse(path.read_text())))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unnamed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, defs) or node.name.startswith("__"):
+                continue
+            inside = sum(name == node.name for name in _identifiers(node))
+            if named[node.name] == inside:
+                unnamed.add(node.name)
+    assert unnamed == _UNCALLED_IN_SRC
 
 
 def test_only_the_harness_runs_ladders_of_solves():

@@ -146,7 +146,7 @@ def _gradients(u):
 
 
 def _face_averages(u):
-    return [face_average(u.values, u.grid, d) for d in range(u.grid.ndim)]
+    return [face_average(u.values, d) for d in range(u.grid.ndim)]
 
 
 def _neumann_laplacian(u):
