@@ -105,11 +105,11 @@ def run_experiment(
     """
     problem = config.build_problem()
     grid = config.build_grid()
+    # a bad [analysis] entry fails here, before the solve it would waste
+    table = exponent_table(config)
     t0 = time.perf_counter()
     u, report = solve(problem, grid, config.solver, initial=initial)
     wall = time.perf_counter() - t0
-
-    table = exponent_table(config)
 
     payload: dict = {
         "config_digest": config.digest(),

@@ -16,8 +16,10 @@ residual.  With mirror ghosts every term couples a cell ``i`` only to cells
 ``lam``, ``a`` and ``h'`` terms, and also ``{+-2 e_d, +-e_d +- e_e}`` for
 the ``a'`` term, which is left out whenever ``a'`` vanishes on every face,
 as it does for p = 2.  Each Newton step fills one coefficient array per
-offset and scatters them into a CSR pattern cached per grid and width,
-through one fixed index from (offset, cell) to CSR position.
+offset, moves each entry whose step crosses a wall onto the offset of the
+edge cell it lands on, and stores each array as one diagonal of a banded
+matrix: 2N + 1 diagonals, or 2N^2 + 2N + 1 for the wide stencil (DIA
+storage; Saad 2003, sec. 3.4).
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is the
 constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
@@ -308,72 +310,55 @@ def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
 def _stencil_offsets(ndim: int, wide: bool) -> tuple:
     """Offsets of the Jacobian's stencil, as tuples of cell steps per axis.
 
-    The narrow stencil is ``{0, +-e_d}``, zero offset first.  The wide one
-    adds every sum of two unit steps, ``+-2 e_d`` and ``+-e_d +- e_e``: the
-    ``a'`` term reaches a face's other cell and, from there, the centred
-    gradient's neighbours.
+    The narrow stencil is ``{0, +-e_d}``.  The wide one adds every sum of two
+    unit steps, ``+-2 e_d`` and ``+-e_d +- e_e``: the ``a'`` term reaches a
+    face's other cell and, from there, the centred gradient's neighbours.
+    The offsets are sorted, which on a grid of at least 5 cells per axis
+    puts their steps in C order, and so their columns, in ascending order.
     """
     steps = [s * e for e in np.eye(ndim, dtype=int) for s in (1, -1)]
     offsets = [0 * steps[0]] + steps
     if wide:
         offsets += [a + b for a in steps for b in steps]
-    return tuple(dict.fromkeys(tuple(int(k) for k in o) for o in offsets))
+    return tuple(sorted({tuple(int(k) for k in o) for o in offsets}))
 
 
-@functools.lru_cache(maxsize=8)
-def _jacobian_pattern(grid: Grid, wide: bool):
-    """The Jacobian's CSR ``indptr`` and ``indices``, and where each stencil
-    entry lands in them.
+@functools.lru_cache(maxsize=None)
+def _wall_folds(ndim: int, wide: bool) -> tuple:
+    """The mirror-ghost rule as ``(src, dst, cells)`` moves between stencil
+    entries.
 
-    Entry ``(o, i)``, offset ``o`` at cell ``i`` in C order, couples ``i``
-    with cell ``clip(i + o)``: the mirror-ghost rule, under which a step off
-    the grid lands on the edge cell.  Its CSR position is
-    ``index[o * grid.size + i]``; entries that land on one cell add up.
+    Entry ``(o, i)``, offset ``o`` at cell ``i``, couples ``i`` with cell
+    ``clip(i + o)``: a step past the wall lands on the edge cell.  Each move
+    takes the layer ``cells`` whose step ``o`` crosses a wall along axis
+    ``d`` from offset slot ``src`` onto slot ``dst``, the offset
+    ``clip(i + o) - i`` along ``d``.  Taken in order, axis by axis, the
+    moves leave every entry on a step inside the grid.  Layers count from
+    the wall, so the moves do not depend on the cell counts.
     """
-    n = grid.size
-    offsets = _stencil_offsets(grid.ndim, wide)
-    # cols[o, i], the column of entry (o, i), built one axis at a time
-    cols = np.zeros((len(offsets),) + grid.shape, dtype=np.int32)
-    stride = 1
-    for d in reversed(range(grid.ndim)):
-        m = grid.cells[d]
-        shape = [-1 if e == d else 1 for e in range(grid.ndim)]
-        for k, o in enumerate(offsets):
-            cols[k] += (np.clip(np.arange(m) + o[d], 0, m - 1) * stride).reshape(shape)
-        stride *= m
-    cols = cols.reshape(len(offsets), n)
-    # every row has the same few entries, so sorting each row's columns and
-    # dropping repeats gives the CSR rows without a sort over all entries
-    ordered = np.sort(cols, axis=0)
-    first = np.ones(cols.shape, dtype=bool)  # first of a run of equal columns
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(first.sum(axis=0), out=indptr[1:])
-    indices = ordered.T[first.T]
-    # entry (o, i) lands after the distinct columns of row i below its own;
-    # a repeat is moved past every column so that it counts for none
-    ordered[~first] = n
-    # index is intp: np.bincount would otherwise cast it into a fresh array
-    # on every Jacobian, which costs more than the scatter itself
-    index = np.empty(cols.shape, dtype=np.intp)
-    below = np.empty(cols.shape, dtype=bool)
-    for k in range(len(offsets)):
-        np.less(ordered, cols[k], out=below)
-        np.sum(below, axis=0, out=index[k])
-        index[k] += indptr[:-1]
-    index = index.ravel()
-    # shared by every caller of the cache
-    for a in (indptr, indices, index):
-        a.flags.writeable = False
-    return indptr, indices, index
+    offsets = _stencil_offsets(ndim, wide)
+    slot = {o: k for k, o in enumerate(offsets)}
+    folds = []
+    for d in range(ndim):
+        for o in offsets:
+            for j in range(abs(o[d])):
+                # the layer j cells in from the wall that o steps towards,
+                # and the step along d from it to the edge cell
+                layer, step = (-1 - j, j) if o[d] > 0 else (j, -j)
+                cells = (slice(None),) * d + (layer,)
+                target = o[:d] + (step,) + o[d + 1 :]
+                folds.append((slot[o], slot[target], cells))
+    return tuple(folds)
 
 
 def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     """Jacobian of the residual at ``u_values`` and the grid mean of ``a(w)``.
 
     The entries are the derivatives of ``_residual_values``'s stencils,
-    gathered in one coefficient array per stencil offset.  The mean is the
-    preconditioner's coefficient, taken from the same ``w``.
+    gathered in one coefficient array per stencil offset.  With the wall
+    steps folded onto the edge cells, each array is one diagonal of the
+    matrix.  The mean is the preconditioner's coefficient, taken from the
+    same ``w``.
     """
     u = ScalarField(grid, u_values)
     du = gradient(u).components
@@ -386,14 +371,27 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     wide = any(bool(np.any(ap)) for ap in face_ap)
     offsets = _stencil_offsets(grid.ndim, wide)
     slot = {o: k for k, o in enumerate(offsets)}
-    coefs = np.zeros((len(offsets),) + grid.shape)
-    centre = coefs[0]
-    centre += lam
+    # scipy's diagonal storage keeps offset k's entry of row i at
+    # data[k, i + steps[k]], steps[k] being the offset's flat C-order step,
+    # so each coefficient array is a view of its diagonal shifted by its
+    # step.  The steps ascend, so the views do not overlap, and an entry
+    # whose column falls off the matrix lands where no diagonal reads.
+    n, size = grid.size, len(offsets) * grid.size
+    strides = [math.prod(grid.cells[d + 1 :]) for d in range(grid.ndim)]
+    steps = (np.array(offsets) @ strides).tolist()
+    band = np.zeros(size + 2 * steps[-1])
+    data = band[steps[-1] :][:size].reshape(len(offsets), n)
+    coefs = [
+        band[steps[-1] + k * n + s :][:n].reshape(grid.shape)
+        for k, s in enumerate(steps)
+    ]
 
     def at(offset):
         return coefs[slot[tuple(offset)]]
 
     unit = np.eye(grid.ndim, dtype=int)
+    centre = at(0 * unit[0])
+    centre += lam
     # w at cell c moves by +-q_e[c] per unit change of u at clip(c +- e_e)
     q = [du[e] / h for e, h in enumerate(grid.spacing)]
     # dR_i/dw_i: h'(w_i), plus the a' terms of cell i's faces added below
@@ -429,15 +427,14 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
         t = own * q[e]
         at(unit[e])[...] += t
         at(-unit[e])[...] -= t
-    indptr, indices, index = _jacobian_pattern(grid, wide)
-    data = np.bincount(index, weights=coefs.ravel(), minlength=indices.size)
+    for src, dst, cells in _wall_folds(grid.ndim, wide):
+        coefs[dst][cells] += coefs[src][cells]
+        coefs[src][cells] = 0.0
     # imported here so that a process that never takes a Newton step does not
     # pay for loading scipy.sparse
     import scipy.sparse as sp
 
-    J = sp.csr_matrix(
-        (data, indices.copy(), indptr.copy()), shape=(grid.size, grid.size)
-    )
+    J = sp.dia_matrix((data, steps), shape=(n, n))
     return J, float(np.mean(coeff.a(w)))
 
 
@@ -452,8 +449,8 @@ def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None)
     return ScalarField(u.grid, vals)
 
 
-def jacobian(problem: ProblemSpec, u: ScalarField) -> sp.csr_matrix:
-    """Sparse Jacobian of the residual at ``u`` (C-order flattening)."""
+def jacobian(problem: ProblemSpec, u: ScalarField) -> sp.dia_matrix:
+    """Banded Jacobian of the residual at ``u`` (C-order flattening)."""
     J, _ = _jacobian_matrix(
         u.grid, problem.coefficient, problem.hamiltonian, problem.lam, u.values
     )

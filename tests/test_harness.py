@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import gradlab
-from gradlab.errors import ConfigError, NonconvergenceError, RegimeError
+from gradlab.errors import ConfigError, NonconvergenceError, ParameterError, RegimeError
 from gradlab.grid import Box, ScalarField, save_field
 from gradlab.harness import (
     convergence_study,
@@ -384,41 +384,57 @@ def test_only_the_solver_imports_scipy():
 _UNCALLED_IN_SRC = {"dirichlet_form"}
 
 
-def _identifiers(tree):
-    """Every name the tree mentions: loads, attributes, imports, and the
-    identifier-like strings that perfbench rebinds entry points by."""
+def _identifiers(tree, bare=True):
+    """Every name the tree mentions: attributes and the identifier-like
+    strings that perfbench rebinds entry points by, and with ``bare`` also
+    loads and imports."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 yield node.value
+        elif not bare:
+            continue
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
 
 
 def test_every_definition_in_src_is_named_outside_itself():
     """``src/`` holds no code that only the tests reach: each function, class
     and method is named somewhere in ``src/`` outside its own definition, or
-    in perfbench, which rebinds layer entry points by name."""
+    in perfbench, which rebinds layer entry points by name.  A method is
+    reached through an attribute or by name in a string, so a bare name,
+    such as a local variable of the same name, does not count for it."""
     package = Path(gradlab.__file__).parent
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     trees = [ast.parse(path.read_text()) for path in package.rglob("*.py")]
-    named = Counter()
-    for tree in trees:
+    others = [ast.parse(path.read_text()) for path in perfbench.glob("*.py")]
+    named, attributes = Counter(), Counter()
+    for tree in trees + others:
         named.update(_identifiers(tree))
-    for path in perfbench.glob("*.py"):
-        named.update(_identifiers(ast.parse(path.read_text())))
+        attributes.update(_identifiers(tree, bare=False))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unnamed = set()
     for tree in trees:
+        methods = {
+            node
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if not isinstance(node, defs) or node.name.startswith("__"):
                 continue
-            inside = sum(name == node.name for name in _identifiers(node))
-            if named[node.name] == inside:
+            method = node in methods
+            counts = attributes if method else named
+            inside = sum(
+                name == node.name for name in _identifiers(node, bare=not method)
+            )
+            if counts[node.name] == inside:
                 unnamed.add(node.name)
     assert unnamed == _UNCALLED_IN_SRC
 
@@ -790,6 +806,23 @@ def test_cli_nonconvergence_exit(tmp_path):
     )
     cfg = _write(tmp_path, "stall.ini", text)
     assert main(["solve", cfg, "--out", str(tmp_path / "runs")]) == 3
+
+
+def test_bad_analysis_entry_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    """An ``[analysis]`` entry that the exponent table rejects stops ``solve``
+    and ``sweep`` before any Newton step, as it stops ``check``."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config with a bad [analysis] entry")
+
+    monkeypatch.setattr(runner_module, "solve", no_solve)
+    text = _SINGULAR_16.replace("sobolev_dim = 3", "sobolev_dim = 2")
+    with pytest.raises(ParameterError, match="Sobolev dimension"):
+        run_experiment(parse_config(text))
+    cfg = _write(tmp_path, "bad.ini", text)
+    for argv in (["check", cfg], ["solve", cfg], ["sweep", cfg, "--axis", "eps"]):
+        assert main(argv) == 2
+        assert "Sobolev dimension" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["max_iter = -1", "tol = 0", "tol = nan"])

@@ -44,10 +44,11 @@ from gradlab.solver import (
     _dct_preconditioner,
     _discrete_l2,
     _jacobian_matrix,
-    _jacobian_pattern,
     _neumann_eigenvalues,
     _newton_direction,
     _residual_values,
+    _stencil_offsets,
+    _wall_folds,
     jacobian,
     residual,
     solve,
@@ -195,9 +196,9 @@ def test_jacobian_matches_sparse_product_formula(
     rng, extents, cells, p, coefficient, partly_constant
 ):
     """The stencil assembly equals the term-by-term product formula; p = 2
-    keeps its compact stencil.  On a partly constant iterate a' G_d u
-    vanishes on some faces only, which the product formula drops entries
-    for and the wide pattern stores as zeros."""
+    keeps its compact stencil of 2 N + 1 diagonals.  On a partly constant
+    iterate a' G_d u vanishes on some faces only, which the product formula
+    drops entries for and the wide stencil stores as zeros."""
     box = Box(extents)
     grid = build_grid(box, cells)
     prob = ProblemSpec.power_model(
@@ -214,81 +215,55 @@ def test_jacobian_matches_sparse_product_formula(
     )
     assert abs(J - ref).max() <= 1e-14 * abs(ref).max()
     if p == 2.0:
-        assert J.nnz == ref.nnz
+        assert len(J.offsets) == 2 * grid.ndim + 1
 
 
-def test_jacobian_edits_leave_the_next_jacobian_alone(box2d, rng):
-    """The cached pattern is read-only and each Jacobian owns its arrays."""
-    grid = build_grid(box2d, (12, 12))
-    prob = _problem(box2d, p=3.0, gamma=3.0)
-    u = ScalarField(grid, 1.0 + 0.1 * rng.standard_normal(grid.shape))
-    J = jacobian(prob, u)
-    expected = J.copy()
-    J.indices[:] = J.indices[::-1]
-    J.sort_indices()
-    J.data[:] = 0.0
-    J.indptr[1:] = J.indptr[-1]
-    again = jacobian(prob, u)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(again, name), getattr(expected, name))
-    for arr in _jacobian_pattern(grid, True):
-        assert not arr.flags.writeable
-        assert not np.shares_memory(arr, again.indices)
-        assert not np.shares_memory(arr, again.indptr)
+@pytest.mark.parametrize("cells", [(8, 8), (8, 10, 9)])
+@pytest.mark.parametrize("wide", [False, True])
+def test_wall_folds_apply_the_mirror_ghost_rule(rng, cells, wide):
+    """Each fold moves a layer whose step crosses a wall onto the offset of
+    the edge cell it lands on.  Folded random coefficients keep each cell's
+    row sum and leave zero on every step past a wall."""
+    ndim = len(cells)
+    offsets = _stencil_offsets(ndim, wide)
+    index = np.indices(cells)
+    for src, dst, layer in _wall_folds(ndim, wide):
+        d = len(layer) - 1  # the axis of the layer
+        o, target = offsets[src], offsets[dst]
+        i = index[d][layer]  # the layer's index along d, in each of its cells
+        assert np.all((i + o[d] < 0) | (i + o[d] >= cells[d]))
+        assert np.all(i + target[d] == np.clip(i + o[d], 0, cells[d] - 1))
+        assert target[:d] + target[d + 1 :] == o[:d] + o[d + 1 :]
+    coefs = rng.standard_normal((len(offsets),) + cells)
+    folded = coefs.copy()
+    for src, dst, layer in _wall_folds(ndim, wide):
+        folded[dst][layer] += folded[src][layer]
+        folded[src][layer] = 0.0
+    assert np.allclose(folded.sum(axis=0), coefs.sum(axis=0), rtol=0, atol=1e-12)
+    for k, o in enumerate(offsets):
+        past = np.zeros(cells, dtype=bool)
+        for d in range(ndim):
+            past |= (index[d] + o[d] < 0) | (index[d] + o[d] >= cells[d])
+        assert np.all(folded[k][past] == 0.0)
 
 
-def test_jacobian_pattern_cache_is_thread_safe(rng):
-    """Concurrent callers build and evict patterns: more (grid, width) keys
-    than the cache holds, read from more threads than cores."""
-    cases = []
-    for i in range(6):
-        box = Box((1.0, 1.0 + 0.1 * i))
-        grid = build_grid(box, (8 + i, 8))
-        u = ScalarField(grid, 1.0 + 0.1 * rng.standard_normal(grid.shape))
-        for p in (2.0, 3.0):
-            cases.append((_problem(box, p=p, gamma=3.0), u))
-    expected = [jacobian(prob, u) for prob, u in cases]
-    errors = []
+def test_stencil_width_follows_a_prime(box2d, monkeypatch):
+    """The stencil width follows a' alone: every Jacobian of a nested cold
+    p = 3 solve has the 13 wide diagonals, from its constant first iterate
+    on, and every one of a p = 2 solve the 5 compact ones."""
+    for p, diagonals in ((3.0, 13), (2.0, 5)):
+        widths = []
 
-    def worker(offset):
-        for k in range(40):
-            i = (offset + 5 * k) % len(cases)
-            J = jacobian(*cases[i])
-            if (J != expected[i]).nnz or J.nnz != expected[i].nnz:
-                errors.append(i)
+        def recording(*args):
+            J, abar = _jacobian_matrix(*args)
+            widths.append(len(J.offsets))
+            return J, abar
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert _jacobian_pattern.cache_info().currsize <= 8
-
-
-def test_p3_solve_builds_only_the_wide_pattern(box2d, monkeypatch):
-    """The stencil width follows a' alone, so the constant first iterate of a
-    p != 2 solve does not build a narrow pattern that no later step uses: a
-    nested cold solve builds one wide pattern per grid and no narrow one."""
-    built = set()
-
-    def recording(grid, wide):
-        built.add((grid.cells, wide))
-        return _jacobian_pattern(grid, wide)
-
-    _jacobian_pattern.cache_clear()
-    monkeypatch.setattr(gradlab.solver, "_jacobian_pattern", recording)
-    _, report = solve(_problem(box2d, p=3.0, gamma=3.0), build_grid(box2d, (16, 16)))
-    assert report.converged
-    assert {s.cells for s in report.stages} == {(8, 8), (16, 16)}
-    assert built == {((8, 8), True), ((16, 16), True)}
-    assert _jacobian_pattern.cache_info().misses == 2
+        monkeypatch.setattr(gradlab.solver, "_jacobian_matrix", recording)
+        _, report = solve(_problem(box2d, p=p, gamma=3.0), build_grid(box2d, (16, 16)))
+        assert report.converged
+        assert {s.cells for s in report.stages} == {(8, 8), (16, 16)}
+        assert widths and set(widths) == {diagonals}
 
 
 def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
