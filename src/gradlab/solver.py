@@ -21,11 +21,16 @@ edge cell it lands on, and stores each array as one diagonal of a banded
 matrix: 2N + 1 diagonals, or 2N^2 + 2N + 1 for the wide stencil (DIA
 storage; Saad 2003, sec. 3.4).
 
-Each Newton step is solved inexactly by GMRES.  The preconditioner is the
-constant-coefficient operator ``lam I - abar Laplacian``, where ``abar`` is
-the grid mean of ``a(w)``: with mirror ghosts the cell-centred Neumann
-Laplacian is diagonal in the DCT-II basis, so applying its inverse costs a
-transform there and back.  Each transform is one product per axis with a
+Each Newton step is solved inexactly by GMRES.  The preconditioner is
+``S (lam I - abar Laplacian) S``, where ``abar`` is the grid mean of
+``a(w)`` and ``S = diag(sqrt(a(w) / abar))`` scales each cell (Concus and
+Golub 1973).  The scaling carries the cell-to-cell variation of a p != 2
+coefficient, so the Krylov iterations per Newton step stay bounded under
+refinement.  Where ``a'`` vanishes on every face, as for p = 2, ``a`` is
+constant, ``S`` is the identity, and the apply skips the scaling.  With
+mirror ghosts the cell-centred Neumann Laplacian is diagonal in the DCT-II
+basis, so applying the inverse between the scalings costs a transform there
+and back.  Each transform is one product per axis with a
 cached dense DCT-II matrix (the fast diagonalization method of Lynch, Rice
 and Thomas 1964).  That is O(n) work per cell on an axis of n cells, against
 an FFT's O(log n), but it is one BLAS call per axis with no per-call
@@ -199,10 +204,17 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 
 def _dct_preconditioner(
-    grid: Grid, lam: float, abar: float
+    grid: Grid, lam: float, a: float | np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverse of ``lam I + abar sum_d G_d^T G_d`` in the DCT-II basis,
-    by dense per-axis products."""
+    """Exact inverse of ``S (lam I + abar sum_d G_d^T G_d) S``, with ``abar``
+    the mean of the coefficient ``a`` and ``S = diag(sqrt(a / abar))``.
+
+    ``a`` is ``a(w)`` per cell, or one number where it is constant; then
+    ``S`` is the identity and no scaling runs.  The inverse between the two
+    scalings is one dense product per axis into the DCT-II basis, a division
+    by the eigenvalues and the products back.
+    """
+    abar = float(np.mean(a))
     denom = lam + abar * _neumann_eigenvalues(grid)
     *first, last = grid.cells
     # C along every axis but the last, as one product per leading index over
@@ -221,7 +233,16 @@ def _dct_preconditioner(
             x = C.T @ x.reshape(slab)
         return (x.reshape(-1, last) @ C_last).ravel()
 
-    return apply
+    if np.ndim(a) == 0:
+        return apply
+    s_inv = (1.0 / np.sqrt(a / abar)).ravel()
+
+    def scaled(r):
+        x = apply(s_inv * r)
+        x *= s_inv  # apply's result is a new array
+        return x
+
+    return scaled
 
 
 def spsolve(J, M, b, target):
@@ -289,7 +310,7 @@ def spsolve(J, M, b, target):
     return delta, iterations
 
 
-def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
+def _newton_direction(grid, J, r, rn, lam, a, tol, stats) -> np.ndarray:
     """Inexact Newton step ``J delta = -r`` by GMRES.
 
     The target is ``|r + J delta| <= eta |r|`` on the true linear residual.
@@ -300,7 +321,7 @@ def _newton_direction(grid, J, r, rn, lam, abar, tol, stats) -> np.ndarray:
     eta = max(_FORCING_MIN, _FORCING * min(1.0, rn), 0.5 * tol / rn)
     b = -r.ravel()
     delta, iterations = spsolve(
-        J, _dct_preconditioner(grid, lam, abar), b, eta * np.linalg.norm(b)
+        J, _dct_preconditioner(grid, lam, a), b, eta * np.linalg.norm(b)
     )
     stats.krylov_iterations += iterations
     return delta.reshape(grid.shape)
@@ -352,13 +373,14 @@ def _wall_folds(ndim: int, wide: bool) -> tuple:
 
 
 def _jacobian_matrix(grid, coeff, ham, lam, u_values):
-    """Jacobian of the residual at ``u_values`` and the grid mean of ``a(w)``.
+    """Jacobian of the residual at ``u_values`` and ``a(w)`` on the cells.
 
     The entries are the derivatives of ``_residual_values``'s stencils,
     gathered in one coefficient array per stencil offset.  With the wall
     steps folded onto the edge cells, each array is one diagonal of the
-    matrix.  The mean is the preconditioner's coefficient, taken from the
-    same ``w``.
+    matrix.  ``a(w)``, from the same ``w``, is the preconditioner's
+    coefficient: the cell field where ``a'`` is nonzero on some face, and
+    its mean where ``a'`` vanishes on every face and ``a`` is constant.
     """
     u = ScalarField(grid, u_values)
     du = gradient(u).components
@@ -435,7 +457,8 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     import scipy.sparse as sp
 
     J = sp.dia_matrix((data, steps), shape=(n, n))
-    return J, float(np.mean(coeff.a(w)))
+    a = coeff.a(w)
+    return J, (a if wide else float(np.mean(a)))
 
 
 def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
@@ -486,8 +509,8 @@ def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
             return u, history, damping_events, True
         if it == options.max_iter:
             break
-        J, abar = _jacobian_matrix(grid, coeff, ham, lam, u)
-        delta = _newton_direction(grid, J, r, rn, lam, abar, options.tol, stats)
+        J, a = _jacobian_matrix(grid, coeff, ham, lam, u)
+        delta = _newton_direction(grid, J, r, rn, lam, a, options.tol, stats)
         merit = 0.5 * rn * rn
         alpha = 1.0
         while True:
@@ -534,7 +557,9 @@ def solve(
 
     Each :class:`StageReport` names the grid it ran on.  Raises
     :class:`NonconvergenceError` if any stage stalls, with that stage's
-    grid in the message and its iterate, a field on that grid, attached.  A
+    grid and what stopped it in the message: ``max_iter``, or a line search
+    that halved the step below ``_MIN_STEP``.  Its iterate, a field on that
+    grid, is attached.  A
     solve with a vanishing zero-order coefficient raises
     :class:`UnsupportedRegimeError`; probe ``lam -> 0`` through the sweep
     axis instead.
@@ -590,10 +615,19 @@ def solve(
                     converged=False,
                     residual_norm=history[-1],
                 )
+                # a stage that stops before its last iteration stops in the
+                # line search
+                if len(history) - 1 == options.max_iter:
+                    reason = f"max_iter = {options.max_iter} reached"
+                else:
+                    reason = (
+                        "line search collapsed, no step down to length "
+                        f"{_MIN_STEP:.3g} passed the Armijo test"
+                    )
                 raise NonconvergenceError(
                     f"Newton stalled on {'×'.join(map(str, level.cells))} at stage "
                     f"eps={eps_s:.3g}, gamma={gamma_s:.3g} "
-                    f"with residual {history[-1]:.3e}",
+                    f"with residual {history[-1]:.3e}: {reason}",
                     best_iterate=ScalarField(level, u_values),
                     residual_norm=history[-1],
                     report=report,

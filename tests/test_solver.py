@@ -1,6 +1,7 @@
 """Newton solver: exactness checks, Jacobian consistency, continuation."""
 
 import functools
+import math
 import sys
 import threading
 
@@ -250,20 +251,22 @@ def test_wall_folds_apply_the_mirror_ghost_rule(rng, cells, wide):
 def test_stencil_width_follows_a_prime(box2d, monkeypatch):
     """The stencil width follows a' alone: every Jacobian of a nested cold
     p = 3 solve has the 13 wide diagonals, from its constant first iterate
-    on, and every one of a p = 2 solve the 5 compact ones."""
-    for p, diagonals in ((3.0, 13), (2.0, 5)):
-        widths = []
+    on, and hands the preconditioner a(w) per cell; every one of a p = 2
+    solve has the 5 compact ones and hands it one number, the unscaled
+    apply."""
+    for p, expected in ((3.0, (13, 2)), (2.0, (5, 0))):
+        seen = []  # (diagonals, ndim of the preconditioner's coefficient)
 
         def recording(*args):
-            J, abar = _jacobian_matrix(*args)
-            widths.append(len(J.offsets))
-            return J, abar
+            J, a = _jacobian_matrix(*args)
+            seen.append((len(J.offsets), np.ndim(a)))
+            return J, a
 
         monkeypatch.setattr(gradlab.solver, "_jacobian_matrix", recording)
         _, report = solve(_problem(box2d, p=p, gamma=3.0), build_grid(box2d, (16, 16)))
         assert report.converged
         assert {s.cells for s in report.stages} == {(8, 8), (16, 16)}
-        assert widths and set(widths) == {diagonals}
+        assert seen and set(seen) == {expected}
 
 
 def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
@@ -320,15 +323,15 @@ def _step_system(case):
     x = grid.centers()
     u = f_values.mean() / prob.lam + 0.3 * np.prod([np.cos(np.pi * c) for c in x], axis=0)
     args = (grid, prob.coefficient, prob.hamiltonian, prob.lam)
-    J, abar = _jacobian_matrix(*args, u)
+    J, a = _jacobian_matrix(*args, u)
     r = _residual_values(*args, f_values, u)
-    return grid, prob.lam, J, abar, r
+    return grid, prob.lam, J, a, r
 
 
-def _step(grid, lam, J, abar, r, tol):
+def _step(grid, lam, J, a, r, tol):
     stats = LinearSolveStats()
     rn = _discrete_l2(grid, r)
-    delta = _newton_direction(grid, J, r, rn, lam, abar, tol, stats)
+    delta = _newton_direction(grid, J, r, rn, lam, a, tol, stats)
     return (r + (J @ delta.ravel()).reshape(grid.shape)), stats.krylov_iterations
 
 
@@ -338,12 +341,12 @@ def test_newton_direction_meets_forcing_term(linear_solves, case, scale):
     """GMRES is right-preconditioned, so the forcing condition holds on the
     true linear residual, with eta = max(_FORCING_MIN, _FORCING min(1, |R|),
     0.5 tol / |R|)."""
-    grid, lam, J, abar, r = _step_system(case)
+    grid, lam, J, a, r = _step_system(case)
     r = r * (scale / _discrete_l2(grid, r))
     tol = 1e-8
     rn = _discrete_l2(grid, r)
     eta = max(_FORCING_MIN, _FORCING * min(1.0, rn), 0.5 * tol / rn)
-    linear, _ = _step(grid, lam, J, abar, r, tol)
+    linear, _ = _step(grid, lam, J, a, r, tol)
     assert np.linalg.norm(linear) <= eta * np.linalg.norm(r)
     assert len(linear_solves) == 1
     assert all(res <= target for res, target in linear_solves)
@@ -354,11 +357,11 @@ def test_forcing_floor_stops_at_half_the_newton_tolerance(linear_solves, case):
     """Near ``|R| = 3 tol`` the floor asks only for a linear residual below
     half the tolerance, which takes fewer Krylov iterations than the
     unfloored forcing term."""
-    grid, lam, J, abar, r = _step_system(case)
+    grid, lam, J, a, r = _step_system(case)
     tol = 1e-8
     r = r * (3.0 * tol / _discrete_l2(grid, r))
-    floored, floored_its = _step(grid, lam, J, abar, r, tol)
-    _, full_its = _step(grid, lam, J, abar, r, 0.0)
+    floored, floored_its = _step(grid, lam, J, a, r, tol)
+    _, full_its = _step(grid, lam, J, a, r, 0.0)
     assert floored_its < full_its
     assert _discrete_l2(grid, floored) <= 0.5 * tol
     assert len(linear_solves) == 2
@@ -366,8 +369,8 @@ def test_forcing_floor_stops_at_half_the_newton_tolerance(linear_solves, case):
 
 
 def _gmres_system(case):
-    grid, lam, J, abar, r = _step_system(case)
-    return J, _dct_preconditioner(grid, lam, abar), -r.ravel()
+    grid, lam, J, a, r = _step_system(case)
+    return J, _dct_preconditioner(grid, lam, a), -r.ravel()
 
 
 @pytest.mark.parametrize("case", ["2d-p3", "3d-radial"])
@@ -391,7 +394,11 @@ def test_gmres_stops_on_a_happy_breakdown(rng):
 
 @pytest.mark.parametrize("case, rel", [("2d-p3", 1e-2), ("3d-radial", 1e-4)])
 def test_gmres_restarts_and_still_meets_target(monkeypatch, case, rel):
+    """GMRES(3) restarts from the true residual and still meets the target.
+    The 2D case needs 18 iterations, six cycles, where GMRES(30) needs 8, so
+    the budget is 8 cycles; more than 3 iterations means more than one."""
     monkeypatch.setattr(gradlab.solver, "_GMRES_RESTART", 3)
+    monkeypatch.setattr(gradlab.solver, "_GMRES_CYCLES", 8)
     J, M, b = _gmres_system(case)
     target = rel * np.linalg.norm(b)
     delta, iterations = spsolve(J, M, b, target)
@@ -438,18 +445,22 @@ def test_lambda_zero_rejected(box2d):
 
 def test_nonconvergence_carries_best_iterate(box2d):
     """Skipping continuation on a strongly nonlinear problem with a starved
-    iteration budget must stall, and the error exposes the last iterate."""
+    iteration budget must stall, the message says that max_iter stopped it,
+    and the error exposes the last iterate."""
     prob = _problem(
         box2d, p=3.0, gamma=4.0, eps=1e-6,
         source=CosineProduct(amplitude=60.0, modes=(2, 1)),
     )
-    with pytest.raises(NonconvergenceError) as info:
+    with pytest.raises(
+        NonconvergenceError, match=r"stalled on 32×32 at stage .*: max_iter = 2 reached$"
+    ) as info:
         solve(
             prob,
             build_grid(box2d, (32, 32)),
             options=SolverOptions(max_iter=2, continuation=False),
         )
     err = info.value
+    assert err.report.stages[-1].iterations == 2
     assert err.best_iterate is not None
     assert err.best_iterate.values.shape == (32, 32)
     assert err.report is not None and not err.report.converged
@@ -526,6 +537,22 @@ def test_stall_on_a_coarse_grid_names_that_grid(box2d):
     assert not err.report.converged
 
 
+def test_stall_in_the_line_search_says_so(box2d, monkeypatch):
+    """A line search that halves the step below ``_MIN_STEP`` stops its stage
+    before max_iter, and says that the line search collapsed."""
+    monkeypatch.setattr(gradlab.solver, "_MIN_STEP", 1.0)
+    prob = _problem(
+        box2d, p=3.0, gamma=4.0, source=CosineProduct(amplitude=30.0, modes=(2, 1))
+    )
+    with pytest.raises(
+        NonconvergenceError,
+        match="stalled on 8×8 at stage .*: line search collapsed, no step down "
+        "to length 1 passed the Armijo test",
+    ) as info:
+        solve(prob, build_grid(box2d, (16, 16)))
+    assert info.value.report.stages[-1].iterations < SolverOptions().max_iter
+
+
 def test_epsilon_sweep_norms_stable():
     """The conftest p2_problem on a 32^2 grid, solved along an eps sweep."""
     text = """
@@ -559,16 +586,60 @@ epsilon_sweep = 1e-1 1e-2 1e-3
 )
 def test_dct_preconditioner_inverts_neumann_operator(rng, extents, cells):
     """The DCT-II diagonalizes the mirror-ghost Laplacian on any box, so the
-    preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d."""
+    preconditioner is the exact inverse of lam I + abar sum_d G_d^T G_d for
+    a constant coefficient abar, and of S (lam I + abar sum_d G_d^T G_d) S
+    with S = diag(sqrt(a / abar)) and abar = mean(a) for a cell field a.
+    A constant coefficient runs no scaling at all."""
     grid = build_grid(Box(extents), cells)
-    lam, abar = 0.3, 1.7
+    lam = 0.3
     (laplacian,) = _stencil_matrix(grid, _neumann_laplacian)
-    op = lam * sp.identity(grid.size) + abar * laplacian
-    inverse = _dct_preconditioner(grid, lam, abar)
-    x = rng.standard_normal(grid.size)
-    assert np.max(np.abs(inverse(op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
-    b = op @ x
-    assert np.max(np.abs(op @ inverse(b) - b)) <= 1e-12 * np.max(np.abs(b))
+    a = rng.uniform(0.2, 3.0, grid.shape)
+    S = sp.diags(np.sqrt(a / a.mean()).ravel())
+    for coeff, op in [
+        (1.7, lam * sp.identity(grid.size) + 1.7 * laplacian),
+        (a, S @ (lam * sp.identity(grid.size) + a.mean() * laplacian) @ S),
+    ]:
+        inverse = _dct_preconditioner(grid, lam, coeff)
+        x = rng.standard_normal(grid.size)
+        assert np.max(np.abs(inverse(op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+        b = op @ x
+        assert np.max(np.abs(op @ inverse(b) - b)) <= 1e-12 * np.max(np.abs(b))
+    # a constant coefficient, one number as a p = 2 Jacobian hands it on,
+    # takes the unscaled products bit for bit
+    r = rng.standard_normal(grid.size)
+    assert np.array_equal(
+        _dct_preconditioner(grid, lam, 1.7)(r), _unscaled_dct_inverse(grid, lam, 1.7, r)
+    )
+
+
+def _unscaled_dct_inverse(grid, lam, abar, r):
+    """The inverse of lam I + abar sum_d G_d^T G_d by the per-axis DCT-II
+    products, in the order the unscaled preconditioner takes them."""
+    *first, last = grid.cells
+    denom = lam + abar * _neumann_eigenvalues(grid)
+    x = r.reshape(-1, last) @ _dct_matrix(last).T
+    for d, n in enumerate(first):
+        x = _dct_matrix(n) @ x.reshape(math.prod(first[:d]), n, -1)
+    x = x.reshape(denom.shape) / denom
+    for d, n in enumerate(first):
+        x = _dct_matrix(n).T @ x.reshape(math.prod(first[:d]), n, -1)
+    return (x.reshape(-1, last) @ _dct_matrix(last)).ravel()
+
+
+def test_p3_krylov_iterations_per_step_stay_bounded(p3_problem, box2d):
+    """The DCT preconditioner scaled by sqrt(a(w) / abar) sees the cell to
+    cell variation of a p = 3 coefficient, so the Krylov iterations per
+    Newton step of each grid's one stage at the target stay bounded under
+    refinement: at most 10 from 24^2 to 192^2, where the grid mean alone
+    took 12.0 at 96^2 and 13.75 at 192^2.  One cold 192^2 solve walks
+    every grid of that ladder."""
+    _, report = solve(p3_problem, build_grid(box2d, (192, 192)), SolverOptions(tol=1e-8))
+    assert report.converged
+    targets = report.stages[-4:]
+    assert [s.cells for s in targets] == [(n, n) for n in (24, 48, 96, 192)]
+    for stage in targets:
+        assert (stage.eps, stage.gamma) == (p3_problem.eps, p3_problem.gamma)
+        assert stage.krylov_iterations <= 10 * stage.iterations
 
 
 def _radial_10():
@@ -609,7 +680,9 @@ def test_linear_solve_without_progress_stalls(monkeypatch):
     monkeypatch.setattr(
         gradlab.solver, "spsolve", lambda J, M, b, target: (np.zeros_like(b), 0)
     )
-    with pytest.raises(NonconvergenceError, match="stalled on 8×8×8") as err:
+    with pytest.raises(
+        NonconvergenceError, match="stalled on 8×8×8 at stage .*: line search collapsed"
+    ) as err:
         solve(prob, build_grid(prob.domain, (16, 16, 16)))
     assert err.value.best_iterate.grid.cells == (8, 8, 8)
     assert [s.iterations for s in err.value.report.stages] == [0]
