@@ -136,8 +136,6 @@ def run_experiment(
             "stages": [
                 {
                     "cells": list(s.cells),
-                    "eps": s.eps,
-                    "gamma": s.gamma,
                     "iterations": s.iterations,
                     "residual_norm": s.residual_norm,
                 }
@@ -203,10 +201,10 @@ def run_experiment(
             "stages": [
                 {
                     "cells": list(s.cells),
-                    "eps": s.eps,
-                    "gamma": s.gamma,
                     "iterations": s.iterations,
                     "krylov_iterations": s.krylov_iterations,
+                    "damping_events": s.damping_events,
+                    "residual_history": s.residual_history,
                 }
                 for s in report.stages
             ],

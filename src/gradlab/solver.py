@@ -56,15 +56,13 @@ module's one linear solve, :func:`spsolve`.  scipy is imported where it
 runs: ``scipy.sparse`` to build a Jacobian, so a process that takes no
 Newton step does not load it.
 
-Supernatural gradient growth shrinks Newton basins badly, so a cold solve
-walks a continuation path: first the regularization eps is lowered
-geometrically from order one, then gamma is raised linearly to its target.
-Every stage restarts Newton from the previous stage's solution.  The path is
-walked on the coarsest grid of a nested iteration, the target grid halved
-along every axis for as long as it can be, and each finer grid then takes one
-Newton stage at the target from the prolonged coarser solution: Newton's
-step count does not grow under refinement (Allgower, Boehmer, Potra and
-Rheinboldt 1986), so the fine grids pay for a few steps instead of the path.
+A cold solve is a nested iteration.  The target grid is halved along every
+axis for as long as it can be; the coarsest grid starts Newton from a
+constant, and each finer grid starts from the prolonged coarser solution.
+Every grid takes one Newton stage at the target (eps, gamma): Newton's step
+count does not grow under refinement (Allgower, Boehmer, Potra and
+Rheinboldt 1986), so the coarse grids, not a path in (eps, gamma), carry
+Newton into its basin on the fine ones.
 """
 
 from __future__ import annotations
@@ -93,7 +91,6 @@ from .grid import (
     prolong,
     restrict,
 )
-from .model.families import PowerHamiltonian
 from .model.problem import ProblemSpec
 from .model.sources import sample_source
 
@@ -104,8 +101,8 @@ if TYPE_CHECKING:
 @dataclass
 class SolverOptions:
     tol: float = 1e-10  # residual tolerance in the discrete L2 norm
-    max_iter: int = 50  # Newton iterations per continuation stage
-    continuation: bool = True  # a cold start walks the continuation schedule
+    max_iter: int = 50  # Newton iterations per stage
+    continuation: bool = True  # a cold start is a nested iteration over grids
 
     def __post_init__(self):
         # a tolerance that is not positive, or nan, is never met and an
@@ -122,9 +119,6 @@ class SolverOptions:
 _DAMPING_FACTOR = 0.5
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
-# continuation schedule: geometric eps ratio and linear gamma stages
-_EPS_RATIO = 0.1
-_GAMMA_STAGES = 4
 
 # inner linear solve: GMRES restart length and restart cycles per Newton
 # step, and the forcing term _FORCING * min(1, |R|) floored at
@@ -138,7 +132,7 @@ _FORCING_MIN = 1e-12
 
 @dataclass
 class LinearSolveStats:
-    """Linear-solver work of one continuation stage."""
+    """Linear-solver work of one Newton stage."""
 
     krylov_iterations: int = 0
 
@@ -146,8 +140,6 @@ class LinearSolveStats:
 @dataclass
 class StageReport:
     cells: tuple  # the grid the stage ran on
-    eps: float
-    gamma: float
     iterations: int
     residual_norm: float
     damping_events: int
@@ -480,21 +472,6 @@ def jacobian(problem: ProblemSpec, u: ScalarField) -> sp.dia_matrix:
     return J
 
 
-def _continuation_schedule(eps_target: float, gamma_target: float):
-    eps_stages = []
-    e = max(eps_target, 1.0)
-    while e > eps_target * (1.0 + 1e-12):
-        eps_stages.append(e)
-        e *= _EPS_RATIO
-    eps_stages.append(eps_target)
-    gamma0 = min(gamma_target, 2.0)
-    stages = [(e, gamma0) for e in eps_stages]
-    if gamma_target > 2.0:
-        gammas = np.linspace(2.0, gamma_target, _GAMMA_STAGES)
-        stages.extend((eps_target, float(g)) for g in gammas[1:])
-    return stages
-
-
 def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
     history = []
     damping_events = 0
@@ -536,23 +513,23 @@ def solve(
 ) -> tuple[ScalarField, SolveReport]:
     """Solve the discrete problem on ``grid``.
 
-    A cold start with ``options.continuation`` set is a nested iteration.
-    Every axis of ``grid`` is halved for as long as each axis is even and
-    keeps at least ``_MIN_CELLS`` cells (:meth:`gradlab.grid.Grid.coarsened`).
-    The coarsest grid starts from the constant ``mean(f) / lam`` and walks
-    the continuation schedule; each finer grid, up to ``grid``, takes one
-    stage at the target (eps, gamma) from the prolonged coarser solution.
-    A coarse grid's source is the block mean of the finer grid's
-    (:func:`gradlab.grid.restrict`), so a :class:`Tabulated` source serves
-    too, and every grid solves to the same ``tol``.  A grid that cannot be
-    halved is its own coarsest grid.  Without continuation, a cold start
-    solves from the constant in one stage at the target on ``grid``.
+    Every grid solves in one Newton stage at the target (eps, gamma).  A
+    cold start with ``options.continuation`` set is a nested iteration, a
+    continuation in the mesh width.  Every axis of ``grid`` is halved for
+    as long as each axis is even and keeps at least ``_MIN_CELLS`` cells
+    (:meth:`gradlab.grid.Grid.coarsened`).  The coarsest grid starts from
+    the constant ``mean(f) / lam``, and each finer grid, up to ``grid``,
+    from the prolonged coarser solution.  A coarse grid's source is the
+    block mean of the finer grid's (:func:`gradlab.grid.restrict`), so a
+    :class:`Tabulated` source serves too, and every grid solves to the same
+    ``tol``.  A grid that cannot be halved is its own coarsest grid.
+    Without continuation, a cold start solves from the constant on ``grid``
+    alone.
 
-    A warm start from ``initial`` always solves in one stage at the target
-    on ``grid``: it is already near a solution, and the schedule's first
-    stages would only pull it away.  ``initial`` may live on another grid
-    of the same domain, such as a coarser solve of the same problem; it is
-    then prolonged onto ``grid`` (:func:`gradlab.grid.prolong`).  A field on
+    A warm start from ``initial`` always solves on ``grid`` alone: it is
+    already near a solution.  ``initial`` may live on another grid of the
+    same domain, such as a coarser solve of the same problem; it is then
+    prolonged onto ``grid`` (:func:`gradlab.grid.prolong`).  A field on
     another domain raises :class:`ContractError`.
 
     Each :class:`StageReport` names the grid it ran on.  Raises
@@ -571,13 +548,10 @@ def solve(
     if grid.domain != problem.domain:
         raise ContractError("grid domain does not match the problem domain")
     options = options or SolverOptions()
-    target = [(problem.eps, problem.gamma)]
     # the sources on each grid, finest first: a coarse grid's is the block
     # mean of the finer one's
     sources = [sample_source(problem.source, grid)]
-    schedule = target
     if initial is None and options.continuation:
-        schedule = _continuation_schedule(problem.eps, problem.gamma)
         while (coarse := sources[-1].grid.coarsened()) is not None:
             sources.append(restrict(sources[-1], coarse))
     u = initial
@@ -589,55 +563,47 @@ def solve(
     stages = []
     for f in reversed(sources):
         level = f.grid
-        u_values = prolong(u, level).values
-        for eps_s, gamma_s in schedule:
-            ham = PowerHamiltonian(gamma_s, eps_s)
-            stats = LinearSolveStats()
-            u_values, history, damping, ok = _newton_stage(
-                level, problem.coefficient, ham, problem.lam, f.values, u_values,
-                options, stats,
+        stats = LinearSolveStats()
+        u_values, history, damping, ok = _newton_stage(
+            level, problem.coefficient, problem.hamiltonian, problem.lam, f.values,
+            prolong(u, level).values, options, stats,
+        )
+        stages.append(
+            StageReport(
+                cells=level.cells,
+                iterations=len(history) - 1,
+                residual_norm=history[-1],
+                damping_events=damping,
+                residual_history=history,
+                krylov_iterations=stats.krylov_iterations,
             )
-            stages.append(
-                StageReport(
-                    cells=level.cells,
-                    eps=eps_s,
-                    gamma=gamma_s,
-                    iterations=len(history) - 1,
-                    residual_norm=history[-1],
-                    damping_events=damping,
-                    residual_history=history,
-                    krylov_iterations=stats.krylov_iterations,
-                )
+        )
+        if not ok:
+            report = SolveReport(
+                stages=stages,
+                converged=False,
+                residual_norm=history[-1],
             )
-            if not ok:
-                report = SolveReport(
-                    stages=stages,
-                    converged=False,
-                    residual_norm=history[-1],
+            # a stage that stops before its last iteration stops in the
+            # line search
+            if len(history) - 1 == options.max_iter:
+                reason = f"max_iter = {options.max_iter} reached"
+            else:
+                reason = (
+                    "line search collapsed, no step down to length "
+                    f"{_MIN_STEP:.3g} passed the Armijo test"
                 )
-                # a stage that stops before its last iteration stops in the
-                # line search
-                if len(history) - 1 == options.max_iter:
-                    reason = f"max_iter = {options.max_iter} reached"
-                else:
-                    reason = (
-                        "line search collapsed, no step down to length "
-                        f"{_MIN_STEP:.3g} passed the Armijo test"
-                    )
-                raise NonconvergenceError(
-                    f"Newton stalled on {'×'.join(map(str, level.cells))} at stage "
-                    f"eps={eps_s:.3g}, gamma={gamma_s:.3g} "
-                    f"with residual {history[-1]:.3e}: {reason}",
-                    best_iterate=ScalarField(level, u_values),
-                    residual_norm=history[-1],
-                    report=report,
-                )
+            raise NonconvergenceError(
+                f"Newton stalled on {'×'.join(map(str, level.cells))} "
+                f"with residual {history[-1]:.3e}: {reason}",
+                best_iterate=ScalarField(level, u_values),
+                residual_norm=history[-1],
+                report=report,
+            )
         u = ScalarField(level, u_values)
-        schedule = target  # every finer grid takes one stage at the target
     report = SolveReport(
         stages=stages,
         converged=True,
         residual_norm=stages[-1].residual_norm,
     )
     return u, report
-

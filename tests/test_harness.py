@@ -17,7 +17,7 @@ import pytest
 
 import gradlab
 from gradlab.errors import ConfigError, NonconvergenceError, ParameterError, RegimeError
-from gradlab.grid import Box, ScalarField, save_field
+from gradlab.grid import Box, save_field
 from gradlab.harness import (
     convergence_study,
     emit_report,
@@ -30,8 +30,7 @@ from gradlab.harness import runner as runner_module
 from gradlab.harness.cli import main
 from gradlab.harness.records import list_records, load_record_field
 from gradlab.harness.runner import _sweep_variants
-from gradlab.model import PowerHamiltonian, sample_source
-from gradlab.solver import LinearSolveStats, _continuation_schedule, _newton_stage
+from gradlab.solver import solve
 
 SMOOTH = """
 [problem]
@@ -275,6 +274,11 @@ def test_run_experiment_persists_and_caches(tmp_path, linear_solves):
     stages = meta["solve"]["stages"]
     assert len(stages) == len(payload["solve"]["stages"])
     assert sum(s["krylov_iterations"] for s in stages) > 0
+    for stage, report in zip(stages, payload["solve"]["stages"]):
+        assert stage["residual_history"][-1] == report["residual_norm"]
+        assert len(stage["residual_history"]) == stage["iterations"] + 1
+        assert 0 <= stage["damping_events"] <= stage["iterations"]
+    assert "residual_history" not in json.dumps(payload)
     assert len(linear_solves) == payload["solve"]["total_iterations"]
     assert all(res <= target for res, target in linear_solves)
     assert "krylov_iterations" not in json.dumps(payload)
@@ -304,9 +308,9 @@ def test_eps_and_h_sweeps(tmp_path):
     cfg = parse_config(SINGULAR)
     eps_rows = sweep(cfg, "eps", tmp_path / "eps")
     assert [r.meta["sweep_value"] for r in eps_rows] == [1e-1, 1e-2, 1e-3]
-    # warm points solve at their own eps only, not along the schedule
-    for row, eps in zip(eps_rows[1:], [1e-2, 1e-3]):
-        assert [s["eps"] for s in row.payload["solve"]["stages"]] == [eps]
+    # warm points solve in one stage on their own grid, not nested
+    for row in eps_rows[1:]:
+        assert [s["cells"] for s in row.payload["solve"]["stages"]] == [[48, 48]]
     norms = [r.payload["norms"]["du_qgamma"] for r in eps_rows]
     spread = (max(norms) - min(norms)) / min(norms)
     assert spread <= 0.05
@@ -538,31 +542,28 @@ def _verdicts(payload):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, single_steps",
     [
-        SINGULAR.replace("cells = 48 48", "cells = 32 32").replace(
-            "ledgers = thm2", "ledgers = weak thm1 thm2 scan maxreg"
+        (
+            SINGULAR.replace("cells = 48 48", "cells = 32 32").replace(
+                "ledgers = thm2", "ledgers = weak thm1 thm2 scan maxreg"
+            ),
+            8,
         ),
-        RADIAL_3D,
+        (RADIAL_3D, 6),
     ],
     ids=["readme-32", "radial-16cubed"],
 )
-def test_nested_cold_solve_matches_a_single_grid_continuation_solve(text):
-    """The nested solve and a continuation walk on the target grid alone
-    reach the same solution, to what two residuals below tol allow, and
-    the same ledger verdicts."""
+def test_nested_cold_solve_matches_a_single_grid_cold_solve(text, single_steps):
+    """The nested solve and a cold solve on the target grid alone
+    (``continuation = off``, in at most ``single_steps`` Newton steps) reach
+    the same solution, to what two residuals below tol allow, and the same
+    ledger verdicts."""
     config = parse_config(text)
     problem, grid, options = config.build_problem(), config.build_grid(), config.solver
-    f = sample_source(problem.source, grid).values
-    u = np.full(grid.shape, f.mean() / problem.lam)
-    for eps, gamma in _continuation_schedule(problem.eps, problem.gamma):
-        u, _, _, ok = _newton_stage(
-            grid, problem.coefficient, PowerHamiltonian(gamma, eps), problem.lam,
-            f, u, options, LinearSolveStats(),
-        )
-        assert ok
-    single = run_experiment(config, initial=ScalarField(grid, u))
-    assert single.payload["solve"]["total_iterations"] == 0
+    single = run_experiment(config.override("continuation", "off"))
+    assert [s["cells"] for s in single.payload["solve"]["stages"]] == [list(grid.cells)]
+    assert single.payload["solve"]["total_iterations"] <= single_steps
     nested = run_experiment(config)
     for stages in (nested.payload["solve"]["stages"], nested.meta["solve"]["stages"]):
         assert stages[0]["cells"] == [8] * grid.ndim
@@ -571,6 +572,26 @@ def test_nested_cold_solve_matches_a_single_grid_continuation_solve(text):
     assert np.max(np.abs(nested.u.values - single.u.values)) <= bound
     assert _verdicts(nested.payload) == _verdicts(single.payload)
     assert len(_verdicts(nested.payload)) > 10
+
+
+@pytest.mark.parametrize(
+    "text, levels, max_steps",
+    [
+        (SINGULAR.replace("cells = 48 48", "cells = 32 32"), [8, 16, 32], 19),
+        (RADIAL_3D, [8, 16], 11),
+    ],
+    ids=["readme-32", "radial-16cubed"],
+)
+def test_cold_solve_newton_count(text, levels, max_steps):
+    """At tol = 1e-8 a cold solve takes one stage per grid of its nested
+    iteration and no more Newton steps than measured; a walk in (eps,
+    gamma) on the coarsest grid would take 34 and 23."""
+    config = parse_config(text).override("tol", "1e-8")
+    grid = config.build_grid()
+    _, report = solve(config.build_problem(), grid, config.solver)
+    assert report.converged
+    assert [s.cells for s in report.stages] == [(n,) * grid.ndim for n in levels]
+    assert report.total_iterations <= max_steps
 
 
 def test_convergence_study_second_order(box2d):
@@ -630,7 +651,8 @@ def test_convergence_study_chains_from_the_last_converged_level(box2d, monkeypat
         box2d, p=2.0, gamma=2.0, lam=1.0, eps=1e-2,
         f_exact=_cosine_forcing, u_exact=_cosine_exact, base_cells=8, levels=4,
     )
-    assert calls[0][:2] == (8, None) and calls[0][2] > 1
+    # 8^2 cannot be halved, so the cold level is one stage on itself
+    assert calls[0] == (8, None, 1)
     assert calls[1:] == [(16, 8, None), (32, 8, 1), (64, 32, 1)]
     assert [lv.converged for lv in study.levels] == [True, False, True, True]
     assert study.orders_linf[0] >= 1.7

@@ -1,4 +1,4 @@
-"""Newton solver: exactness checks, Jacobian consistency, continuation."""
+"""Newton solver: exactness checks, Jacobian consistency, nested iteration."""
 
 import functools
 import math
@@ -40,7 +40,6 @@ from gradlab.solver import (
     _FORCING_MIN,
     LinearSolveStats,
     SolverOptions,
-    _continuation_schedule,
     _dct_matrix,
     _dct_preconditioner,
     _discrete_l2,
@@ -276,7 +275,7 @@ def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
     calls = []
 
     def counting(grid, coeff, ham, lam, f_values, u_values):
-        calls.append((grid.cells, ham, u_values.copy()))
+        calls.append((grid.cells, u_values.copy()))
         return _residual_values(grid, coeff, ham, lam, f_values, u_values)
 
     monkeypatch.setattr(gradlab.solver, "_residual_values", counting)
@@ -286,18 +285,13 @@ def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
     _, report = solve(prob, build_grid(box2d, (16, 16)))
     assert report.converged
     assert any(s.damping_events for s in report.stages)
-    for i, (cells, ham, u) in enumerate(calls):
-        assert not any(
-            c == cells and h == ham and np.array_equal(v, u) for c, h, v in calls[:i]
-        )
-    # a stage is identified by its grid and its (eps, gamma)
-    keys = [(s.cells, s.eps, s.gamma) for s in report.stages]
+    for i, (cells, u) in enumerate(calls):
+        assert not any(c == cells and np.array_equal(v, u) for c, v in calls[:i])
+    # a stage is identified by its grid
+    keys = [s.cells for s in report.stages]
     assert len(set(keys)) == len(keys)
     for stage in report.stages:
-        evals = sum(
-            c == stage.cells and h.eps == stage.eps and h.gamma == stage.gamma
-            for c, h, _ in calls
-        )
+        evals = sum(c == stage.cells for c, _ in calls)
         trials = evals - 1
         # a damped step backtracks at least once; an undamped one never does
         assert trials >= stage.iterations + stage.damping_events
@@ -444,15 +438,15 @@ def test_lambda_zero_rejected(box2d):
 
 
 def test_nonconvergence_carries_best_iterate(box2d):
-    """Skipping continuation on a strongly nonlinear problem with a starved
-    iteration budget must stall, the message says that max_iter stopped it,
-    and the error exposes the last iterate."""
+    """A single-grid cold solve of a strongly nonlinear problem with a
+    starved iteration budget must stall, the message names the grid and
+    says that max_iter stopped it, and the error exposes the last iterate."""
     prob = _problem(
         box2d, p=3.0, gamma=4.0, eps=1e-6,
         source=CosineProduct(amplitude=60.0, modes=(2, 1)),
     )
     with pytest.raises(
-        NonconvergenceError, match=r"stalled on 32×32 at stage .*: max_iter = 2 reached$"
+        NonconvergenceError, match=r"stalled on 32×32 with residual .*: max_iter = 2 reached$"
     ) as info:
         solve(
             prob,
@@ -480,30 +474,49 @@ def test_solve_starts_from_a_field_on_another_grid(p3_problem, p3_solution_48, b
         solve(p3_problem, grid, initial=elsewhere)
 
 
-def test_only_a_cold_start_walks_the_continuation_schedule(p3_problem, box2d):
-    """A cold solve walks the continuation schedule on the coarsest grid and
-    then takes one stage at the target on each finer grid; a warm solve, or a
-    cold one without continuation, takes one stage at the target on its own
-    grid."""
+def test_a_cold_start_takes_one_target_stage_per_level(p3_problem, box2d):
+    """A cold solve takes one stage at the target on each grid of its nested
+    iteration, coarsest first; a warm solve, or a cold one without
+    continuation, takes one stage on its own grid."""
     grid = build_grid(box2d, (32, 32))
-    target = (p3_problem.eps, p3_problem.gamma)
     u, cold = solve(p3_problem, grid)
-    stages = [(s.cells, (s.eps, s.gamma)) for s in cold.stages]
-    schedule = _continuation_schedule(*target)
-    assert len(schedule) > 1 and schedule[-1] == target
-    assert stages == [((8, 8), st) for st in schedule] + [
-        ((16, 16), target),
-        ((32, 32), target),
-    ]
+    assert [s.cells for s in cold.stages] == [(8, 8), (16, 16), (32, 32)]
     for options, initial in [
         (SolverOptions(continuation=False), None),
         (SolverOptions(), u),
         (SolverOptions(continuation=False), u),
     ]:
         _, report = solve(p3_problem, grid, options, initial=initial)
-        assert [(s.cells, (s.eps, s.gamma)) for s in report.stages] == [
-            ((32, 32), target)
-        ]
+        assert [s.cells for s in report.stages] == [(32, 32)]
+
+
+@pytest.mark.parametrize(
+    "problem, cells, max_steps",
+    [
+        pytest.param(
+            _problem(Box((1.0, 1.0)), p=3.0, gamma=3.0,
+                     source=CosineProduct(amplitude=20.0, modes=(1, 1))),
+            (33, 33), 7, id="p3-33",
+        ),
+        pytest.param(
+            _problem(Box((1.0, 1.0, 1.0)), gamma=6.0,
+                     source=RadialSingular(center=(0.51,) * 3, power=0.8, amplitude=15.0)),
+            (15, 15, 15), 7, id="radial-15cubed",
+        ),
+    ],
+)
+def test_a_grid_that_cannot_be_halved_solves_cold_on_itself(problem, cells, max_steps):
+    """A grid with an odd axis is its own coarsest grid: the cold solve takes
+    one stage on it, from the constant, as a solve without continuation
+    does, bit for bit."""
+    grid = build_grid(problem.domain, cells)
+    options = SolverOptions(tol=1e-8)
+    u, report = solve(problem, grid, options)
+    assert report.converged
+    assert [s.cells for s in report.stages] == [cells]
+    assert report.total_iterations <= max_steps
+    single, _ = solve(problem, grid, SolverOptions(tol=1e-8, continuation=False))
+    assert np.array_equal(u.values, single.values)
 
 
 def test_cold_solve_from_a_tabulated_source_is_nested(box2d):
@@ -529,7 +542,7 @@ def test_stall_on_a_coarse_grid_names_that_grid(box2d):
         box2d, p=3.0, gamma=4.0, eps=1e-6,
         source=CosineProduct(amplitude=60.0, modes=(2, 1)),
     )
-    with pytest.raises(NonconvergenceError, match="stalled on 8×8 at stage") as info:
+    with pytest.raises(NonconvergenceError, match="stalled on 8×8 with residual") as info:
         solve(prob, build_grid(box2d, (32, 32)), options=SolverOptions(max_iter=1))
     err = info.value
     assert err.best_iterate.grid.cells == (8, 8)
@@ -546,7 +559,7 @@ def test_stall_in_the_line_search_says_so(box2d, monkeypatch):
     )
     with pytest.raises(
         NonconvergenceError,
-        match="stalled on 8×8 at stage .*: line search collapsed, no step down "
+        match="stalled on 8×8 with residual .*: line search collapsed, no step down "
         "to length 1 passed the Armijo test",
     ) as info:
         solve(prob, build_grid(box2d, (16, 16)))
@@ -638,7 +651,6 @@ def test_p3_krylov_iterations_per_step_stay_bounded(p3_problem, box2d):
     targets = report.stages[-4:]
     assert [s.cells for s in targets] == [(n, n) for n in (24, 48, 96, 192)]
     for stage in targets:
-        assert (stage.eps, stage.gamma) == (p3_problem.eps, p3_problem.gamma)
         assert stage.krylov_iterations <= 10 * stage.iterations
 
 
@@ -675,13 +687,13 @@ def test_starved_gmres_still_converges(monkeypatch, linear_solves):
 
 def test_linear_solve_without_progress_stalls(monkeypatch):
     """A step that does not move the iterate fails the line search, and the
-    solve stops on the coarsest grid, at the first continuation stage."""
+    solve stops in its first stage, on the coarsest grid."""
     prob, _ = _radial_10()
     monkeypatch.setattr(
         gradlab.solver, "spsolve", lambda J, M, b, target: (np.zeros_like(b), 0)
     )
     with pytest.raises(
-        NonconvergenceError, match="stalled on 8×8×8 at stage .*: line search collapsed"
+        NonconvergenceError, match="stalled on 8×8×8 with residual .*: line search collapsed"
     ) as err:
         solve(prob, build_grid(prob.domain, (16, 16, 16)))
     assert err.value.best_iterate.grid.cells == (8, 8, 8)
