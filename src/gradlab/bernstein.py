@@ -2,9 +2,11 @@
 
 Each ledger row states one inequality (or identity) from the chain of
 integral estimates behind the gradient bounds, evaluated on a discrete
-solution by midpoint quadrature with centered derivatives.  Rows carry their
-own direction, the constants that enter them, and a resolution-aware
-tolerance
+solution by midpoint quadrature with centered derivatives.  A family computes
+its integrals once, into a table keyed by name; a row is then a relation
+between two linear combinations ``sum c_i I_i`` of named integrals, each side
+summed left to right.  Rows carry their own direction, the constants that
+enter them, and a resolution-aware tolerance
 
     tol(h) = h^(1/2) * |LHS|        (inequalities)
     tol(h) = h * max(|LHS|, |RHS|)  (identities)
@@ -26,6 +28,7 @@ them combined checks of everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -113,6 +116,22 @@ class BernsteinLedger:
             "all_pass": self.all_pass,
             "rows": [r.to_dict() for r in self.rows],
         }
+
+
+def _rows(table: dict, entries: list, h: float) -> list:
+    """``LedgerRow``s from ``(lemma, relation, lhs, rhs, constants)`` entries.
+
+    Each side is a list of ``(coefficient, name)`` terms over ``table``,
+    summed left to right.
+    """
+
+    def side(terms):
+        return reduce(lambda acc, term: acc + term, (c * table[n] for c, n in terms))
+
+    return [
+        LedgerRow(lemma, relation, side(lhs), side(rhs), h, constants)
+        for lemma, relation, lhs, rhs, constants in entries
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +307,6 @@ def thm1_ledger(
     p = problem.p
     h = g.max_spacing
 
-    w, hess2, dw = bundle.w, bundle.hess2, bundle.dw
-    dw2 = np.sum(dw**2, axis=0)
-    data = bundle.f - problem.lam * bundle.u.values
-
     margin = bundle.ellipticity_margin
     zeta1 = 2.0 * min(1.0, margin)
     zeta2 = bundle.env_lower * min(1.0, margin)
@@ -306,114 +321,49 @@ def thm1_ledger(
         )
     c4 = kappa / 2.0
     c3 = bundle.c_grad**2 / c4
-
-    phi = _full_gradient_test_function(bundle, beta)
-    pairing = _pairing(bundle, phi)
-
-    A = bundle.integral(bundle.a_w * hess2 * w**beta)
-    B = bundle.integral(dw2 * w ** (beta - 1.0 + (p - 2.0) / 2.0))
-    D = bundle.integral(hess2 * w ** (beta + (p - 2.0) / 2.0))
-    G = bundle.integral(w ** (beta + problem.gamma + (2.0 - p) / 2.0))
-    F = bundle.integral(data**2 * w ** (beta + (2.0 - p) / 2.0))
-    E = bundle.integral(w ** (beta + p / 2.0))
-    data_phi = bundle.integral(data * phi)
-    h_phi = -bundle.integral(bundle.h_w * phi)
-
-    rows = []
-    rows.append(
-        LedgerRow(
-            lemma="diff1",
-            relation="ge",
-            lhs=pairing,
-            rhs=zeta1 * A + beta * zeta2 * B,
-            h=h,
-            constants={"zeta1": zeta1, "zeta2": zeta2, "beta": beta},
-        )
-    )
-    diff2_lhs = zeta1 * A
-    diff2_rhs = (
-        zeta1 * bundle.env_lower / 2.0 * D
-        + c1 * bundle.c_reg**2 / 8.0 * G
-        - 2.0 * c1 * F
-    )
-    rows.append(
-        LedgerRow(
-            lemma="diff2",
-            relation="ge",
-            lhs=diff2_lhs,
-            rhs=diff2_rhs,
-            h=h,
-            constants={
-                "zeta1": zeta1,
-                "c1": c1,
-                "contraction": contraction,
-                "c_reg": bundle.c_reg,
-            },
-        )
-    )
-    # Sobolev row: fitted constant, zero slack by construction
-    sob_power = (beta + p / 2.0) * ns / (ns - 2.0)
-    S1 = bundle.integral(w**sob_power) ** ((ns - 2.0) / ns)
-    diff3_lhs = beta * zeta2 * B
-    zeta3 = diff3_lhs / S1 if S1 > 0 else 0.0
-    embed = zeta3 * (beta + p / 2.0) ** 2 / (4.0 * beta * zeta2) if zeta2 > 0 else 0.0
-    rows.append(
-        LedgerRow(
-            lemma="diff3",
-            relation="fitted",
-            lhs=diff3_lhs,
-            rhs=zeta3 * S1,
-            h=h,
-            constants={
-                "zeta3": zeta3,
-                "zeta4": 0.0,
-                "sobolev_quotient": embed,
-                "sobolev_dim": ns,
-            },
-        )
-    )
-    rows.append(
-        LedgerRow(
-            lemma="rhs",
-            relation="le",
-            lhs=data_phi,
-            rhs=delta1 * D + (c2 / delta1) * F,
-            h=h,
-            constants={"delta1": delta1, "c2": c2},
-        )
-    )
-    rows.append(
-        LedgerRow(
-            lemma="Hphi",
-            relation="le",
-            lhs=h_phi,
-            rhs=c3 * G + c4 * D,
-            h=h,
-            constants={"c3": c3, "c4": c4, "c_grad": bundle.c_grad},
-        )
-    )
     c5 = c1 * bundle.c_reg**2 / 8.0
     c6 = 2.0 * c1 + c2 / delta1
-    cor_lhs = zeta3 * S1 + c5 * G + (kappa - c4) * D
-    cor_rhs = c3 * G + c6 * F + 0.0 * E
-    rows.append(
-        LedgerRow(
-            lemma="corollary",
-            relation="le",
-            lhs=cor_lhs,
-            rhs=cor_rhs,
-            h=h,
-            constants={
-                "zeta3": zeta3,
-                "zeta4": 0.0,
-                "c5": c5,
-                "c6": c6,
-                "kappa": kappa,
-                "c3": c3,
-                "c4": c4,
-            },
-        )
-    )
+
+    w, hess2 = bundle.w, bundle.hess2
+    data = bundle.f - problem.lam * bundle.u.values
+    phi = _full_gradient_test_function(bundle, beta)
+    sob_power = (beta + p / 2.0) * ns / (ns - 2.0)
+    table = {
+        "pairing": _pairing(bundle, phi),
+        "A": bundle.integral(bundle.a_w * hess2 * w**beta),
+        "B": bundle.integral(
+            np.sum(bundle.dw**2, axis=0) * w ** (beta - 1.0 + (p - 2.0) / 2.0)
+        ),
+        "D": bundle.integral(hess2 * w ** (beta + (p - 2.0) / 2.0)),
+        "G": bundle.integral(w ** (beta + problem.gamma + (2.0 - p) / 2.0)),
+        "F": bundle.integral(data**2 * w ** (beta + (2.0 - p) / 2.0)),
+        "data_phi": bundle.integral(data * phi),
+        "h_phi": bundle.integral(bundle.h_w * phi),
+        # squared L^(2 ns/(ns - 2)) norm of w^((beta + p/2)/2)
+        "S1": bundle.integral(w**sob_power) ** ((ns - 2.0) / ns),
+    }
+    # the Sobolev row fits its constant, so it has zero slack by construction
+    S1 = table["S1"]
+    zeta3 = beta * zeta2 * table["B"] / S1 if S1 > 0 else 0.0
+    embed = zeta3 * (beta + p / 2.0) ** 2 / (4.0 * beta * zeta2) if zeta2 > 0 else 0.0
+
+    entries = [
+        ("diff1", "ge", [(1.0, "pairing")], [(zeta1, "A"), (beta * zeta2, "B")],
+         {"zeta1": zeta1, "zeta2": zeta2, "beta": beta}),
+        ("diff2", "ge", [(zeta1, "A")],
+         [(zeta1 * bundle.env_lower / 2.0, "D"), (c5, "G"), (-2.0 * c1, "F")],
+         {"zeta1": zeta1, "c1": c1, "contraction": contraction, "c_reg": bundle.c_reg}),
+        ("diff3", "fitted", [(beta * zeta2, "B")], [(zeta3, "S1")],
+         {"zeta3": zeta3, "sobolev_quotient": embed, "sobolev_dim": ns}),
+        ("rhs", "le", [(1.0, "data_phi")], [(delta1, "D"), (c2 / delta1, "F")],
+         {"delta1": delta1, "c2": c2}),
+        ("Hphi", "le", [(-1.0, "h_phi")], [(c3, "G"), (c4, "D")],
+         {"c3": c3, "c4": c4, "c_grad": bundle.c_grad}),
+        ("corollary", "le", [(zeta3, "S1"), (c5, "G"), (kappa - c4, "D")],
+         [(c3, "G"), (c6, "F")],
+         {"zeta3": zeta3, "c5": c5, "c6": c6, "kappa": kappa, "c3": c3, "c4": c4}),
+    ]
+    rows = _rows(table, entries, h)
     return BernsteinLedger(rows=rows, beta=float(beta), h=h, family="full-gradient")
 
 
@@ -471,128 +421,72 @@ def thm2_ledger(
     r = 2.0 + (beta - p + 1.0) / gam
     eta = 2.0 * gam - p + 1.0
 
-    v, w, hess2 = bundle.v, bundle.w, bundle.hess2
+    v, hess2, u, f = bundle.v, bundle.hess2, bundle.u.values, bundle.f
     mask = v > k
     vk = np.where(mask, v - k, 0.0)
     dv2 = np.where(mask, np.sum(bundle.dv**2, axis=0), 0.0)
-    du2 = np.sum(bundle.du**2, axis=0)
+
+    def masked(values):
+        return bundle.integral(np.where(mask, values, 0.0))
 
     phi = _superlevel_test_function(bundle, beta, k)
-    pairing = -_pairing(bundle, phi)
-
-    L2 = bundle.integral(np.where(mask, bundle.a_w * hess2 * vk**beta / v, 0.0))
-    T1 = bundle.integral(np.where(mask, v ** (p - 2.0) * vk ** (beta - 1.0), 0.0) * dv2)
-    T2 = bundle.integral(np.where(mask, v**eta * vk**beta, 0.0))
-    T3 = bundle.integral(np.where(mask, hess2 * v ** (p - 3.0) * vk**beta, 0.0))
-    T4 = bundle.integral(vk ** (p + beta - 3.0) * dv2)
-    P = bundle.integral(np.where(mask, du2 * vk**beta / v, 0.0))
-    Q = bundle.integral(
-        np.where(
-            mask,
-            (lam * bundle.u.values - bundle.f) ** 2 * vk**beta * v ** (1.0 - p),
-            0.0,
-        )
-    )
-    U = bundle.integral(
-        np.where(mask, bundle.u.values**2 * vk**beta * v ** (1.0 - p), 0.0)
-    )
-    Gk = bundle.integral(vk ** (beta + eta))
-    Fk = bundle.integral(np.where(mask, bundle.f**2 * vk ** (beta + 1.0 - p), 0.0))
-    f_r = bundle.integral(np.where(mask, np.abs(bundle.f) ** r, 0.0))
-    Zk = bundle.integral(vk ** (r * gam))
-    level_mass = bundle.integral(vk ** (p + beta - 1.0))
+    sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
+    table = {
+        "pairing": _pairing(bundle, phi),
+        "L2": masked(bundle.a_w * hess2 * vk**beta / v),
+        "T1": masked(v ** (p - 2.0) * vk ** (beta - 1.0) * dv2),
+        "T2": masked(v**eta * vk**beta),
+        "T3": masked(hess2 * v ** (p - 3.0) * vk**beta),
+        "T4": bundle.integral(vk ** (p + beta - 3.0) * dv2),
+        "P": masked(np.sum(bundle.du**2, axis=0) * vk**beta / v),
+        "Q": masked((lam * u - f) ** 2 * vk**beta * v ** (1.0 - p)),
+        "U": masked(u**2 * vk**beta * v ** (1.0 - p)),
+        "Gk": bundle.integral(vk ** (beta + eta)),
+        "Fk": masked(f**2 * vk ** (beta + 1.0 - p)),
+        "f_r": masked(np.abs(f) ** r),
+        "Zk": bundle.integral(vk ** (r * gam)),
+        "level_mass": bundle.integral(vk ** (p + beta - 1.0)),
+        "h_phi": bundle.integral(bundle.h_w * phi),
+        "u_phi": bundle.integral(u * phi),
+        "f_phi": bundle.integral(f * phi),
+        # squared L^(2 ns/(ns - 2)) norm of v_k^((p + beta - 1)/2)
+        "S3": bundle.integral(vk**sob_power) ** ((ns - 2.0) / ns),
+    }
 
     env_lo, env_up = bundle.env_lower, bundle.env_upper
     stretch = np.sqrt(ndim) + bundle.ratio_abs_bound
     c10 = bundle.c_reg**2 / (8.0 * stretch**2 * env_up)
     c11 = 2.0 / (stretch**2 * env_up)
-
-    rows = []
-    t2s1_rhs = L2 + env_lo * (beta - 1.0) * T1
-    rows.append(
-        LedgerRow(
-            lemma="t2s1",
-            relation="ge",
-            lhs=pairing,
-            rhs=t2s1_rhs,
-            h=h,
-            constants={"env_lower": env_lo, "beta": beta, "k": k},
-        )
-    )
-    rows.append(
-        LedgerRow(
-            lemma="t2s2",
-            relation="ge",
-            lhs=L2,
-            rhs=c10 * T2 - c11 * Q,
-            h=h,
-            constants={"c10": c10, "c11": c11, "stretch": stretch},
-        )
-    )
-
     delta = 0.5 * min(env_lo / 2.0, c10 / 2.0, env_lo * (beta - 1.0) / 4.0)
     c14 = _young_tail_constant(delta, eta, bundle.c_grad)
     c_data = (ndim + (beta + 1.0) ** 2) / (4.0 * delta)
-
-    i3 = bundle.integral(bundle.h_w * phi)
-    i4 = lam * bundle.integral(bundle.u.values * phi)
-    i5 = bundle.integral(bundle.f * phi)
-    t2s4_lhs = i3 + i4 - i5
-    t2s4_rhs = (
-        -lam * P + delta * (T1 + T2 + T3 + T4) + c14 * Gk + c_data * Fk
-    )
-    rows.append(
-        LedgerRow(
-            lemma="t2s4",
-            relation="le",
-            lhs=t2s4_lhs,
-            rhs=t2s4_rhs,
-            h=h,
-            constants={
-                "delta": delta,
-                "c14": c14,
-                "c_data": c_data,
-                "eta": eta,
-                "c_grad": bundle.c_grad,
-            },
-        )
-    )
-
-    # assembled bound: Sobolev mass and zero-order term against pure data
-    gk_field = vk ** ((p + beta - 1.0) / 2.0)
-    dgk = gradient(ScalarField(g, gk_field)).components
+    # assembled bound: the Sobolev quotient of v_k^((p + beta - 1)/2) is fitted
+    dgk = gradient(ScalarField(g, vk ** ((p + beta - 1.0) / 2.0))).components
     grad_mass = bundle.integral(np.sum(dgk**2, axis=0))
-    sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
-    S3 = bundle.integral(vk**sob_power) ** ((ns - 2.0) / ns)
+    S3 = table["S3"]
     sob_quotient = grad_mass / S3 if S3 > 0 else 0.0
     survivor = env_lo * (beta - 1.0) - 2.0 * delta
     zeta = survivor * 4.0 * sob_quotient / (p + beta - 1.0) ** 2
     norm = max(c11, c11 + c_data + c14, 1.0)
     c15 = min(zeta, 1.0) / norm
-    main_lhs = c15 * (S3 + lam * P)
-    main_rhs = f_r + Zk + lam**2 * U + level_mass + Gk
-    rows.append(
-        LedgerRow(
-            lemma="mainineq",
-            relation="le",
-            lhs=main_lhs,
-            rhs=main_rhs,
-            h=h,
-            constants={
-                "c15": c15,
-                "zeta": zeta,
-                "delta": delta,
-                "c10": c10,
-                "c11": c11,
-                "c14": c14,
-                "c_data": c_data,
-                "sobolev_quotient": sob_quotient,
-                "sobolev_dim": ns,
-                "r": r,
-                "k": k,
-            },
-        )
-    )
+
+    entries = [
+        ("t2s1", "ge", [(-1.0, "pairing")], [(1.0, "L2"), (env_lo * (beta - 1.0), "T1")],
+         {"env_lower": env_lo, "beta": beta, "k": k}),
+        ("t2s2", "ge", [(1.0, "L2")], [(c10, "T2"), (-c11, "Q")],
+         {"c10": c10, "c11": c11, "stretch": stretch}),
+        ("t2s4", "le", [(1.0, "h_phi"), (lam, "u_phi"), (-1.0, "f_phi")],
+         [(-lam, "P"), (delta, "T1"), (delta, "T2"), (delta, "T3"), (delta, "T4"),
+          (c14, "Gk"), (c_data, "Fk")],
+         {"delta": delta, "c14": c14, "c_data": c_data, "eta": eta,
+          "c_grad": bundle.c_grad}),
+        ("mainineq", "le", [(c15, "S3"), (c15 * lam, "P")],
+         [(1.0, "f_r"), (1.0, "Zk"), (lam**2, "U"), (1.0, "level_mass"), (1.0, "Gk")],
+         {"c15": c15, "zeta": zeta, "delta": delta, "c10": c10, "c11": c11, "c14": c14,
+          "c_data": c_data, "sobolev_quotient": sob_quotient, "sobolev_dim": ns,
+          "r": r, "k": k}),
+    ]
+    rows = _rows(table, entries, h)
     return BernsteinLedger(rows=rows, beta=float(beta), h=h, family="superlevel")
 
 
@@ -647,28 +541,22 @@ def _dichotomy_roots(omega: float, c: float, s: float):
     def g(z):
         return z**s - c * z - omega
 
-    lo, hi = 0.0, z_star
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    z_minus = 0.5 * (lo + hi)
-    lo, hi = z_star, z_star
+    def bisect(lo, hi, rising):
+        """Midpoint after 200 halvings of ``[lo, hi]``, where ``g`` changes sign."""
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (g(mid) if rising else -g(mid)) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    hi = z_star
     while g(hi) > 0:
         hi *= 2.0
         if hi > 1e30:
             return None
-    lo = z_star
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    z_plus = 0.5 * (lo + hi)
-    return (z_minus, z_plus)
+    return (bisect(0.0, z_star, True), bisect(z_star, hi, False))
 
 
 def levelset_scan(

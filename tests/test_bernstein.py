@@ -248,3 +248,79 @@ def test_ledger_tolerances_follow_the_relation(sing_problem, sing_solution_48):
         assert r.h == h
         assert r.tol == expected, r.lemma
         assert r.to_dict()["tol"] == expected
+
+
+# lhs and rhs of every thm1 (beta 5) and thm2 (k 1, beta 5) row, Sobolev
+# dimension 3, on the manufactured 32^2 field of the test below
+_GOLDEN_ROWS = {
+    (2.0, 6.0): {
+        "diff1": (41744583.359769, 42733009.45413723),
+        "diff2": (7961404.530066462, -99847223666.75037),
+        "diff3": (34771604.92407077, 34771604.92407077),
+        "rhs": (161129476.8882457, 34662477452509.207),
+        "Hphi": (-118205560.91299874, 1222967625788126.5),
+        "corollary": (33210886810.68105, 1257763126579508.2),
+        "t2s1": (2306.183747480668, 2237.859324356928),
+        "t2s2": (544.8488431735631, -9168957.50523607),
+        "t2s4": (2363.73472189739, 5.1987499926652945e59),
+        "mainineq": (1.1313007149408213e-52, 64854249.25346256),
+    },
+    (3.0, 3.0): {
+        "diff1": (225168833.27955025, 137773155.80660495),
+        "diff2": (26502356.06691938, -3430227.1572682876),
+        "diff3": (111270799.73968557, 111270799.73968557),
+        "rhs": (232744263.5036099, 13853703663.126616),
+        "Hphi": (-1520491.5551678427, 5220271628.468768),
+        "corollary": (116137567.55920213, 19082272286.57217),
+        "t2s1": (11602.513433132064, 6784.304725072603),
+        "t2s2": (1702.9528179007496, -2030.3043074349148),
+        "t2s4": (11895.589183439206, 2.482781241830869e18),
+        "mainineq": (7.369259193586051e-14, 198252.39173181544),
+    },
+}
+_GOLDEN_CONSTANT_KEYS = {
+    "diff1": {"beta", "zeta1", "zeta2"},
+    "diff2": {"c1", "c_reg", "contraction", "zeta1"},
+    "diff3": {"sobolev_dim", "sobolev_quotient", "zeta3"},
+    "rhs": {"c2", "delta1"},
+    "Hphi": {"c3", "c4", "c_grad"},
+    "corollary": {"c3", "c4", "c5", "c6", "kappa", "zeta3"},
+    "t2s1": {"beta", "env_lower", "k"},
+    "t2s2": {"c10", "c11", "stretch"},
+    "t2s4": {"c14", "c_data", "c_grad", "delta", "eta"},
+    "mainineq": {
+        "c10", "c11", "c14", "c15", "c_data", "delta", "k", "r",
+        "sobolev_dim", "sobolev_quotient", "zeta",
+    },
+}
+
+
+@pytest.mark.parametrize("p,gamma", sorted(_GOLDEN_ROWS), ids=["p2-g6", "p3-g3"])
+def test_ledger_rows_on_a_manufactured_field(box2d, manufacture_source, p, gamma):
+    """Every row's two sides, pinned on an exact discrete solution.
+
+    The rows pass by wide slack, so a verdict would not show a term wired to
+    the wrong integral; the pinned sides do.  No Newton run enters: the source
+    is manufactured so that ``u`` solves the discrete problem to rounding.
+    """
+    grid = build_grid(box2d, (32, 32))
+    x, y = grid.centers()
+    u = ScalarField(grid, 0.6 * np.cos(np.pi * x) * np.cos(2 * np.pi * y) + 0.3 * x**2)
+
+    def problem(source):
+        return ProblemSpec.power_model(
+            box2d, p=p, gamma=gamma, lam=1.0, eps=1e-2, source=source
+        )
+
+    prob = problem(manufacture_source(problem(Tabulated(np.zeros(grid.shape))), u))
+    bundle = prepare_bundle(prob, u)
+    assert bundle.v.max() > 3.7
+    rows = thm1_ledger(bundle, beta=5.0, sobolev_dim=3).rows
+    rows += thm2_ledger(bundle, k=1.0, beta=5.0, sobolev_dim=3).rows
+    golden = _GOLDEN_ROWS[(p, gamma)]
+    assert [r.lemma for r in rows] == list(golden)
+    for r in rows:
+        lhs, rhs = golden[r.lemma]
+        assert r.lhs == pytest.approx(lhs, rel=1e-12), r.lemma
+        assert r.rhs == pytest.approx(rhs, rel=1e-12), r.lemma
+        assert set(r.constants) - {"zeta4"} == _GOLDEN_CONSTANT_KEYS[r.lemma], r.lemma

@@ -367,7 +367,8 @@ def test_runner_has_no_thread_pool():
 
 def test_only_the_solver_imports_scipy():
     """The stencils in ``grid`` are the only discrete operators; scipy serves
-    the solver's sparse Jacobian and DCT preconditioner alone."""
+    the solver's sparse Jacobian alone (the DCT preconditioner applies dense
+    numpy matrices)."""
     package = Path(gradlab.__file__).parent
     importers = set()
     for path in package.rglob("*.py"):
