@@ -397,6 +397,11 @@ def thm2_ledger(
     t2s2      equation converts masked Hessian mass into v^(2 gamma) minus data
     t2s4      Hamiltonian, zero-order, and data terms split by Young
     mainineq  assembled superlevel bound with fitted Sobolev constant
+
+    ``mainineq`` is vacuous as its constants stand: ``c14`` is about 1e54
+    on the README config (1e58 on the 3D radial one), so ``c15`` is about
+    6e-55 and the lhs about 1e-55 against an rhs of about 6e4.  The row
+    passes whatever the integrals are; its pass is no evidence.
     """
     p, gam, lam = bundle.problem.p, bundle.problem.gamma, bundle.problem.lam
     if p < 2:

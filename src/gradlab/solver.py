@@ -19,7 +19,9 @@ as it does for p = 2.  Each Newton step fills one coefficient array per
 offset, moves each entry whose step crosses a wall onto the offset of the
 edge cell it lands on, and stores each array as one diagonal of a banded
 matrix: 2N + 1 diagonals, or 2N^2 + 2N + 1 for the wide stencil (DIA
-storage; Saad 2003, sec. 3.4).
+storage; Saad 2003, sec. 3.4).  The matrix is the module's own banded
+operator, whose product sums the diagonals in DIA order, one numpy product
+per diagonal; only :func:`jacobian` wraps it in a scipy ``dia_matrix``.
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is
 ``S (lam I - abar Laplacian) S``, where ``abar`` is the grid mean of
@@ -52,9 +54,7 @@ step, and a stage converges, only on the true residual.
 The GMRES is this module's own, restarted, with classical Gram-Schmidt
 twice over the basis block and Givens rotations (Saad and Schultz 1986);
 each cycle ends on the true residual ``|b - J delta|``.  It is the
-module's one linear solve, :func:`spsolve`.  scipy is imported where it
-runs: ``scipy.sparse`` to build a Jacobian, so a process that takes no
-Newton step does not load it.
+module's one linear solve, :func:`spsolve`.  No solve loads scipy.
 
 A cold solve is a nested iteration.  The target grid is halved along every
 axis for as long as it can be; the coarsest grid starts Newton from a
@@ -95,7 +95,7 @@ from .model.problem import ProblemSpec
 from .model.sources import sample_source
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
+    from scipy.sparse import dia_matrix
 
 
 @dataclass
@@ -364,6 +364,35 @@ def _wall_folds(ndim: int, wide: bool) -> tuple:
     return tuple(folds)
 
 
+class _Banded:
+    """A square matrix in scipy's diagonal storage, ``data`` and ``offsets``,
+    with its own product.
+
+    ``rows[k][i]`` is row ``i``'s entry on diagonal ``k``, in column ``i +
+    offsets[k]``; the offsets ascend and are symmetric.  ``@`` copies ``x``
+    into a buffer padded with ``offsets[-1]`` zeros at each end and sums
+    ``rows[k] * x[i + offsets[k]]`` over the diagonals in stored order, the
+    order in which scipy's ``dia_matvec`` sums from zero, so the product has
+    the same bits (up to the sign of a row sum of signed zeros).
+    """
+
+    def __init__(self, data, offsets, rows):
+        self.data, self.offsets = data, offsets
+        n, pad = data.shape[1], offsets[-1]
+        self.shape = (n, n)
+        padded = np.zeros(n + 2 * pad)
+        self._x = padded[pad:][:n]
+        self._terms = [(row, padded[pad + s :][:n]) for row, s in zip(rows, offsets)]
+
+    def __matmul__(self, x):
+        self._x[...] = x
+        (row, col), *rest = self._terms
+        y = row * col  # a new array: callers edit the product in place
+        for row, col in rest:
+            y += row * col
+        return y
+
+
 def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     """Jacobian of the residual at ``u_values`` and ``a(w)`` on the cells.
 
@@ -395,10 +424,8 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     steps = (np.array(offsets) @ strides).tolist()
     band = np.zeros(size + 2 * steps[-1])
     data = band[steps[-1] :][:size].reshape(len(offsets), n)
-    coefs = [
-        band[steps[-1] + k * n + s :][:n].reshape(grid.shape)
-        for k, s in enumerate(steps)
-    ]
+    rows = [band[steps[-1] + k * n + s :][:n] for k, s in enumerate(steps)]
+    coefs = [row.reshape(grid.shape) for row in rows]
 
     def at(offset):
         return coefs[slot[tuple(offset)]]
@@ -444,13 +471,8 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     for src, dst, cells in _wall_folds(grid.ndim, wide):
         coefs[dst][cells] += coefs[src][cells]
         coefs[src][cells] = 0.0
-    # imported here so that a process that never takes a Newton step does not
-    # pay for loading scipy.sparse
-    import scipy.sparse as sp
-
-    J = sp.dia_matrix((data, steps), shape=(n, n))
     a = coeff.a(w)
-    return J, (a if wide else float(np.mean(a)))
+    return _Banded(data, steps, rows), (a if wide else float(np.mean(a)))
 
 
 def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
@@ -464,12 +486,15 @@ def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None)
     return ScalarField(u.grid, vals)
 
 
-def jacobian(problem: ProblemSpec, u: ScalarField) -> sp.dia_matrix:
-    """Banded Jacobian of the residual at ``u`` (C-order flattening)."""
+def jacobian(problem: ProblemSpec, u: ScalarField) -> dia_matrix:
+    """Banded Jacobian of the residual at ``u`` (C-order flattening), as a
+    scipy ``dia_matrix``: the one place gradlab loads scipy."""
+    import scipy.sparse as sp
+
     J, _ = _jacobian_matrix(
         u.grid, problem.coefficient, problem.hamiltonian, problem.lam, u.values
     )
-    return J
+    return sp.dia_matrix((J.data, J.offsets), shape=J.shape)
 
 
 def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):

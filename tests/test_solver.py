@@ -218,6 +218,37 @@ def test_jacobian_matches_sparse_product_formula(
         assert len(J.offsets) == 2 * grid.ndim + 1
 
 
+@pytest.mark.parametrize(
+    "extents, cells", [((1.0, 2.5), (12, 9)), ((1.0, 0.7, 1.3), (8, 10, 9))]
+)
+@pytest.mark.parametrize("p", [2.0, 3.0], ids=["narrow", "wide"])
+def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
+    """The Jacobian's own product sums the diagonals in scipy's DIA order,
+    so it equals scipy's product bit for bit, also for an x that lives on
+    the edge cells alone, where the diagonals reach into the zero padding.
+    The public jacobian() is the same matrix as a scipy dia_matrix."""
+    box = Box(extents)
+    grid = build_grid(box, cells)
+    prob = _problem(
+        box, p=p, gamma=3.0, source=CosineProduct(amplitude=8.0, modes=(1,) * len(cells))
+    )
+    u_vals = 1.0 + 0.1 * rng.standard_normal(grid.shape)
+    J, _ = _jacobian_matrix(grid, prob.coefficient, prob.hamiltonian, prob.lam, u_vals)
+    ref = sp.dia_matrix((J.data, J.offsets), shape=J.shape)
+    edge = np.zeros(grid.shape, dtype=bool)
+    for d in range(grid.ndim):
+        edge[(slice(None),) * d + ([0, -1],)] = True
+    x_all = rng.standard_normal(grid.size)
+    x_edge = np.where(edge, rng.standard_normal(grid.shape), 0.0).ravel()
+    for x in (x_all, x_edge):
+        assert (J @ x).tobytes() == (ref @ x).tobytes()
+    public = jacobian(prob, ScalarField(grid, u_vals))
+    assert isinstance(public, sp.dia_matrix)
+    assert list(public.offsets) == list(J.offsets)
+    assert public.nnz == sum(grid.size - abs(s) for s in J.offsets)
+    assert np.array_equal(public.data, J.data)
+
+
 @pytest.mark.parametrize("cells", [(8, 8), (8, 10, 9)])
 @pytest.mark.parametrize("wide", [False, True])
 def test_wall_folds_apply_the_mirror_ghost_rule(rng, cells, wide):
