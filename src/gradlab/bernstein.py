@@ -23,12 +23,17 @@ gradient modulus ``v_k = (sqrt(w) - k)^+`` (rows ``t2s1``, ``t2s2``,
 ``t2s4``, ``mainineq``).  Sobolev constants are never assumed: they are
 fitted on the evaluated solution and reported, which makes the rows that use
 them combined checks of everything else.
+
+Each field, power and test function is computed once per
+:class:`SolutionBundle`.  Superlevel integrands are evaluated only on the
+support ``v > k`` and scattered into zeroed cell fields, so every sum has
+the bits of the whole-grid sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .model.exponents import effective_sobolev_dimension
 from .model.families import check_structure_conditions
 from .model.problem import ProblemSpec
 from .model.sources import sample_source
+from .solver import SolveReport
 from .solver import residual as solver_residual
 
 RESIDUAL_GATE = 1e-6  # fields with a larger discrete residual are rejected
@@ -141,16 +147,18 @@ def _rows(table: dict, entries: list, h: float) -> list:
 
 @dataclass
 class SolutionBundle:
-    """Everything the rows need, computed once from a verified solution."""
+    """Everything the rows need, computed once from a verified solution; what
+    more than one ledger uses is built on first use into ``memo``."""
 
     problem: ProblemSpec
     u: ScalarField
     f: np.ndarray
     du: np.ndarray
+    du2: np.ndarray  # |Du|^2
     w: np.ndarray
     v: np.ndarray
-    dw: np.ndarray
-    dv: np.ndarray
+    dw2: np.ndarray  # |Dw|^2
+    dv2: np.ndarray  # |Dv|^2
     hess2: np.ndarray
     a_w: np.ndarray
     h_w: np.ndarray
@@ -161,82 +169,107 @@ class SolutionBundle:
     ratio_inf: float
     c_reg: float
     c_grad: float
+    vol: float  # the cell volume
+    memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self):
         return self.u.grid
 
     def integral(self, values: np.ndarray) -> float:
-        return float(values.sum() * self.grid.cell_volume)
+        return float(values.sum() * self.vol)
+
+    def once(self, key, make):
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
 
 
-def prepare_bundle(problem: ProblemSpec, u: ScalarField) -> SolutionBundle:
+def prepare_bundle(
+    problem: ProblemSpec, u: ScalarField, report: SolveReport | None = None
+) -> SolutionBundle:
     """Precompute the pointwise fields and constants the ledger rows share.
 
     Rejects fields that do not actually solve the discrete problem: the rows
     read the equation through the data ``f - lam u``, so a large residual
-    would silently change what is being checked.
+    would silently change what is being checked.  The ``report`` of the
+    solve that returned ``u`` hands over the same source and residual norm.
     """
-    f = sample_source(problem.source, u.grid)
-    res = solver_residual(problem, u, f)
-    res_norm = float(np.sqrt(np.sum(res.values**2) * u.grid.cell_volume))
+    if report is None:
+        f = sample_source(problem.source, u.grid)
+        res = solver_residual(problem, u, f)
+        res_norm = float(np.sqrt(np.sum(res.values**2) * u.grid.cell_volume))
+    else:
+        f, res_norm = report.source, report.residual_norm
     if res_norm > RESIDUAL_GATE:
         raise UnconvergedInputError(
             f"field has discrete residual {res_norm:.3e} "
             f"(gate {RESIDUAL_GATE:.1e}); solve before checking"
         )
     du = gradient(u).components
-    w = problem.eps + np.sum(du**2, axis=0)
+    du2 = np.sum(du**2, axis=0)
+    w = problem.eps + du2
     v = np.sqrt(w)
-    dw = gradient(ScalarField(u.grid, w)).components
-    dv = gradient(ScalarField(u.grid, v)).components
+    dw2 = np.sum(gradient(ScalarField(u.grid, w)).components ** 2, axis=0)
+    dv2 = np.sum(gradient(ScalarField(u.grid, v)).components ** 2, axis=0)
     hess2 = second_derivatives(u).values
     # structural constants over the range the solution actually visits
     t_lo = float(w.min()) * (1.0 - 1e-9)
     t_hi = float(w.max()) * (1.0 + 1e-9)
     if t_hi <= t_lo:
         t_hi = t_lo * (1.0 + 1e-6)
-    report = check_structure_conditions(problem.coefficient, t_lo, t_hi, 512)
+    structure = check_structure_conditions(problem.coefficient, t_lo, t_hi, 512)
     return SolutionBundle(
         problem=problem,
         u=u,
         f=f.values,
         du=du,
+        du2=du2,
         w=w,
         v=v,
-        dw=dw,
-        dv=dv,
+        dw2=dw2,
+        dv2=dv2,
         hess2=hess2,
         a_w=np.asarray(problem.coefficient.a(w), dtype=float),
         h_w=problem.hamiltonian.h_of_w(w),
-        env_lower=report.env_lower,
-        env_upper=report.env_upper,
-        ellipticity_margin=report.ellipticity_margin,
-        ratio_abs_bound=report.ratio_abs_bound,
-        ratio_inf=report.inf_ratio,
+        env_lower=structure.env_lower,
+        env_upper=structure.env_upper,
+        ellipticity_margin=structure.ellipticity_margin,
+        ratio_abs_bound=structure.ratio_abs_bound,
+        ratio_inf=structure.inf_ratio,
         c_reg=problem.hamiltonian.lower_growth_constant,
         c_grad=problem.hamiltonian.gradient_growth_constant,
+        vol=u.grid.cell_volume,
     )
 
 
-def _full_gradient_test_function(bundle: SolutionBundle, beta: float) -> np.ndarray:
-    """phi = -2 div(Du w^beta), assembled in flux form."""
-    g = bundle.grid
-    faces = face_normal_differences(bundle.u)
-    coeffs = [face_average(bundle.w, d) ** beta for d in range(g.ndim)]
-    return -2.0 * divergence_flux(g, coeffs, faces).values
+def _on_support(shape: tuple, on: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A zeroed array of ``shape`` holding ``values`` at the flat indices ``on``."""
+    full = np.zeros(shape)
+    full.reshape(-1)[on] = values
+    return full
 
 
-def _superlevel_test_function(bundle: SolutionBundle, beta: float, k: float) -> np.ndarray:
-    """phi = div(Du v_k^beta / v), assembled in flux form."""
-    g = bundle.grid
-    faces = face_normal_differences(bundle.u)
-    coeffs = []
-    for d in range(g.ndim):
-        v_face = face_average(bundle.v, d)
-        vk_face = np.maximum(v_face - k, 0.0)
-        coeffs.append(vk_face**beta / v_face)
-    return divergence_flux(g, coeffs, faces).values
+def _power_of(base: np.ndarray):
+    """``e -> base**e``, reused while ``e`` repeats: list integrals that share one together."""
+    return lru_cache(maxsize=1)(lambda e: base**e)
+
+
+def _faces(bundle: SolutionBundle) -> list:
+    return bundle.once("faces", lambda: face_normal_differences(bundle.u))
+
+
+def _full_gradient_pairing(bundle: SolutionBundle, beta: float) -> tuple:
+    """``(phi, pairing)`` for ``phi = -2 div(Du w^beta)`` in flux form, once per
+    bundle and ``beta``: the weak identity and the full-gradient rows share it."""
+
+    def make():
+        coeffs = [face_average(bundle.w, d) ** beta for d in range(bundle.grid.ndim)]
+        phi = -2.0 * divergence_flux(bundle.grid, coeffs, _faces(bundle)).values
+        del coeffs  # freed before the pairing's temporaries
+        return phi, _pairing(bundle, phi)
+
+    return bundle.once(("phi", beta), make)
 
 
 def _pairing(bundle: SolutionBundle, phi: np.ndarray) -> float:
@@ -260,8 +293,7 @@ def weak_identity_check(bundle: SolutionBundle, beta: float) -> LedgerRow:
     """
     if beta < 0:
         raise ParameterError("test power beta must be nonnegative")
-    phi = _full_gradient_test_function(bundle, beta)
-    lhs = _pairing(bundle, phi)
+    phi, lhs = _full_gradient_pairing(bundle, beta)
     rhs = bundle.integral(
         (bundle.f - bundle.problem.lam * bundle.u.values - bundle.h_w) * phi
     )
@@ -326,21 +358,20 @@ def thm1_ledger(
 
     w, hess2 = bundle.w, bundle.hess2
     data = bundle.f - problem.lam * bundle.u.values
-    phi = _full_gradient_test_function(bundle, beta)
+    phi, pairing = _full_gradient_pairing(bundle, beta)
+    w_pow = _power_of(w)  # at p = 2, A, D and F all take w^beta
     sob_power = (beta + p / 2.0) * ns / (ns - 2.0)
     table = {
-        "pairing": _pairing(bundle, phi),
-        "A": bundle.integral(bundle.a_w * hess2 * w**beta),
-        "B": bundle.integral(
-            np.sum(bundle.dw**2, axis=0) * w ** (beta - 1.0 + (p - 2.0) / 2.0)
-        ),
-        "D": bundle.integral(hess2 * w ** (beta + (p - 2.0) / 2.0)),
-        "G": bundle.integral(w ** (beta + problem.gamma + (2.0 - p) / 2.0)),
-        "F": bundle.integral(data**2 * w ** (beta + (2.0 - p) / 2.0)),
+        "pairing": pairing,
+        "A": bundle.integral(bundle.a_w * hess2 * w_pow(beta)),
+        "D": bundle.integral(hess2 * w_pow(beta + (p - 2.0) / 2.0)),
+        "F": bundle.integral(data**2 * w_pow(beta + (2.0 - p) / 2.0)),
+        "B": bundle.integral(bundle.dw2 * w_pow(beta - 1.0 + (p - 2.0) / 2.0)),
+        "G": bundle.integral(w_pow(beta + problem.gamma + (2.0 - p) / 2.0)),
         "data_phi": bundle.integral(data * phi),
         "h_phi": bundle.integral(bundle.h_w * phi),
         # squared L^(2 ns/(ns - 2)) norm of w^((beta + p/2)/2)
-        "S1": bundle.integral(w**sob_power) ** ((ns - 2.0) / ns),
+        "S1": bundle.integral(w_pow(sob_power)) ** ((ns - 2.0) / ns),
     }
     # the Sobolev row fits its constant, so it has zero slack by construction
     S1 = table["S1"]
@@ -378,6 +409,78 @@ def _young_tail_constant(delta: float, eta: float, c_grad: float) -> float:
     return (c_grad**2 / (4.0 * delta)) ** eta * (delta * eta_conj) ** (-(eta - 1.0)) / eta
 
 
+def _superlevel_test_function(bundle: SolutionBundle, beta: float, k: float) -> np.ndarray:
+    """phi = div(Du v_k^beta / v) in flux form, each face coefficient evaluated
+    on the support ``v > k`` only (``0**beta = 0`` off it)."""
+    coeffs = []
+    for d in range(bundle.grid.ndim):
+        v_face = face_average(bundle.v, d)
+        on = np.flatnonzero(v_face > k)
+        v_on = v_face.reshape(-1).take(on)
+        coeffs.append(_on_support(v_face.shape, on, (v_on - k) ** beta / v_on))
+    return divergence_flux(bundle.grid, coeffs, _faces(bundle)).values
+
+
+def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) -> dict:
+    """The superlevel rows' integrals at level ``k``, keyed by name.
+
+    Each integrand is evaluated on the support ``v > k`` only and scattered
+    into a zeroed cell field, whose full sum keeps the bits of a whole-grid
+    sum.  Every power of ``v_k`` has a positive exponent (``beta > p - 1``,
+    ``p >= 2``, ``r > 2``), so the zeros are ``0**e``, never formed.
+    """
+    p, gam, lam = bundle.problem.p, bundle.problem.gamma, bundle.problem.lam
+    r = 2.0 + (beta - p + 1.0) / gam
+    eta = 2.0 * gam - p + 1.0
+    shape = bundle.v.shape
+    on = np.flatnonzero(bundle.v > k)
+
+    def at(values):
+        return values.reshape(-1).take(on)
+
+    def total(values):
+        return bundle.integral(_on_support(shape, on, values))
+
+    # the full-grid fields first, each freed before the next one
+    phi = _superlevel_test_function(bundle, beta, k)
+    table = {
+        "pairing": _pairing(bundle, phi),
+        "h_phi": bundle.integral(bundle.h_w * phi),
+        "u_phi": bundle.integral(bundle.u.values * phi),
+        "f_phi": bundle.integral(bundle.f * phi),
+    }
+    del phi
+    v = at(bundle.v)
+    vk = v - k
+    # gradient mass of v_k^((p + beta - 1)/2), for the fitted Sobolev quotient
+    gk = ScalarField(bundle.grid, _on_support(shape, on, vk ** ((p + beta - 1.0) / 2.0)))
+    table["grad_mass"] = bundle.integral(np.sum(gradient(gk).components ** 2, axis=0))
+    del gk
+    hess2, u, f = at(bundle.hess2), at(bundle.u.values), at(bundle.f)
+    dv2 = at(bundle.dv2)
+    v_pow, vk_pow = _power_of(v), _power_of(vk)  # exponents coincide at p = 2
+    vk_beta = vk**beta
+    sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
+    table |= {
+        "L2": total(at(bundle.a_w) * hess2 * vk_beta / v),
+        "P": total(at(bundle.du2) * vk_beta / v),
+        "T2": total(v_pow(eta) * vk_beta),
+        "T3": total(hess2 * v_pow(p - 3.0) * vk_beta),
+        "Q": total((lam * u - f) ** 2 * vk_beta * v_pow(1.0 - p)),
+        "U": total(u**2 * vk_beta * v_pow(1.0 - p)),
+        "T1": total(v_pow(p - 2.0) * vk_pow(beta - 1.0) * dv2),
+        "T4": total(vk_pow(p + beta - 3.0) * dv2),
+        "Fk": total(f**2 * vk_pow(beta + 1.0 - p)),
+        "Gk": total(vk_pow(beta + eta)),
+        "Zk": total(vk_pow(r * gam)),
+        "level_mass": total(vk_pow(p + beta - 1.0)),
+        "f_r": total(np.abs(f) ** r),
+        # squared L^(2 ns/(ns - 2)) norm of v_k^((p + beta - 1)/2)
+        "S3": total(vk_pow(sob_power)) ** ((ns - 2.0) / ns),
+    }
+    return table
+
+
 def thm2_ledger(
     bundle: SolutionBundle,
     k: float,
@@ -408,10 +511,10 @@ def thm2_ledger(
         raise RegimeError("superlevel rows require p >= 2")
     if k < 1.0:
         raise ParameterError("superlevel threshold k must be at least 1")
+    r = 2.0 + (beta - p + 1.0) / gam
     if beta <= p - 1.0:
-        r_bad = 2.0 + (beta - p + 1.0) / gam
         raise RegimeError(
-            f"test power beta={beta} gives interpolation index r={r_bad} <= 2: "
+            f"test power beta={beta} gives interpolation index r={r} <= 2: "
             "the superlevel construction is empty (proof-gap regime)"
         )
     if bundle.ratio_inf < -1e-10:
@@ -423,40 +526,9 @@ def thm2_ledger(
     ndim = g.ndim
     ns = effective_sobolev_dimension(ndim, sobolev_dim)
     h = g.max_spacing
-    r = 2.0 + (beta - p + 1.0) / gam
     eta = 2.0 * gam - p + 1.0
 
-    v, hess2, u, f = bundle.v, bundle.hess2, bundle.u.values, bundle.f
-    mask = v > k
-    vk = np.where(mask, v - k, 0.0)
-    dv2 = np.where(mask, np.sum(bundle.dv**2, axis=0), 0.0)
-
-    def masked(values):
-        return bundle.integral(np.where(mask, values, 0.0))
-
-    phi = _superlevel_test_function(bundle, beta, k)
-    sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
-    table = {
-        "pairing": _pairing(bundle, phi),
-        "L2": masked(bundle.a_w * hess2 * vk**beta / v),
-        "T1": masked(v ** (p - 2.0) * vk ** (beta - 1.0) * dv2),
-        "T2": masked(v**eta * vk**beta),
-        "T3": masked(hess2 * v ** (p - 3.0) * vk**beta),
-        "T4": bundle.integral(vk ** (p + beta - 3.0) * dv2),
-        "P": masked(np.sum(bundle.du**2, axis=0) * vk**beta / v),
-        "Q": masked((lam * u - f) ** 2 * vk**beta * v ** (1.0 - p)),
-        "U": masked(u**2 * vk**beta * v ** (1.0 - p)),
-        "Gk": bundle.integral(vk ** (beta + eta)),
-        "Fk": masked(f**2 * vk ** (beta + 1.0 - p)),
-        "f_r": masked(np.abs(f) ** r),
-        "Zk": bundle.integral(vk ** (r * gam)),
-        "level_mass": bundle.integral(vk ** (p + beta - 1.0)),
-        "h_phi": bundle.integral(bundle.h_w * phi),
-        "u_phi": bundle.integral(u * phi),
-        "f_phi": bundle.integral(f * phi),
-        # squared L^(2 ns/(ns - 2)) norm of v_k^((p + beta - 1)/2)
-        "S3": bundle.integral(vk**sob_power) ** ((ns - 2.0) / ns),
-    }
+    table = _superlevel_table(bundle, k, beta, ns)
 
     env_lo, env_up = bundle.env_lower, bundle.env_upper
     stretch = np.sqrt(ndim) + bundle.ratio_abs_bound
@@ -466,10 +538,8 @@ def thm2_ledger(
     c14 = _young_tail_constant(delta, eta, bundle.c_grad)
     c_data = (ndim + (beta + 1.0) ** 2) / (4.0 * delta)
     # assembled bound: the Sobolev quotient of v_k^((p + beta - 1)/2) is fitted
-    dgk = gradient(ScalarField(g, vk ** ((p + beta - 1.0) / 2.0))).components
-    grad_mass = bundle.integral(np.sum(dgk**2, axis=0))
     S3 = table["S3"]
-    sob_quotient = grad_mass / S3 if S3 > 0 else 0.0
+    sob_quotient = table["grad_mass"] / S3 if S3 > 0 else 0.0
     survivor = env_lo * (beta - 1.0) - 2.0 * delta
     zeta = survivor * 4.0 * sob_quotient / (p + beta - 1.0) ** 2
     norm = max(c11, c11 + c_data + c14, 1.0)
@@ -550,6 +620,8 @@ def _dichotomy_roots(omega: float, c: float, s: float):
         """Midpoint after 200 halvings of ``[lo, hi]``, where ``g`` changes sign."""
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # later halvings keep it: the same float
+                return mid
             if (g(mid) if rising else -g(mid)) < 0:
                 lo = mid
             else:
@@ -592,16 +664,18 @@ def levelset_scan(
     r = float(r)
     ns = effective_sobolev_dimension(bundle.grid.ndim, sobolev_dim)
     s = (ns - 2.0) / ns
-    vol = bundle.grid.cell_volume
-    du2 = np.sum(bundle.du**2, axis=0)
-    cheb_total = float(np.sum(np.sqrt(du2 + 1.0)) * vol)
+    vol = bundle.vol
+    cheb_total = float(np.sum(np.sqrt(bundle.du2 + 1.0)) * vol)
 
+    # v_k^(r gamma) on the support v > k only, as in _superlevel_table
+    v = bundle.v.reshape(-1)
+    power = r * bundle.problem.gamma
     Z = np.empty(ks.size)
     measures = np.empty(ks.size)
     for i, k in enumerate(ks):
-        vk = np.maximum(bundle.v - k, 0.0)
-        Z[i] = float(np.sum(vk ** (r * bundle.problem.gamma)) * vol)
-        measures[i] = float(np.count_nonzero(bundle.v > k) * vol)
+        on = np.flatnonzero(v > k)
+        Z[i] = float(np.sum(_on_support(bundle.v.shape, on, (v.take(on) - k) ** power)) * vol)
+        measures[i] = float(on.size * vol)
     Y = Z**s
     cheb_ok = measures * ks <= cheb_total * (1.0 + 1e-12)
 
@@ -654,6 +728,7 @@ class MaxRegNorm:
     value: float
     via_power_field: float
     via_gradient_norm: float
+    magnitude: ScalarField = field(repr=False)  # |Du|, which both routes start from
 
     @property
     def relative_agreement(self) -> float:
@@ -678,4 +753,5 @@ def maximal_regularity_norm(u: ScalarField, q: float, gamma: float) -> MaxRegNor
         value=via_power,
         via_power_field=via_power,
         via_gradient_norm=via_gradient,
+        magnitude=mag,
     )

@@ -73,17 +73,18 @@ def exponent_table(config: RunConfig):
 
 
 def _norm_table(config: RunConfig, u: ScalarField, table) -> dict:
-    du = gradient(u)
+    maxreg = maximal_regularity_norm(u, float(config.maxreg_q), float(config.gamma))
+    # |Du| once: an L^q norm of Du is that of its magnitude
+    mag = maxreg.magnitude
     vol = u.grid.cell_volume
     norms = {
         "u_l2": float(np.sqrt(np.sum(u.values**2) * vol)),
         "u_linf": float(np.max(np.abs(u.values))),
-        "du_l2": lp_norm(du, 2.0),
-        "du_qgamma": lp_norm(du, float(config.q * config.gamma)),
+        "du_l2": lp_norm(mag, 2.0),
+        "du_qgamma": lp_norm(mag, float(config.q * config.gamma)),
     }
     if table.eta1 is not None:
-        norms["du_eta"] = lp_norm(du, float(table.eta1))
-    maxreg = maximal_regularity_norm(u, float(config.maxreg_q), float(config.gamma))
+        norms["du_eta"] = lp_norm(mag, float(table.eta1))
     norms["maxreg"] = maxreg.value
     norms["maxreg_agreement"] = maxreg.relative_agreement
     return norms
@@ -148,7 +149,7 @@ def run_experiment(
     }
 
     # built on first use, so a run whose ledgers are all skipped builds none
-    bundle = functools.cache(lambda: bernstein.prepare_bundle(problem, u))
+    bundle = functools.cache(lambda: bernstein.prepare_bundle(problem, u, report))
     beta_f = float(config.beta)
     if "weak" in config.ledgers:
         payload["ledgers"]["weak"] = weak_identity_check(bundle(), beta_f).to_dict()

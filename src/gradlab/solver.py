@@ -152,6 +152,7 @@ class SolveReport:
     stages: list
     converged: bool
     residual_norm: float
+    source: ScalarField  # the source sampled on the target grid
 
     @property
     def total_iterations(self) -> int:
@@ -608,6 +609,7 @@ def solve(
                 stages=stages,
                 converged=False,
                 residual_norm=history[-1],
+                source=sources[0],
             )
             # a stage that stops before its last iteration stops in the
             # line search
@@ -630,5 +632,6 @@ def solve(
         stages=stages,
         converged=True,
         residual_norm=stages[-1].residual_norm,
+        source=sources[0],
     )
     return u, report

@@ -2,10 +2,15 @@
 level-set dichotomy, and the maximal-regularity norm; and the harness's
 source-scale fit, whose slope the estimates predict."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from gradlab.bernstein import (
+    _dichotomy_roots,
+    _superlevel_table,
     levelset_scan,
     maximal_regularity_norm,
     prepare_bundle,
@@ -19,7 +24,14 @@ from gradlab.errors import (
     RegimeError,
     UnconvergedInputError,
 )
-from gradlab.grid import ScalarField, build_grid
+from gradlab.grid import (
+    ScalarField,
+    build_grid,
+    divergence_flux,
+    face_average,
+    face_normal_differences,
+    gradient,
+)
 from gradlab.harness import scaling_fit
 from gradlab.model import CosineProduct, ProblemSpec, Tabulated
 from gradlab.solver import solve
@@ -324,3 +336,140 @@ def test_ledger_rows_on_a_manufactured_field(box2d, manufacture_source, p, gamma
         assert r.lhs == pytest.approx(lhs, rel=1e-12), r.lemma
         assert r.rhs == pytest.approx(rhs, rel=1e-12), r.lemma
         assert set(r.constants) - {"zeta4"} == _GOLDEN_CONSTANT_KEYS[r.lemma], r.lemma
+
+
+def _full_array_superlevel_table(bundle, k, beta, ns):
+    """The superlevel integrals as the whole-grid formulas state them: every
+    power of ``v_k`` is taken over all cells, zeros included, and masked."""
+    p, gam, lam = bundle.problem.p, bundle.problem.gamma, bundle.problem.lam
+    r = 2.0 + (beta - p + 1.0) / gam
+    eta = 2.0 * gam - p + 1.0
+    g = bundle.grid
+    v, hess2, u, f = bundle.v, bundle.hess2, bundle.u.values, bundle.f
+    mask = v > k
+    vk = np.where(mask, v - k, 0.0)
+    dv = gradient(ScalarField(g, v)).components
+    dv2 = np.where(mask, np.sum(dv**2, axis=0), 0.0)
+
+    def masked(values):
+        return bundle.integral(np.where(mask, values, 0.0))
+
+    coeffs = []
+    for d in range(g.ndim):
+        v_face = face_average(v, d)
+        coeffs.append(np.maximum(v_face - k, 0.0) ** beta / v_face)
+    phi = divergence_flux(g, coeffs, face_normal_differences(bundle.u)).values
+    dphi = gradient(ScalarField(g, phi)).components
+    dgk = gradient(ScalarField(g, vk ** ((p + beta - 1.0) / 2.0))).components
+    sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
+    return {
+        "pairing": bundle.integral(bundle.a_w * np.sum(bundle.du * dphi, axis=0)),
+        "L2": masked(bundle.a_w * hess2 * vk**beta / v),
+        "T1": masked(v ** (p - 2.0) * vk ** (beta - 1.0) * dv2),
+        "T2": masked(v**eta * vk**beta),
+        "T3": masked(hess2 * v ** (p - 3.0) * vk**beta),
+        "T4": bundle.integral(vk ** (p + beta - 3.0) * dv2),
+        "P": masked(np.sum(bundle.du**2, axis=0) * vk**beta / v),
+        "Q": masked((lam * u - f) ** 2 * vk**beta * v ** (1.0 - p)),
+        "U": masked(u**2 * vk**beta * v ** (1.0 - p)),
+        "Gk": bundle.integral(vk ** (beta + eta)),
+        "Fk": masked(f**2 * vk ** (beta + 1.0 - p)),
+        "f_r": masked(np.abs(f) ** r),
+        "Zk": bundle.integral(vk ** (r * gam)),
+        "level_mass": bundle.integral(vk ** (p + beta - 1.0)),
+        "h_phi": bundle.integral(bundle.h_w * phi),
+        "u_phi": bundle.integral(u * phi),
+        "f_phi": bundle.integral(f * phi),
+        "S3": bundle.integral(vk**sob_power) ** ((ns - 2.0) / ns),
+        "grad_mass": bundle.integral(np.sum(dgk**2, axis=0)),
+    }
+
+
+def test_support_sums_equal_whole_grid_sums(sing_problem, sing_solution_48):
+    """The superlevel integrals and the scan's masses, evaluated on the
+    support ``v > k`` and scattered, equal the whole-grid sums bit for bit:
+    on the full support, on an empty one, and at a level that equals one
+    cell's ``v`` (that cell is outside the support).
+
+    Outside the support every integrand is a power of ``v_k = 0`` with a
+    positive exponent, because ``beta > p - 1`` and ``p >= 2`` (the smallest
+    is ``beta - 1 > p - 2 >= 0``) and ``r gamma > 2 gamma > 0``; so the
+    zeros scattered there are exactly ``0**e``, which need not be formed.
+    """
+    bundle = prepare_bundle(sing_problem, sing_solution_48)
+    beta, ns = 5.0, 3
+    v = np.sort(bundle.v.ravel())
+    assert v[0] < 1.0 < v[-1]
+    k_cell = float(v[v > 1.0][len(v[v > 1.0]) // 2])  # one cell's v, above 1
+    levels = [0.5 * v[0], 1.0, k_cell, v[-1] + 1.0]  # full, partial, at a cell, empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tables = [_superlevel_table(bundle, k, beta, ns) for k in levels]
+        ledgers = [thm2_ledger(bundle, k=k, beta=beta, sobolev_dim=ns) for k in levels[1:]]
+        # the scan starts at k = 1, so lift v above it for a full support
+        lifted = dataclasses.replace(bundle, v=bundle.v + 1.0)
+        scans = [
+            (b, levelset_scan(b, r=8 / 3, k_list=levels[1:] + [v[-1] + 2.0], sobolev_dim=ns))
+            for b in (bundle, lifted)
+        ]
+    for k, table in zip(levels, tables):
+        assert table == _full_array_superlevel_table(bundle, k, beta, ns), k
+    assert all(x == 0.0 for x in tables[-1].values())
+    for table, ledger in zip(tables[1:], ledgers):
+        assert ledger.rows[0].lemma == "t2s1"
+        assert ledger.rows[0].lhs == -table["pairing"]
+    for b, scan in scans:
+        vol = b.grid.cell_volume
+        for i, k in enumerate(scan.ks):
+            vk = np.maximum(b.v - k, 0.0)
+            assert scan.Z[i] == float(np.sum(vk ** (8 / 3 * 6.0)) * vol)
+            assert scan.measures[i] == float(np.count_nonzero(b.v > k) * vol)
+    assert scans[1][1].measures[0] == 1.0  # the whole unit square
+    assert scans[0][1].Z[-1] == 0.0 and scans[0][1].measures[-1] == 0.0
+
+
+def _bisected_roots(omega, c, s):
+    """The dichotomy roots with all 200 halvings run, as the scan defines them."""
+    if c <= 0:
+        return None
+    z_star = (s / c) ** (1.0 / (1.0 - s))
+    if z_star**s - c * z_star - omega <= 0:
+        return None
+
+    def g(z):
+        return z**s - c * z - omega
+
+    def bisect(lo, hi, rising):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (g(mid) if rising else -g(mid)) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    hi = z_star
+    while g(hi) > 0:
+        hi *= 2.0
+        if hi > 1e30:
+            return None
+    return (bisect(0.0, z_star, True), bisect(z_star, hi, False))
+
+
+@pytest.mark.parametrize("s", [1 / 3, 0.5, 0.8])
+@pytest.mark.parametrize("c", [1e-3, 0.3, 5.0])
+def test_dichotomy_roots_stop_where_halving_stops_changing(s, c):
+    """Stopping once the midpoint rounds to an end returns the float that
+    200 halvings return, down to a small root near 1e-20 z_star, which
+    takes more halvings than the 52 bits of a mantissa."""
+    z_star = (s / c) ** (1.0 / (1.0 - s))
+    peak = z_star**s - c * z_star
+    # the small root sits near omega^(1/s): choose omega to place it
+    omegas = [(t * z_star) ** s for t in (1e-20, 1e-12, 1e-6, 1e-3, 0.1)]
+    omegas += [0.0, 0.5 * peak, peak * (1.0 - 1e-12), peak, 2.0 * peak]
+    for omega in omegas:
+        roots = _dichotomy_roots(omega, c, s)
+        assert roots == _bisected_roots(omega, c, s), omega
+    low, _ = _dichotomy_roots((1e-20 * z_star) ** s, c, s)
+    assert 0.0 < low < 1e-19 * z_star
+    assert _dichotomy_roots(0.1, 0.0, s) is None

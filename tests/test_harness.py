@@ -3,11 +3,13 @@
 import ast
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +18,15 @@ import numpy as np
 import pytest
 
 import gradlab
-from gradlab.errors import ConfigError, NonconvergenceError, ParameterError, RegimeError
+import gradlab.solver
+from gradlab import bernstein
+from gradlab.errors import (
+    ConfigError,
+    NonconvergenceError,
+    ParameterError,
+    RegimeError,
+    UnconvergedInputError,
+)
 from gradlab.grid import Box, save_field
 from gradlab.harness import (
     convergence_study,
@@ -924,3 +934,62 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "Thm2Interior" in proc.stdout
+
+
+def test_no_ledger_state_outlives_its_run(monkeypatch):
+    """The bundle a run builds, and all it memoizes, is freed once the run
+    returns: nothing at module level keeps the last one alive."""
+    refs = []
+    inner = bernstein.prepare_bundle
+
+    def keep_a_weakref(*args, **kwargs):
+        bundle = inner(*args, **kwargs)
+        refs.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(bernstein, "prepare_bundle", keep_a_weakref)
+    config = parse_config(
+        SINGULAR.replace("cells = 48 48", "cells = 24 24").replace(
+            "ledgers = thm2", "ledgers = weak thm1 thm2 scan maxreg"
+        )
+    )
+    result = run_experiment(config)
+    assert set(result.payload["ledgers"]) == {"weak", "thm1", "thm2", "scan", "maxreg"}
+    gc.collect()
+    assert len(refs) == 1
+    assert refs[0]() is None
+
+
+def test_residual_gate_bites_through_the_handed_over_residual(monkeypatch):
+    """A solve that stops above ``RESIDUAL_GATE`` is still refused by the
+    ledgers, now on the residual norm the solve reports.  The source is
+    sampled once on the target grid, and nothing samples it or evaluates
+    the residual again after the solve returns."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)[0]
+    config = parse_config(text).override("tol", "1e-4")
+    assert config.cells == (48, 48) and "thm1" in config.ledgers
+    calls = []
+    for module, name in (
+        (gradlab.solver, "sample_source"),
+        (bernstein, "sample_source"),
+        (gradlab.solver, "_residual_values"),
+        (runner_module, "solve"),
+    ):
+        inner = getattr(module, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            out = _inner(*args, **kwargs)
+            field = out[0] if _name == "solve" else out
+            calls.append((_name, np.shape(getattr(field, "values", field))))
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+    with pytest.raises(
+        UnconvergedInputError, match=r"discrete residual 4\.233e-05 \(gate 1\.0e-06\)"
+    ):
+        run_experiment(config)
+    on_target = [name for name, shape in calls if shape == (48, 48)]
+    assert on_target.count("sample_source") == 1
+    assert on_target[-1] == "solve"
+    assert on_target.count("_residual_values") >= 1
