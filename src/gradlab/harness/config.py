@@ -267,6 +267,12 @@ def parse_config(text: str) -> RunConfig:
                 f"unknown ledger {name!r}; choose from {sorted(_LEDGER_NAMES)}"
             )
 
+    # thm2 and the scan reject such levels too, but only after the solve
+    k_levels = analysis("k_levels", _floats, ())
+    increasing = all(a < b for a, b in zip(k_levels, k_levels[1:]))
+    if not (increasing and all(k >= 1 for k in k_levels)):
+        raise ConfigError("[analysis] 'k_levels' must be at least 1 and strictly increasing")
+
     config = RunConfig(
         p=p,
         gamma=gamma,
@@ -280,7 +286,7 @@ def parse_config(text: str) -> RunConfig:
         solver=solver,
         beta=analysis("beta", to_fraction, Fraction(4)),
         ledgers=ledgers,
-        k_levels=analysis("k_levels", _floats, ()),
+        k_levels=k_levels,
         sobolev_dim=analysis("sobolev_dim", int),
         epsilon_sweep=analysis("epsilon_sweep", _floats, ()),
         scales=analysis("scales", _floats, ()),

@@ -27,15 +27,6 @@ META_NAME = "meta.json"
 FIELD_NAME = "u.field"
 
 
-def payload_bytes(payload: dict) -> bytes:
-    """Canonical JSON encoding: sorted keys, no layout whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
-def record_id(payload: dict) -> str:
-    return hashlib.sha256(payload_bytes(payload)).hexdigest()[:16]
-
-
 def persist_record(
     out_dir: str | Path,
     payload: dict,
@@ -49,13 +40,16 @@ def persist_record(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rid = record_id(payload)
+    # canonical JSON, sorted keys and no layout whitespace, encoded once:
+    # the id is the hash of the bytes written
+    data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    rid = hashlib.sha256(data).hexdigest()[:16]
     final = out_dir / rid
     if final.exists():
         return final, False
     tmp = Path(tempfile.mkdtemp(prefix=f".{rid}-", dir=out_dir))
     try:
-        (tmp / PAYLOAD_NAME).write_bytes(payload_bytes(payload))
+        (tmp / PAYLOAD_NAME).write_bytes(data)
         (tmp / META_NAME).write_text(json.dumps(meta, sort_keys=True, indent=1))
         if u is not None:
             save_field(tmp / FIELD_NAME, u)

@@ -19,9 +19,9 @@ as it does for p = 2.  Each Newton step fills one coefficient array per
 offset, moves each entry whose step crosses a wall onto the offset of the
 edge cell it lands on, and stores each array as one diagonal of a banded
 matrix: 2N + 1 diagonals, or 2N^2 + 2N + 1 for the wide stencil (DIA
-storage; Saad 2003, sec. 3.4).  The matrix is the module's own banded
-operator, whose product sums the diagonals in DIA order, one numpy product
-per diagonal; only :func:`jacobian` wraps it in a scipy ``dia_matrix``.
+storage; Saad 2003, sec. 3.4).  The matrix is a :class:`BandedMatrix`,
+whose product sums the diagonals in DIA order, one numpy product per
+diagonal; :func:`jacobian` returns it, the operator Newton applies.
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is
 ``S (lam I - abar Laplacian) S``, where ``abar`` is the grid mean of
@@ -54,7 +54,7 @@ step, and a stage converges, only on the true residual.
 The GMRES is this module's own, restarted, with classical Gram-Schmidt
 twice over the basis block and Givens rotations (Saad and Schultz 1986);
 each cycle ends on the true residual ``|b - J delta|``.  It is the
-module's one linear solve, :func:`spsolve`.  No solve loads scipy.
+module's one linear solve, :func:`spsolve`.  The module uses numpy alone.
 
 A cold solve is a nested iteration.  The target grid is halved along every
 axis for as long as it can be; the coarsest grid starts Newton from a
@@ -71,7 +71,6 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -93,9 +92,6 @@ from .grid import (
 )
 from .model.problem import ProblemSpec
 from .model.sources import sample_source
-
-if TYPE_CHECKING:
-    from scipy.sparse import dia_matrix
 
 
 @dataclass
@@ -365,7 +361,7 @@ def _wall_folds(ndim: int, wide: bool) -> tuple:
     return tuple(folds)
 
 
-class _Banded:
+class BandedMatrix:
     """A square matrix in scipy's diagonal storage, ``data`` and ``offsets``,
     with its own product.
 
@@ -374,13 +370,15 @@ class _Banded:
     into a buffer padded with ``offsets[-1]`` zeros at each end and sums
     ``rows[k] * x[i + offsets[k]]`` over the diagonals in stored order, the
     order in which scipy's ``dia_matvec`` sums from zero, so the product has
-    the same bits (up to the sign of a row sum of signed zeros).
+    the same bits (up to the sign of a row sum of signed zeros).  ``nnz`` is
+    scipy's ``dia_matrix.nnz``, the sum of ``n - |offset|`` over the
+    diagonals: it counts the zeros that the wall folds leave.
     """
 
     def __init__(self, data, offsets, rows):
         self.data, self.offsets = data, offsets
         n, pad = data.shape[1], offsets[-1]
-        self.shape = (n, n)
+        self.shape, self.nnz = (n, n), sum(n - abs(s) for s in offsets)
         padded = np.zeros(n + 2 * pad)
         self._x = padded[pad:][:n]
         self._terms = [(row, padded[pad + s :][:n]) for row, s in zip(rows, offsets)]
@@ -473,7 +471,7 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
         coefs[dst][cells] += coefs[src][cells]
         coefs[src][cells] = 0.0
     a = coeff.a(w)
-    return _Banded(data, steps, rows), (a if wide else float(np.mean(a)))
+    return BandedMatrix(data, steps, rows), (a if wide else float(np.mean(a)))
 
 
 def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
@@ -487,15 +485,11 @@ def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None)
     return ScalarField(u.grid, vals)
 
 
-def jacobian(problem: ProblemSpec, u: ScalarField) -> dia_matrix:
-    """Banded Jacobian of the residual at ``u`` (C-order flattening), as a
-    scipy ``dia_matrix``: the one place gradlab loads scipy."""
-    import scipy.sparse as sp
-
-    J, _ = _jacobian_matrix(
+def jacobian(problem: ProblemSpec, u: ScalarField) -> BandedMatrix:
+    """Jacobian of the residual at ``u`` in C order: the operator Newton applies."""
+    return _jacobian_matrix(
         u.grid, problem.coefficient, problem.hamiltonian, problem.lam, u.values
-    )
-    return sp.dia_matrix((J.data, J.offsets), shape=J.shape)
+    )[0]
 
 
 def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):

@@ -4,6 +4,7 @@ import ast
 import csv
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import re
@@ -306,6 +307,14 @@ def test_payload_reproducible_across_directories(tmp_path):
     assert (a.path / "record.json").read_bytes() == (b.path / "record.json").read_bytes()
 
 
+def test_record_directory_is_named_by_its_payload_hash(tmp_path):
+    """A record's directory name is the first 16 hex digits of the sha256 of
+    its record.json bytes."""
+    result = run_experiment(parse_config(SMOOTH), tmp_path)
+    digest = hashlib.sha256((result.path / "record.json").read_bytes()).hexdigest()
+    assert result.path.name == digest[:16]
+
+
 def test_one_point_eps_sweep_matches_single_run(tmp_path):
     cfg = parse_config(SMOOTH + "\n[analysis]\nepsilon_sweep = 1e-2\n")
     single = run_experiment(cfg, tmp_path / "single")
@@ -373,25 +382,6 @@ def test_runner_has_no_thread_pool():
         for alias in node.names
     }
     assert not any(name and name.startswith("concurrent") for name in imported)
-
-
-def test_only_the_solver_imports_scipy():
-    """The stencils in ``grid`` are the only discrete operators; scipy serves
-    the public ``jacobian()`` alone (Newton applies its own banded Jacobian
-    and the DCT preconditioner dense numpy matrices)."""
-    package = Path(gradlab.__file__).parent
-    importers = set()
-    for path in package.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                importers.add(path.relative_to(package).as_posix())
-    assert importers == {"solver.py"}
 
 
 # kept with no caller in src/: the tests' reference for the adjointness of
@@ -858,6 +848,28 @@ def test_bad_analysis_entry_fails_before_the_solve(tmp_path, monkeypatch, capsys
         assert "Sobolev dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "levels", ["0.5 1.0 1.5 2.0", "1.0 1.3 1.3 1.9", "1.0 1.6 1.3 1.9", "nan 1.3 1.6 1.9"]
+)
+def test_bad_k_levels_fail_before_the_solve(tmp_path, monkeypatch, capsys, levels):
+    """Superlevel thresholds below 1, or not strictly increasing, are a
+    config error that names the key, so ``check`` reports them and no run
+    solves a config that thm2 or the scan would reject after the solve."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config with bad k_levels")
+
+    monkeypatch.setattr(runner_module, "solve", no_solve)
+    text = _SINGULAR_16.replace("k_levels = 1.0 1.3 1.6 1.9 2.2", f"k_levels = {levels}")
+    assert text != _SINGULAR_16
+    with pytest.raises(ConfigError, match="'k_levels'"):
+        parse_config(text)
+    cfg = _write(tmp_path, "bad.ini", text)
+    for argv in (["check", cfg], ["solve", cfg]):
+        assert main(argv) == 2
+        assert "'k_levels'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("setting", ["max_iter = -1", "tol = 0", "tol = nan"])
 def test_cli_bad_solver_setting_exits_2(tmp_path, capsys, setting):
     """A solver setting no solve can honour is a config error, reported
@@ -878,49 +890,105 @@ def test_cli_sweep_and_report(tmp_path, capsys):
 _SCIPY_PROBE = """
 import json, sys
 from pathlib import Path
+
+
+def modules():
+    return sorted(sys.modules)
+
+
 import gradlab.bernstein
 import gradlab.harness.cli
 from gradlab.grid import load_field
 from gradlab.harness import parse_config, run_experiment
-from gradlab.solver import solve
+from gradlab.solver import jacobian, solve
 
-step, config_path, field_path = sys.argv[1:]
+loaded = {"import": modules()}
+config_path, field_path = sys.argv[1:]
 cfg = parse_config(Path(config_path).read_text())
-newton = 0
-if step == "audit":
-    result = run_experiment(cfg, initial=load_field(field_path))
-    newton = result.payload["solve"]["total_iterations"]
-elif step == "solve":
-    newton = solve(cfg.build_problem(), cfg.build_grid())[1].total_iterations
-print(json.dumps({"newton": newton, "modules": sorted(sys.modules)}))
+audit = run_experiment(cfg, initial=load_field(field_path))
+loaded["audit"] = modules()
+problem = cfg.build_problem()
+u, report = solve(problem, cfg.build_grid())
+nnz = jacobian(problem, u).nnz
+loaded["solve"] = modules()
+print(json.dumps({
+    "newton": {
+        "import": 0,
+        "audit": audit.payload["solve"]["total_iterations"],
+        "solve": report.total_iterations,
+    },
+    "nnz": nnz,
+    "loaded": loaded,
+}))
 """
+
+
+@pytest.fixture(scope="module")
+def scipy_probe(tmp_path_factory):
+    """One subprocess that imports the CLI and the ledgers, re-audits a
+    stored converged field, then solves and calls ``jacobian()``, noting
+    the modules loaded after each step."""
+    tmp = tmp_path_factory.mktemp("scipy_probe")
+    text = SMOOTH.replace("cells = 24 24", "cells = 16 16")
+    config_path = _write(tmp, "probe.ini", text)
+    field_path = tmp / "u.field"
+    save_field(field_path, run_experiment(parse_config(text)).u)
+    src = str(Path(gradlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, config_path, str(field_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize(
     "step, absent",
     [("import", ("scipy",)), ("audit", ("scipy",)), ("solve", ("scipy",))],
 )
-def test_scipy_loads_only_where_it_runs(tmp_path, step, absent):
+def test_scipy_loads_only_where_it_runs(scipy_probe, step, absent):
     """Importing the CLI and the ledgers, re-auditing a converged field
-    without a Newton step, and a Newton solve load no scipy module at all:
-    the Jacobian applies itself in numpy."""
-    text = SMOOTH.replace("cells = 24 24", "cells = 16 16")
-    config_path = _write(tmp_path, "probe.ini", text)
-    field_path = tmp_path / "u.field"
-    save_field(field_path, run_experiment(parse_config(text)).u)
-    src = str(Path(gradlab.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, step, config_path, str(field_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    probe = json.loads(proc.stdout)
-    assert (probe["newton"] > 0) == (step == "solve")
+    without a Newton step, and a Newton solve followed by the public
+    ``jacobian()`` load no scipy module at all: the Jacobian is numpy's own
+    banded operator.  The three steps share one subprocess."""
+    assert (scipy_probe["newton"][step] > 0) == (step == "solve")
+    assert scipy_probe["nnz"] > 0
     loaded = [
-        m for m in probe["modules"]
+        m for m in scipy_probe["loaded"][step]
         if any(m == a or m.startswith(a + ".") for a in absent)
     ]
     assert loaded == []
+
+
+def _top_level_imports(root: Path) -> set:
+    """The non-stdlib top-level packages that the files under ``root``
+    import by absolute name, gradlab left out."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"gradlab"}
+
+
+def test_imports_are_declared_dependencies():
+    """``src/`` imports numpy alone, the one runtime dependency; the tests
+    import nothing beyond it and the ``test`` extra (pytest, hypothesis
+    and scipy, their reference)."""
+    tomllib = pytest.importorskip("tomllib")
+    repo = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((repo / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+    runtime = names(project["dependencies"])
+    assert runtime == {"numpy"}
+    assert _top_level_imports(repo / "src") <= runtime
+    test_extra = names(project["optional-dependencies"]["test"])
+    assert _top_level_imports(repo / "tests") <= runtime | test_extra
 
 
 def test_console_entry_point(tmp_path):

@@ -38,6 +38,7 @@ from gradlab.model import (
 from gradlab.solver import (
     _FORCING,
     _FORCING_MIN,
+    BandedMatrix,
     LinearSolveStats,
     SolverOptions,
     _dct_matrix,
@@ -213,7 +214,9 @@ def test_jacobian_matches_sparse_product_formula(
     ref = _reference_jacobian(
         grid, prob.coefficient, prob.hamiltonian, prob.lam, u_vals
     )
-    assert abs(J - ref).max() <= 1e-14 * abs(ref).max()
+    dia = sp.dia_matrix((J.data, J.offsets), shape=J.shape)
+    assert abs(dia - ref).max() <= 1e-14 * abs(ref).max()
+    assert J.nnz == dia.nnz
     if p == 2.0:
         assert len(J.offsets) == 2 * grid.ndim + 1
 
@@ -226,7 +229,8 @@ def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
     """The Jacobian's own product sums the diagonals in scipy's DIA order,
     so it equals scipy's product bit for bit, also for an x that lives on
     the edge cells alone, where the diagonals reach into the zero padding.
-    The public jacobian() is the same matrix as a scipy dia_matrix."""
+    The public jacobian() is that operator, and its nnz is scipy's, the
+    wall zeros counted."""
     box = Box(extents)
     grid = build_grid(box, cells)
     prob = _problem(
@@ -243,10 +247,10 @@ def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
     for x in (x_all, x_edge):
         assert (J @ x).tobytes() == (ref @ x).tobytes()
     public = jacobian(prob, ScalarField(grid, u_vals))
-    assert isinstance(public, sp.dia_matrix)
+    assert isinstance(public, BandedMatrix)
     assert list(public.offsets) == list(J.offsets)
-    assert public.nnz == sum(grid.size - abs(s) for s in J.offsets)
     assert np.array_equal(public.data, J.data)
+    assert public.nnz == ref.nnz == sum(grid.size - abs(s) for s in J.offsets)
 
 
 @pytest.mark.parametrize("cells", [(8, 8), (8, 10, 9)])
