@@ -20,6 +20,8 @@ unknowns and of the binary field format.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -358,11 +360,18 @@ def load_field(path) -> ScalarField:
         version, ndim = struct.unpack("<II", take(8))
         if version != 1:
             raise ContractError(f"{path}: unsupported snapshot version {version}")
+        if ndim not in (2, 3):
+            raise ContractError(f"{path}: a field snapshot has 2 or 3 axes, not {ndim}")
         cells = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         extents = struct.unpack(f"<{ndim}d", take(8 * ndim))
-        count = int(np.prod(cells))
-        data = np.frombuffer(take(count * 8), dtype="<f8", count=count)
-        if fh.read(1):
+        # the header's cell counts are checked against the file's length
+        # before anything is read or allocated for them
+        size = 8 * math.prod(cells)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > left:
+            raise ContractError(f"{path}: truncated field snapshot")
+        if size < left:
             raise ContractError(f"{path}: trailing bytes after the field data")
+        data = np.frombuffer(take(size), dtype="<f8")
     grid = Grid(Box(extents), cells)
     return ScalarField(grid, data.reshape(cells).astype(float))

@@ -73,7 +73,6 @@ _KNOWN_KEYS = {
         "scales",
         "lambda_sweep",
         "h_sweep",
-        "maxreg_q",
     },
 }
 
@@ -108,7 +107,6 @@ class RunConfig:
     scales: tuple
     lambda_sweep: tuple
     h_sweep: tuple
-    maxreg_q: Fraction
     canonical_text: str = field(repr=False, default="")
 
     def digest(self) -> str:
@@ -292,7 +290,6 @@ def parse_config(text: str) -> RunConfig:
         scales=analysis("scales", _floats, ()),
         lambda_sweep=analysis("lambda_sweep", _floats, ()),
         h_sweep=analysis("h_sweep", _ints, ()),
-        maxreg_q=analysis("maxreg_q", to_fraction, q),
         canonical_text=_canonical_text(parser),
     )
     return config

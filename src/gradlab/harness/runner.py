@@ -73,7 +73,7 @@ def exponent_table(config: RunConfig):
 
 
 def _norm_table(config: RunConfig, u: ScalarField, table) -> dict:
-    maxreg = maximal_regularity_norm(u, float(config.maxreg_q), float(config.gamma))
+    maxreg = maximal_regularity_norm(u, float(config.q), float(config.gamma))
     # |Du| once: an L^q norm of Du is that of its magnitude
     mag = maxreg.magnitude
     vol = u.grid.cell_volume
@@ -187,7 +187,7 @@ def run_experiment(
             ).to_dict()
     if "maxreg" in config.ledgers:
         payload["ledgers"]["maxreg"] = {
-            "q": str(config.maxreg_q),
+            "q": str(config.q),
             "value": payload["norms"]["maxreg"],
             "relative_agreement": payload["norms"]["maxreg_agreement"],
         }
@@ -245,10 +245,17 @@ def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> li
     start does).  A k point has the same target as the point before it, so
     it takes no Newton step and only evaluates ``thm2`` at its own level.
     A point that fails raises and stops the chain: later points are not run.
+    A point whose problem, grid or exponent table cannot be built fails
+    before any point is solved.
     """
+    variants = _sweep_variants(config, axis)
+    for _, variant in variants:
+        variant.build_problem()
+        variant.build_grid()
+        exponent_table(variant)
     results = []
     initial = None
-    for value, variant in _sweep_variants(config, axis):
+    for value, variant in variants:
         result = run_experiment(
             variant, out_dir, initial=initial, sweep_tag=(axis, value)
         )

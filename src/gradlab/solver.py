@@ -17,11 +17,11 @@ residual.  With mirror ghosts every term couples a cell ``i`` only to cells
 the ``a'`` term, which is left out whenever ``a'`` vanishes on every face,
 as it does for p = 2.  Each Newton step fills one coefficient array per
 offset, moves each entry whose step crosses a wall onto the offset of the
-edge cell it lands on, and stores each array as one diagonal of a banded
-matrix: 2N + 1 diagonals, or 2N^2 + 2N + 1 for the wide stencil (DIA
-storage; Saad 2003, sec. 3.4).  The matrix is a :class:`BandedMatrix`,
-whose product sums the diagonals in DIA order, one numpy product per
-diagonal; :func:`jacobian` returns it, the operator Newton applies.
+edge cell it lands on, and keeps the arrays as the rows of a banded
+matrix stored by rows: 2N + 1 of them, or 2N^2 + 2N + 1 for the wide
+stencil (Saad 2003, sec. 3.4).  The matrix is a :class:`BandedMatrix`,
+whose product sums the rows in stored order, one numpy product per row;
+:func:`jacobian` returns it, the operator Newton applies.
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is
 ``S (lam I - abar Laplacian) S``, where ``abar`` is the grid mean of
@@ -127,13 +127,6 @@ _FORCING_MIN = 1e-12
 
 
 @dataclass
-class LinearSolveStats:
-    """Linear-solver work of one Newton stage."""
-
-    krylov_iterations: int = 0
-
-
-@dataclass
 class StageReport:
     cells: tuple  # the grid the stage ran on
     iterations: int
@@ -159,14 +152,14 @@ def _discrete_l2(grid: Grid, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(values**2) * grid.cell_volume))
 
 
-def _residual_values(grid, coeff, ham, lam, f_values, u_values):
+def _residual_values(problem: ProblemSpec, grid, f_values, u_values):
     u = ScalarField(grid, u_values)
     du = gradient(u).components
-    w = ham.eps + np.sum(du**2, axis=0)
+    w = problem.hamiltonian.eps + np.sum(du**2, axis=0)
     faces = face_normal_differences(u)
-    coeffs = [coeff.a(face_average(w, d)) for d in range(grid.ndim)]
+    coeffs = [problem.coefficient.a(face_average(w, d)) for d in range(grid.ndim)]
     div = divergence_flux(grid, coeffs, faces).values
-    return lam * u_values - div + ham.h_of_w(w) - f_values
+    return problem.lam * u_values - div + problem.hamiltonian.h_of_w(w) - f_values
 
 
 @functools.lru_cache(maxsize=8)
@@ -299,8 +292,8 @@ def spsolve(J, M, b, target):
     return delta, iterations
 
 
-def _newton_direction(grid, J, r, rn, lam, a, tol, stats) -> np.ndarray:
-    """Inexact Newton step ``J delta = -r`` by GMRES.
+def _newton_direction(grid, J, r, rn, lam, a, tol):
+    """Inexact Newton step ``J delta = -r`` by GMRES, and its Krylov count.
 
     The target is ``|r + J delta| <= eta |r|`` on the true linear residual.
     Since a step is taken only while ``rn > tol``, the ``0.5 tol / rn`` floor
@@ -312,8 +305,7 @@ def _newton_direction(grid, J, r, rn, lam, a, tol, stats) -> np.ndarray:
     delta, iterations = spsolve(
         J, _dct_preconditioner(grid, lam, a), b, eta * np.linalg.norm(b)
     )
-    stats.krylov_iterations += iterations
-    return delta.reshape(grid.shape)
+    return delta.reshape(grid.shape), iterations
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,8 +315,9 @@ def _stencil_offsets(ndim: int, wide: bool) -> tuple:
     The narrow stencil is ``{0, +-e_d}``.  The wide one adds every sum of two
     unit steps, ``+-2 e_d`` and ``+-e_d +- e_e``: the ``a'`` term reaches a
     face's other cell and, from there, the centred gradient's neighbours.
-    The offsets are sorted, which on a grid of at least 5 cells per axis
-    puts their steps in C order, and so their columns, in ascending order.
+    They are sorted because the Jacobian's product sums its rows in this
+    order, and every record id depends on that sum's bits.  On a grid of at
+    least 5 cells per axis their C-order steps then ascend too.
     """
     steps = [s * e for e in np.eye(ndim, dtype=int) for s in (1, -1)]
     offsets = [0 * steps[0]] + steps
@@ -362,22 +355,23 @@ def _wall_folds(ndim: int, wide: bool) -> tuple:
 
 
 class BandedMatrix:
-    """A square matrix in scipy's diagonal storage, ``data`` and ``offsets``,
-    with its own product.
+    """A square matrix stored by rows, ``rows`` and ``offsets``, with its
+    own product.
 
-    ``rows[k][i]`` is row ``i``'s entry on diagonal ``k``, in column ``i +
-    offsets[k]``; the offsets ascend and are symmetric.  ``@`` copies ``x``
-    into a buffer padded with ``offsets[-1]`` zeros at each end and sums
-    ``rows[k] * x[i + offsets[k]]`` over the diagonals in stored order, the
-    order in which scipy's ``dia_matvec`` sums from zero, so the product has
-    the same bits (up to the sign of a row sum of signed zeros).  ``nnz`` is
-    scipy's ``dia_matrix.nnz``, the sum of ``n - |offset|`` over the
-    diagonals: it counts the zeros that the wall folds leave.
+    ``rows[k, i]`` is row ``i``'s entry in column ``i + offsets[k]``, zero
+    where that column falls off the matrix (scipy's ``dia_matrix`` keeps it
+    at ``data[k, i + offsets[k]]``); the offsets ascend and are symmetric.
+    ``@`` copies ``x`` into a buffer padded with ``offsets[-1]`` zeros at
+    each end and sums ``rows[k] * x[i + offsets[k]]`` over ``k`` in stored
+    order, the order in which scipy's ``dia_matvec`` sums from zero, so the
+    product has the same bits (up to the sign of a row sum of signed zeros).
+    ``nnz`` is scipy's ``dia_matrix.nnz``, the sum of ``n - |offset|``: it
+    counts the zeros that the wall folds leave.
     """
 
-    def __init__(self, data, offsets, rows):
-        self.data, self.offsets = data, offsets
-        n, pad = data.shape[1], offsets[-1]
+    def __init__(self, rows, offsets):
+        self.rows, self.offsets = rows, offsets
+        n, pad = rows.shape[1], offsets[-1]
         self.shape, self.nnz = (n, n), sum(n - abs(s) for s in offsets)
         padded = np.zeros(n + 2 * pad)
         self._x = padded[pad:][:n]
@@ -392,16 +386,17 @@ class BandedMatrix:
         return y
 
 
-def _jacobian_matrix(grid, coeff, ham, lam, u_values):
+def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
     """Jacobian of the residual at ``u_values`` and ``a(w)`` on the cells.
 
     The entries are the derivatives of ``_residual_values``'s stencils,
     gathered in one coefficient array per stencil offset.  With the wall
-    steps folded onto the edge cells, each array is one diagonal of the
-    matrix.  ``a(w)``, from the same ``w``, is the preconditioner's
+    steps folded onto the edge cells, each array is one row of the matrix's
+    storage.  ``a(w)``, from the same ``w``, is the preconditioner's
     coefficient: the cell field where ``a'`` is nonzero on some face, and
     its mean where ``a'`` vanishes on every face and ``a`` is constant.
     """
+    coeff, ham = problem.coefficient, problem.hamiltonian
     u = ScalarField(grid, u_values)
     du = gradient(u).components
     w = ham.eps + np.sum(du**2, axis=0)
@@ -413,25 +408,14 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
     wide = any(bool(np.any(ap)) for ap in face_ap)
     offsets = _stencil_offsets(grid.ndim, wide)
     slot = {o: k for k, o in enumerate(offsets)}
-    # scipy's diagonal storage keeps offset k's entry of row i at
-    # data[k, i + steps[k]], steps[k] being the offset's flat C-order step,
-    # so each coefficient array is a view of its diagonal shifted by its
-    # step.  The steps ascend, so the views do not overlap, and an entry
-    # whose column falls off the matrix lands where no diagonal reads.
-    n, size = grid.size, len(offsets) * grid.size
-    strides = [math.prod(grid.cells[d + 1 :]) for d in range(grid.ndim)]
-    steps = (np.array(offsets) @ strides).tolist()
-    band = np.zeros(size + 2 * steps[-1])
-    data = band[steps[-1] :][:size].reshape(len(offsets), n)
-    rows = [band[steps[-1] + k * n + s :][:n] for k, s in enumerate(steps)]
-    coefs = [row.reshape(grid.shape) for row in rows]
+    coefs = np.zeros((len(offsets), *grid.shape))
 
     def at(offset):
         return coefs[slot[tuple(offset)]]
 
     unit = np.eye(grid.ndim, dtype=int)
     centre = at(0 * unit[0])
-    centre += lam
+    centre += problem.lam
     # w at cell c moves by +-q_e[c] per unit change of u at clip(c +- e_e)
     q = [du[e] / h for e, h in enumerate(grid.spacing)]
     # dR_i/dw_i: h'(w_i), plus the a' terms of cell i's faces added below
@@ -471,7 +455,11 @@ def _jacobian_matrix(grid, coeff, ham, lam, u_values):
         coefs[dst][cells] += coefs[src][cells]
         coefs[src][cells] = 0.0
     a = coeff.a(w)
-    return BandedMatrix(data, steps, rows), (a if wide else float(np.mean(a)))
+    # each offset's flat C-order step
+    strides = [math.prod(grid.cells[d + 1 :]) for d in range(grid.ndim)]
+    steps = (np.array(offsets) @ strides).tolist()
+    J = BandedMatrix(coefs.reshape(len(offsets), -1), steps)
+    return J, (a if wide else float(np.mean(a)))
 
 
 def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
@@ -479,50 +467,47 @@ def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None)
     if u.grid.domain != problem.domain:
         raise ContractError("field domain does not match the problem domain")
     f_values = (f.values if f is not None else sample_source(problem.source, u.grid).values)
-    vals = _residual_values(
-        u.grid, problem.coefficient, problem.hamiltonian, problem.lam, f_values, u.values
-    )
-    return ScalarField(u.grid, vals)
+    return ScalarField(u.grid, _residual_values(problem, u.grid, f_values, u.values))
 
 
 def jacobian(problem: ProblemSpec, u: ScalarField) -> BandedMatrix:
     """Jacobian of the residual at ``u`` in C order: the operator Newton applies."""
-    return _jacobian_matrix(
-        u.grid, problem.coefficient, problem.hamiltonian, problem.lam, u.values
-    )[0]
+    return _jacobian_matrix(problem, u.grid, u.values)[0]
 
 
-def _newton_stage(grid, coeff, ham, lam, f_values, u_values, options, stats):
+def _newton_stage(problem: ProblemSpec, grid, f_values, u_values, options):
+    """One Newton stage, ``(u, history, damping_events, krylov_iterations)``;
+    it converged iff ``history[-1] <= options.tol``.
+    """
     history = []
-    damping_events = 0
+    damping_events = krylov_iterations = 0
     u = u_values
     # each point is evaluated once: an accepted step carries over the
     # residual its line search computed
-    r = _residual_values(grid, coeff, ham, lam, f_values, u)
+    r = _residual_values(problem, grid, f_values, u)
     for it in range(options.max_iter + 1):
         rn = _discrete_l2(grid, r)
         history.append(rn)
-        if rn <= options.tol:
-            return u, history, damping_events, True
-        if it == options.max_iter:
+        if rn <= options.tol or it == options.max_iter:
             break
-        J, a = _jacobian_matrix(grid, coeff, ham, lam, u)
-        delta = _newton_direction(grid, J, r, rn, lam, a, options.tol, stats)
+        J, a = _jacobian_matrix(problem, grid, u)
+        delta, iterations = _newton_direction(grid, J, r, rn, problem.lam, a, options.tol)
+        krylov_iterations += iterations
         merit = 0.5 * rn * rn
         alpha = 1.0
         while True:
             trial = u + alpha * delta
-            rt = _residual_values(grid, coeff, ham, lam, f_values, trial)
+            rt = _residual_values(problem, grid, f_values, trial)
             merit_trial = 0.5 * _discrete_l2(grid, rt) ** 2
             if merit_trial <= merit * (1.0 - 2.0 * _ARMIJO * alpha):
                 break
             alpha *= _DAMPING_FACTOR
             if alpha < _MIN_STEP:
-                return u, history, damping_events, False
+                return u, history, damping_events, krylov_iterations
         if alpha < 1.0:
             damping_events += 1
         u, r = trial, rt
-    return u, history, damping_events, False
+    return u, history, damping_events, krylov_iterations
 
 
 def solve(
@@ -583,10 +568,8 @@ def solve(
     stages = []
     for f in reversed(sources):
         level = f.grid
-        stats = LinearSolveStats()
-        u_values, history, damping, ok = _newton_stage(
-            level, problem.coefficient, problem.hamiltonian, problem.lam, f.values,
-            prolong(u, level).values, options, stats,
+        u_values, history, damping, krylov = _newton_stage(
+            problem, level, f.values, prolong(u, level).values, options
         )
         stages.append(
             StageReport(
@@ -595,37 +578,33 @@ def solve(
                 residual_norm=history[-1],
                 damping_events=damping,
                 residual_history=history,
-                krylov_iterations=stats.krylov_iterations,
+                krylov_iterations=krylov,
             )
         )
-        if not ok:
-            report = SolveReport(
-                stages=stages,
-                converged=False,
-                residual_norm=history[-1],
-                source=sources[0],
-            )
-            # a stage that stops before its last iteration stops in the
-            # line search
-            if len(history) - 1 == options.max_iter:
-                reason = f"max_iter = {options.max_iter} reached"
-            else:
-                reason = (
-                    "line search collapsed, no step down to length "
-                    f"{_MIN_STEP:.3g} passed the Armijo test"
-                )
-            raise NonconvergenceError(
-                f"Newton stalled on {'×'.join(map(str, level.cells))} "
-                f"with residual {history[-1]:.3e}: {reason}",
-                best_iterate=ScalarField(level, u_values),
-                residual_norm=history[-1],
-                report=report,
-            )
         u = ScalarField(level, u_values)
+        # a nan residual stops the solve here too
+        if not history[-1] <= options.tol:
+            break
     report = SolveReport(
         stages=stages,
-        converged=True,
-        residual_norm=stages[-1].residual_norm,
+        converged=history[-1] <= options.tol,
+        residual_norm=history[-1],
         source=sources[0],
     )
+    if not report.converged:
+        # a stage that stops before its last iteration stops in the line search
+        if len(history) - 1 == options.max_iter:
+            reason = f"max_iter = {options.max_iter} reached"
+        else:
+            reason = (
+                "line search collapsed, no step down to length "
+                f"{_MIN_STEP:.3g} passed the Armijo test"
+            )
+        raise NonconvergenceError(
+            f"Newton stalled on {'×'.join(map(str, level.cells))} "
+            f"with residual {history[-1]:.3e}: {reason}",
+            best_iterate=u,
+            residual_norm=history[-1],
+            report=report,
+        )
     return u, report

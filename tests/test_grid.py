@@ -1,6 +1,7 @@
 """Grid calculus: discrete operators and their exactness properties."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -173,12 +174,16 @@ def test_field_serialization_round_trip(tmp_path, rng):
         lambda blob: blob[:-8],  # truncated data block
         lambda blob: blob[:20],  # truncated header
         lambda blob: blob + bytes(8),  # trailing bytes
+        # a header that claims 2**62 cells, checked before anything is read
+        lambda blob: blob[:12] + struct.pack("<3Q", 2**31, 2**31, 1) + blob[36:],
+        lambda blob: blob[:8] + struct.pack("<I", 1) + blob[12:],  # one axis
     ],
-    ids=["truncated-data", "truncated-header", "trailing-bytes"],
+    ids=["truncated-data", "truncated-header", "trailing-bytes", "huge-header", "one-axis"],
 )
 def test_load_field_rejects_malformed_snapshots(tmp_path, rng, damage):
-    """A snapshot whose length does not match its header is refused with a
-    ContractError that names the file."""
+    """A snapshot whose length does not match its header, or whose header
+    names other than 2 or 3 axes, is refused with a ContractError that names
+    the file."""
     grid = build_grid(Box((1.5, 0.5, 1.0)), (8, 10, 12))
     path = tmp_path / "u.field"
     save_field(path, ScalarField(grid, rng.standard_normal(grid.shape)))

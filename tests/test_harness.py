@@ -26,6 +26,7 @@ from gradlab.errors import (
     NonconvergenceError,
     ParameterError,
     RegimeError,
+    ResolutionError,
     UnconvergedInputError,
 )
 from gradlab.grid import Box, save_field
@@ -166,11 +167,13 @@ def test_parse_rejections(mutate):
         ("solver", "min_step"),
         ("output", "directory"),
         ("output", "formats"),
+        ("analysis", "maxreg_q"),
     ],
 )
 def test_newton_constants_and_output_section_are_not_settings(section, key):
-    """The Newton constants and the [output] section are not settings: a
-    config that names one is refused like any other unknown key."""
+    """The Newton constants, the [output] section and maxreg_q, which was
+    always q, are not settings: a config that names one is refused like any
+    other unknown key."""
     with pytest.raises(ConfigError, match=rf"unknown (key {key!r}|section \[{section}\])"):
         parse_config(SMOOTH + f"\n[{section}]\n{key} = 1\n")
 
@@ -494,6 +497,29 @@ def test_k_sweep_needs_superlevel_regime(tmp_path, monkeypatch):
     cfg = parse_config(SMOOTH + "\n[analysis]\nsobolev_dim = 3\nk_levels = 1.0 1.5\n")
     with pytest.raises(RegimeError, match="superlevel"):
         sweep(cfg, "k", tmp_path)
+
+
+@pytest.mark.parametrize(
+    "axis, values, error",
+    [
+        ("h", "h_sweep = 48 6", ResolutionError),
+        ("eps", "epsilon_sweep = 1e-1 -1e-2", ParameterError),
+    ],
+)
+def test_sweep_with_a_bad_point_fails_before_it_solves(
+    tmp_path, monkeypatch, axis, values, error
+):
+    """A sweep builds every point's problem, grid and exponent table before
+    its first solve, so a bad later point costs no solve and leaves no
+    record."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before every point was checked")
+
+    monkeypatch.setattr("gradlab.harness.runner.solve", no_solve)
+    cfg = parse_config(SMOOTH + f"\n[analysis]\n{values}\n")
+    with pytest.raises(error):
+        sweep(cfg, axis, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_scale_variants_digest_text_parses_back():

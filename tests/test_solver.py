@@ -39,7 +39,6 @@ from gradlab.solver import (
     _FORCING,
     _FORCING_MIN,
     BandedMatrix,
-    LinearSolveStats,
     SolverOptions,
     _dct_matrix,
     _dct_preconditioner,
@@ -156,6 +155,18 @@ def _neumann_laplacian(u):
     return [-divergence_flux(u.grid, [np.ones(f.shape) for f in faces], faces).values]
 
 
+def _scipy_dia(J):
+    """scipy's ``dia_matrix`` of ``J``: row ``i``'s entry in column ``i + s``
+    moves from ``J.rows[k, i]`` to ``data[k, i + s]``, and the entries whose
+    column falls off the matrix, all zero, are left out."""
+    n = J.shape[0]
+    data = np.zeros_like(J.rows)
+    for k, s in enumerate(J.offsets):
+        lo, hi = max(0, -s), min(n, n - s)
+        data[k, lo + s : hi + s] = J.rows[k, lo:hi]
+    return sp.dia_matrix((data, J.offsets), shape=J.shape)
+
+
 def _reference_jacobian(grid, coeff, ham, lam, u_values):
     """The Jacobian by sparse-matrix products, term by term, with each
     operator's matrix taken from its stencil."""
@@ -214,7 +225,7 @@ def test_jacobian_matches_sparse_product_formula(
     ref = _reference_jacobian(
         grid, prob.coefficient, prob.hamiltonian, prob.lam, u_vals
     )
-    dia = sp.dia_matrix((J.data, J.offsets), shape=J.shape)
+    dia = _scipy_dia(J)
     assert abs(dia - ref).max() <= 1e-14 * abs(ref).max()
     assert J.nnz == dia.nnz
     if p == 2.0:
@@ -237,8 +248,8 @@ def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
         box, p=p, gamma=3.0, source=CosineProduct(amplitude=8.0, modes=(1,) * len(cells))
     )
     u_vals = 1.0 + 0.1 * rng.standard_normal(grid.shape)
-    J, _ = _jacobian_matrix(grid, prob.coefficient, prob.hamiltonian, prob.lam, u_vals)
-    ref = sp.dia_matrix((J.data, J.offsets), shape=J.shape)
+    J, _ = _jacobian_matrix(prob, grid, u_vals)
+    ref = _scipy_dia(J)
     edge = np.zeros(grid.shape, dtype=bool)
     for d in range(grid.ndim):
         edge[(slice(None),) * d + ([0, -1],)] = True
@@ -249,7 +260,7 @@ def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
     public = jacobian(prob, ScalarField(grid, u_vals))
     assert isinstance(public, BandedMatrix)
     assert list(public.offsets) == list(J.offsets)
-    assert np.array_equal(public.data, J.data)
+    assert np.array_equal(public.rows, J.rows)
     assert public.nnz == ref.nnz == sum(grid.size - abs(s) for s in J.offsets)
 
 
@@ -309,9 +320,9 @@ def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
     next step, never recomputed."""
     calls = []
 
-    def counting(grid, coeff, ham, lam, f_values, u_values):
+    def counting(problem, grid, f_values, u_values):
         calls.append((grid.cells, u_values.copy()))
-        return _residual_values(grid, coeff, ham, lam, f_values, u_values)
+        return _residual_values(problem, grid, f_values, u_values)
 
     monkeypatch.setattr(gradlab.solver, "_residual_values", counting)
     prob = _problem(
@@ -351,17 +362,15 @@ def _step_system(case):
     f_values = sample_source(prob.source, grid).values
     x = grid.centers()
     u = f_values.mean() / prob.lam + 0.3 * np.prod([np.cos(np.pi * c) for c in x], axis=0)
-    args = (grid, prob.coefficient, prob.hamiltonian, prob.lam)
-    J, a = _jacobian_matrix(*args, u)
-    r = _residual_values(*args, f_values, u)
+    J, a = _jacobian_matrix(prob, grid, u)
+    r = _residual_values(prob, grid, f_values, u)
     return grid, prob.lam, J, a, r
 
 
 def _step(grid, lam, J, a, r, tol):
-    stats = LinearSolveStats()
     rn = _discrete_l2(grid, r)
-    delta = _newton_direction(grid, J, r, rn, lam, a, tol, stats)
-    return (r + (J @ delta.ravel()).reshape(grid.shape)), stats.krylov_iterations
+    delta, iterations = _newton_direction(grid, J, r, rn, lam, a, tol)
+    return (r + (J @ delta.ravel()).reshape(grid.shape)), iterations
 
 
 @pytest.mark.parametrize("case", ["2d-p3", "3d-radial"])
@@ -583,6 +592,23 @@ def test_stall_on_a_coarse_grid_names_that_grid(box2d):
     assert err.best_iterate.grid.cells == (8, 8)
     assert err.report.stages[-1].cells == (8, 8)
     assert not err.report.converged
+
+
+def test_nan_residual_stops_the_nested_solve_on_its_own_level(box2d, monkeypatch):
+    """A residual that is not finite fails every comparison with ``tol``, so
+    the nested solve stops on the coarsest grid that met it and runs no
+    finer stage."""
+    monkeypatch.setattr(
+        gradlab.solver,
+        "_residual_values",
+        lambda problem, grid, f_values, u_values: np.full(grid.shape, np.nan),
+    )
+    with pytest.raises(NonconvergenceError, match="stalled on 8×8 with residual nan") as info:
+        solve(_problem(box2d), build_grid(box2d, (32, 32)), options=SolverOptions(max_iter=0))
+    err = info.value
+    assert [s.cells for s in err.report.stages] == [(8, 8)]
+    assert not err.report.converged
+    assert err.best_iterate.grid.cells == (8, 8)
 
 
 def test_stall_in_the_line_search_says_so(box2d, monkeypatch):
