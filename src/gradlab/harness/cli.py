@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration/parameter/regime errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -14,8 +15,15 @@ from ..errors import GradlabError, NonconvergenceError
 from ..model.exponents import build_exponent_table
 from ..model.families import check_growth_conditions, check_structure_conditions
 from ..model.sources import sample_source
-from .config import load_config
-from .runner import _SWEEP_AXES, emit_report, exponent_table, run_experiment, sweep
+from .config import _LEDGER_NAMES, load_config
+from .runner import (
+    _SWEEP_AXES,
+    _sweep_variants,
+    emit_report,
+    exponent_table,
+    run_experiment,
+    sweep,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,6 +55,10 @@ def _cmd_check(args) -> int:
     config.validate()
     problem = config.build_problem()
     sample_source(problem.source, config.build_grid())
+    # every point a sweep would solve; k_levels also serve thm2 and the scan
+    for axis, (field, _) in _SWEEP_AXES.items():
+        if axis != "k" and getattr(config, field):
+            _sweep_variants(config, axis)
     srep = check_structure_conditions(problem.coefficient, config.eps, 1e4)
     grep = check_growth_conditions(problem.hamiltonian, 1.0, 1e3)
     print(f"config digest: {config.digest()}")
@@ -78,7 +90,7 @@ def _cmd_bernstein(args) -> int:
     config = load_config(args.config)
     config.validate()
     if not config.ledgers:
-        config = config.override("ledgers", "weak thm1 thm2 scan maxreg")
+        config = dataclasses.replace(config, ledgers=_LEDGER_NAMES)
     result = run_experiment(config, out_dir=args.out)
     failed = []
     for name, block in result.payload["ledgers"].items():

@@ -4,8 +4,9 @@ A config fully determines a run: the problem, the grid, the solver knobs,
 and which analyses to evaluate.  Parsing is strict; an unknown section or
 key is a :class:`ConfigError`, not a warning, so a typo cannot silently
 drop an option.  The exponent-bearing parameters (p, gamma, q, lambda, and
-the analysis beta) keep their raw strings and are re-parsed as exact
-fractions for the exponent calculus.
+the analysis beta) are parsed as exact fractions for the exponent calculus.
+A config is its parsed values: its digest hashes them, not the text they
+were written in, and a variant of it is a :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import io
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,12 +79,13 @@ _KNOWN_KEYS = {
 
 _REQUIRED = {"problem": {"p", "gamma", "lambda", "eps", "q", "source"}, "grid": {"extents", "cells"}}
 
-_LEDGER_NAMES = {"weak", "thm1", "thm2", "scan", "maxreg"}
+# every ledger, in the order a run evaluates them
+_LEDGER_NAMES = ("weak", "thm1", "thm2", "scan", "maxreg")
 
 
 @dataclass
 class RunConfig:
-    """Parsed experiment description plus the raw text it came from."""
+    """Parsed experiment description."""
 
     # problem, with exact copies of the exponent-bearing entries
     p: Fraction
@@ -107,28 +109,11 @@ class RunConfig:
     scales: tuple
     lambda_sweep: tuple
     h_sweep: tuple
-    canonical_text: str = field(repr=False, default="")
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text.encode()).hexdigest()
-
-    def override(self, key: str, value: str) -> "RunConfig":
-        """This config with the entry ``key = value`` set, parsed again.
-
-        The entry goes into the section that owns ``key``.  If the result
-        parses to the same fields as this config, this config itself is
-        returned, so its digest keeps the text it was written with.
-        """
-        section = next(s for s, keys in _KNOWN_KEYS.items() if key in keys)
-        parser = _parser()
-        parser.read_string(self.canonical_text)
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, value)
-        variant = parse_config(_canonical_text(parser))
-        if dataclasses.replace(variant, canonical_text=self.canonical_text) == self:
-            return self
-        return variant
+        """Hash of the parsed values; exact fractions enter as ``p/q``."""
+        values = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
+        return hashlib.sha256(values.encode()).hexdigest()
 
     def build_source(self):
         params = dict(self.source_params)
@@ -160,20 +145,6 @@ class RunConfig:
             )
 
 
-def _parser() -> configparser.ConfigParser:
-    # "key = value  ; note" is a comment after the value, as in README
-    return configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=(";",)
-    )
-
-
-def _boolean(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
-
-
 def _get(parser, section, key, default=None):
     if parser.has_option(section, key):
         return parser.get(section, key)
@@ -194,7 +165,8 @@ def _value(parser, section, key, convert, default=None):
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = _parser()
+    # "key = value  ; note" is a comment after the value, as in README
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -242,6 +214,12 @@ def parse_config(text: str) -> RunConfig:
     if len(extents) != len(cells):
         raise ConfigError("grid 'extents' and 'cells' disagree on dimension")
 
+    def boolean(raw):
+        try:
+            return parser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {raw!r}") from None
+
     def solver_value(key, convert):
         return _value(parser, "solver", key, convert, getattr(SolverOptions, key))
 
@@ -249,7 +227,7 @@ def parse_config(text: str) -> RunConfig:
         solver = SolverOptions(
             tol=solver_value("tol", float),
             max_iter=solver_value("max_iter", int),
-            continuation=solver_value("continuation", _boolean),
+            continuation=solver_value("continuation", boolean),
         )
     except ParameterError as exc:
         raise ConfigError(f"bad [solver] section: {exc}") from exc
@@ -257,13 +235,12 @@ def parse_config(text: str) -> RunConfig:
     def analysis(key, convert, default=None):
         return _value(parser, "analysis", key, convert, default)
 
-    ledgers_raw = _get(parser, "analysis", "ledgers", "")
-    ledgers = tuple(tok.strip().lower() for tok in ledgers_raw.split())
-    for name in ledgers:
+    # a set of ledgers, kept in their evaluation order
+    named = _get(parser, "analysis", "ledgers", "").lower().split()
+    for name in named:
         if name not in _LEDGER_NAMES:
-            raise ConfigError(
-                f"unknown ledger {name!r}; choose from {sorted(_LEDGER_NAMES)}"
-            )
+            raise ConfigError(f"unknown ledger {name!r}; choose from {_LEDGER_NAMES}")
+    ledgers = tuple(name for name in _LEDGER_NAMES if name in named)
 
     # thm2 and the scan reject such levels too, but only after the solve
     k_levels = analysis("k_levels", _floats, ())
@@ -271,7 +248,7 @@ def parse_config(text: str) -> RunConfig:
     if not (increasing and all(k >= 1 for k in k_levels)):
         raise ConfigError("[analysis] 'k_levels' must be at least 1 and strictly increasing")
 
-    config = RunConfig(
+    return RunConfig(
         p=p,
         gamma=gamma,
         lam=lam,
@@ -290,20 +267,7 @@ def parse_config(text: str) -> RunConfig:
         scales=analysis("scales", _floats, ()),
         lambda_sweep=analysis("lambda_sweep", _floats, ()),
         h_sweep=analysis("h_sweep", _ints, ()),
-        canonical_text=_canonical_text(parser),
     )
-    return config
-
-
-def _canonical_text(parser: configparser.ConfigParser) -> str:
-    """Sections and keys in sorted order, so the digest ignores layout."""
-    out = io.StringIO()
-    for section in sorted(parser.sections()):
-        out.write(f"[{section}]\n")
-        for key in sorted(parser.options(section)):
-            value = " ".join(parser.get(section, key).split())
-            out.write(f"{key} = {value}\n")
-    return out.getvalue()
 
 
 def load_config(path: str | Path) -> RunConfig:

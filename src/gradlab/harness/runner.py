@@ -33,20 +33,34 @@ from ..bernstein import (
 )
 from ..errors import ConfigError, GradlabError, ParameterError, RegimeError
 from ..grid import Box, ScalarField, build_grid, gradient, lp_norm
-from ..model.exponents import build_exponent_table, effective_sobolev_dimension, theorem1_exponents
+from ..model.exponents import (
+    build_exponent_table,
+    effective_sobolev_dimension,
+    theorem1_exponents,
+    to_fraction,
+)
 from ..model.problem import ProblemSpec
 from ..model.sources import Scaled, Tabulated, sample_source
 from ..solver import SolverOptions, solve
 from .config import RunConfig
 from .records import list_records, load_record, persist_record
 
-# sweep axis -> (RunConfig field listing its values, config key each value sets)
+# sweep axis -> (RunConfig field listing its values, the config at one value)
 _SWEEP_AXES = {
-    "eps": ("epsilon_sweep", "eps"),
-    "scale": ("scales", "scale"),
-    "h": ("h_sweep", "cells"),
-    "k": ("k_levels", "k_levels"),
-    "lambda": ("lambda_sweep", "lambda"),
+    "eps": ("epsilon_sweep", lambda config, v: dataclasses.replace(config, eps=v)),
+    "scale": (
+        "scales",
+        lambda config, v: dataclasses.replace(
+            config, source_params={**config.source_params, "scale": v}
+        ),
+    ),
+    "h": ("h_sweep", lambda config, n: dataclasses.replace(config, cells=(n,) * len(config.cells))),
+    # a k point evaluates thm2 alone, at its own level
+    "k": (
+        "k_levels",
+        lambda config, k: dataclasses.replace(config, k_levels=(k,), ledgers=("thm2",)),
+    ),
+    "lambda": ("lambda_sweep", lambda config, v: dataclasses.replace(config, lam=to_fraction(v))),
 }
 
 
@@ -218,23 +232,27 @@ def run_experiment(
 
 
 def _sweep_variants(config: RunConfig, axis: str) -> list:
-    """(value, config) pairs, each the base config with one entry overridden."""
+    """(value, config) pairs, each the base config with one value on ``axis``.
+
+    Every point's problem, grid and exponent table is built here, so a bad
+    point fails before any point is solved.
+    """
     if axis not in _SWEEP_AXES:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; choose from {tuple(_SWEEP_AXES)}"
         )
-    field, key = _SWEEP_AXES[axis]
+    field, at = _SWEEP_AXES[axis]
     values = getattr(config, field)
     if not values:
         raise ConfigError(f"{axis} sweep needs {field!r} values in [analysis]")
-    if axis == "k":
-        if exponent_table(config).thm2 is None:
-            raise RegimeError("k sweep needs a superlevel regime (no thm2 block)")
-        config = config.override("ledgers", "thm2")
-    if axis == "h":
-        ndim = len(config.cells)
-        return [(n, config.override(key, " ".join([str(n)] * ndim))) for n in values]
-    return [(v, config.override(key, repr(v))) for v in values]
+    if axis == "k" and exponent_table(config).thm2 is None:
+        raise RegimeError("k sweep needs a superlevel regime (no thm2 block)")
+    variants = [(v, at(config, v)) for v in values]
+    for _, variant in variants:
+        variant.build_problem()
+        variant.build_grid()
+        exponent_table(variant)
+    return variants
 
 
 def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> list:
@@ -249,10 +267,6 @@ def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> li
     before any point is solved.
     """
     variants = _sweep_variants(config, axis)
-    for _, variant in variants:
-        variant.build_problem()
-        variant.build_grid()
-        exponent_table(variant)
     results = []
     initial = None
     for value, variant in variants:

@@ -234,7 +234,7 @@ class ExponentTable:
         return out
 
 
-def effective_sobolev_dimension(N: int, override: int | None = None) -> int:
+def effective_sobolev_dimension(N: int, sobolev_dim: int | None = None) -> int:
     """Dimension used in Sobolev exponents.
 
     In the plane the embedding reaches every finite Lebesgue exponent, so the
@@ -242,10 +242,10 @@ def effective_sobolev_dimension(N: int, override: int | None = None) -> int:
     4) unless the caller pins one explicitly, e.g. 3 for a planar surrogate
     of a three-dimensional run.
     """
-    if override is not None:
-        if override < 3:
+    if sobolev_dim is not None:
+        if sobolev_dim < 3:
             raise ParameterError("effective Sobolev dimension must be at least 3")
-        return int(override)
+        return int(sobolev_dim)
     return N if N >= 3 else 4
 
 

@@ -234,16 +234,50 @@ def test_radial_source_needs_geometry():
         parse_config(broken)
 
 
+# SMOOTH with its sections and keys reordered and a comment
+_SHUFFLED = (
+    "; a comment\n[grid]\ncells = 24 24\nextents = 1 1\n\n[problem]\n"
+    "q = 3\nsource = cosine\nmodes = 1 1\namplitude = 8\n"
+    "p = 2\ngamma = 2\nlambda = 1\neps = 1e-2\n"
+)
+
+
 def test_digest_ignores_layout_not_values():
     cfg = parse_config(SMOOTH)
-    shuffled = parse_config(
-        "; a comment\n[grid]\ncells = 24 24\nextents = 1 1\n\n[problem]\n"
-        "q = 3\nsource = cosine\nmodes = 1 1\namplitude = 8\n"
-        "p = 2\ngamma = 2\nlambda = 1\neps = 1e-2\n"
-    )
+    shuffled = parse_config(_SHUFFLED)
     assert shuffled.digest() == cfg.digest()
     changed = parse_config(SMOOTH.replace("amplitude = 8", "amplitude = 9"))
     assert changed.digest() != cfg.digest()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (SMOOTH, SMOOTH.replace("eps = 1e-2", "eps = 0.01")),
+        (SMOOTH, SMOOTH.replace("p = 2", "p = 4/2")),
+        (SMOOTH, _SHUFFLED),
+    ],
+    ids=["eps-spelling", "p-spelling", "shuffled-sections"],
+)
+def test_identical_runs_are_cache_hits(tmp_path, first, second):
+    """Two spellings of one config share a digest and make one record."""
+    assert first != second
+    assert parse_config(first).digest() == parse_config(second).digest()
+    assert run_experiment(parse_config(first), tmp_path).fresh
+    again = run_experiment(parse_config(second), tmp_path)
+    assert not again.fresh
+    assert len(list_records(tmp_path)) == 1
+
+
+def test_ledgers_are_a_set():
+    """The ledgers entry names a set: order and repeats change neither the
+    ledgers run nor the digest."""
+    def at(ledgers):
+        return parse_config(SMOOTH + f"\n[analysis]\nledgers = {ledgers}\n")
+
+    assert at("weak thm1").ledgers == at("thm1 weak weak").ledgers == ("weak", "thm1")
+    assert at("weak thm1").digest() == at("thm1 WEAK weak").digest()
+    assert at("maxreg scan thm2 thm1 weak").ledgers == ("weak", "thm1", "thm2", "scan", "maxreg")
 
 
 def test_readme_config_blocks_parse():
@@ -350,7 +384,7 @@ def test_lambda_sweep_is_a_warm_chain(tmp_path):
     assert len(rows[0].payload["solve"]["stages"]) > 1
     for row in rows[1:]:
         assert len(row.payload["solve"]["stages"]) == 1
-    _assert_matches_cold(rows[-1], run_experiment(cfg.override("lambda", "2.0")))
+    _assert_matches_cold(rows[-1], run_experiment(dataclasses.replace(cfg, lam=Fraction(2))))
 
 
 def _assert_matches_cold(warm, cold):
@@ -504,6 +538,7 @@ def test_k_sweep_needs_superlevel_regime(tmp_path, monkeypatch):
     [
         ("h", "h_sweep = 48 6", ResolutionError),
         ("eps", "epsilon_sweep = 1e-1 -1e-2", ParameterError),
+        ("lambda", "lambda_sweep = 1 -1", ParameterError),
     ],
 )
 def test_sweep_with_a_bad_point_fails_before_it_solves(
@@ -511,26 +546,29 @@ def test_sweep_with_a_bad_point_fails_before_it_solves(
 ):
     """A sweep builds every point's problem, grid and exponent table before
     its first solve, so a bad later point costs no solve and leaves no
-    record."""
+    record; ``check`` builds them too and rejects the config."""
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before every point was checked")
 
     monkeypatch.setattr("gradlab.harness.runner.solve", no_solve)
-    cfg = parse_config(SMOOTH + f"\n[analysis]\n{values}\n")
+    text = SMOOTH + f"\n[analysis]\n{values}\n"
     with pytest.raises(error):
-        sweep(cfg, axis, tmp_path)
+        sweep(parse_config(text), axis, tmp_path)
     assert not any(tmp_path.iterdir())
+    assert main(["check", _write(tmp_path, "bad.ini", text)]) == 2
 
 
 def test_scale_variants_digest_text_parses_back():
     """A base config with no scale entry and a [solver] section: each
-    variant's canonical text must still be a config that parses to it."""
-    cfg = parse_config(SMOOTH + "\n[solver]\ntol = 1e-9\n\n[analysis]\nscales = 1 2\n")
-    variants = _sweep_variants(cfg, "scale")
+    variant is, digest and all, the config written with that scale."""
+    text = SMOOTH + "\n[solver]\ntol = 1e-9\n\n[analysis]\nscales = 1 2\n"
+    variants = _sweep_variants(parse_config(text), "scale")
     assert [v for v, _ in variants] == [1.0, 2.0]
     for value, variant in variants:
         assert variant.source_params["scale"] == value
-        assert parse_config(variant.canonical_text) == variant
+        written = parse_config(text.replace("modes = 1 1", f"modes = 1 1\nscale = {value:g}"))
+        assert written == variant
+        assert written.digest() == variant.digest()
 
 
 def test_sweep_axis_validation(tmp_path):
@@ -539,6 +577,11 @@ def test_sweep_axis_validation(tmp_path):
         sweep(cfg, "eps", tmp_path)  # no epsilon_sweep values configured
     with pytest.raises(ConfigError):
         sweep(cfg, "temperature", tmp_path)
+
+
+def _with_solver(config, **options):
+    """``config`` with the given solver settings replaced."""
+    return dataclasses.replace(config, solver=dataclasses.replace(config.solver, **options))
 
 
 def _cosine_exact(coords):
@@ -588,7 +631,7 @@ def test_nested_cold_solve_matches_a_single_grid_cold_solve(text, single_steps):
     ledger verdicts."""
     config = parse_config(text)
     problem, grid, options = config.build_problem(), config.build_grid(), config.solver
-    single = run_experiment(config.override("continuation", "off"))
+    single = run_experiment(_with_solver(config, continuation=False))
     assert [s["cells"] for s in single.payload["solve"]["stages"]] == [list(grid.cells)]
     assert single.payload["solve"]["total_iterations"] <= single_steps
     nested = run_experiment(config)
@@ -613,7 +656,7 @@ def test_cold_solve_newton_count(text, levels, max_steps):
     """At tol = 1e-8 a cold solve takes one stage per grid of its nested
     iteration and no more Newton steps than measured; a walk in (eps,
     gamma) on the coarsest grid would take 34 and 23."""
-    config = parse_config(text).override("tol", "1e-8")
+    config = _with_solver(parse_config(text), tol=1e-8)
     grid = config.build_grid()
     _, report = solve(config.build_problem(), grid, config.solver)
     assert report.converged
@@ -822,17 +865,18 @@ def test_cli_solve_and_bernstein_smooth(tmp_path, capsys):
 
 def test_cli_bernstein_default_ledgers_enter_the_digest(tmp_path):
     """With no ledgers entry, bernstein runs all five, and its record's digest
-    is that of a canonical text naming them, not the solve record's."""
+    is that of a config naming them, not the solve record's."""
     cfg = _write(tmp_path, "smooth.ini", SMOOTH)
     assert main(["solve", cfg, "--out", str(tmp_path / "solve")]) == 0
     main(["bernstein", cfg, "--out", str(tmp_path / "bern")])
     (solved,) = [load_record(r)[0] for r in list_records(tmp_path / "solve")]
     (bern,) = [load_record(r)[0] for r in list_records(tmp_path / "bern")]
     five = ("weak", "thm1", "thm2", "scan", "maxreg")
-    expected = parse_config(SMOOTH).override("ledgers", " ".join(five))
+    expected = dataclasses.replace(parse_config(SMOOTH), ledgers=five)
     assert solved["config_digest"] == parse_config(SMOOTH).digest()
     assert bern["config_digest"] == expected.digest() != solved["config_digest"]
-    assert parse_config(expected.canonical_text).ledgers == five
+    written = parse_config(SMOOTH + "\n[analysis]\nledgers = " + " ".join(five) + "\n")
+    assert written == expected and written.ledgers == five
     assert set(bern["ledgers"]) == set(five)
 
 
@@ -1061,7 +1105,7 @@ def test_residual_gate_bites_through_the_handed_over_residual(monkeypatch):
     the residual again after the solve returns."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)[0]
-    config = parse_config(text).override("tol", "1e-4")
+    config = _with_solver(parse_config(text), tol=1e-4)
     assert config.cells == (48, 48) and "thm1" in config.ledgers
     calls = []
     for module, name in (
