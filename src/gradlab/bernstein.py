@@ -206,13 +206,13 @@ def prepare_bundle(
             f"field has discrete residual {res_norm:.3e} "
             f"(gate {RESIDUAL_GATE:.1e}); solve before checking"
         )
-    du = gradient(u).components
+    du = gradient(u.grid, u.values)
     du2 = np.sum(du**2, axis=0)
     w = problem.eps + du2
     v = np.sqrt(w)
-    dw2 = np.sum(gradient(ScalarField(u.grid, w)).components ** 2, axis=0)
-    dv2 = np.sum(gradient(ScalarField(u.grid, v)).components ** 2, axis=0)
-    hess2 = second_derivatives(u).values
+    dw2 = np.sum(gradient(u.grid, w) ** 2, axis=0)
+    dv2 = np.sum(gradient(u.grid, v) ** 2, axis=0)
+    hess2 = second_derivatives(u.grid, u.values)
     # structural constants over the range the solution actually visits
     t_lo = float(w.min()) * (1.0 - 1e-9)
     t_hi = float(w.max()) * (1.0 + 1e-9)
@@ -256,7 +256,7 @@ def _power_of(base: np.ndarray):
 
 
 def _faces(bundle: SolutionBundle) -> list:
-    return bundle.once("faces", lambda: face_normal_differences(bundle.u))
+    return bundle.once("faces", lambda: face_normal_differences(bundle.grid, bundle.u.values))
 
 
 def _full_gradient_pairing(bundle: SolutionBundle, beta: float) -> tuple:
@@ -265,7 +265,7 @@ def _full_gradient_pairing(bundle: SolutionBundle, beta: float) -> tuple:
 
     def make():
         coeffs = [face_average(bundle.w, d) ** beta for d in range(bundle.grid.ndim)]
-        phi = -2.0 * divergence_flux(bundle.grid, coeffs, _faces(bundle)).values
+        phi = -2.0 * divergence_flux(bundle.grid, coeffs, _faces(bundle))
         del coeffs  # freed before the pairing's temporaries
         return phi, _pairing(bundle, phi)
 
@@ -274,7 +274,7 @@ def _full_gradient_pairing(bundle: SolutionBundle, beta: float) -> tuple:
 
 def _pairing(bundle: SolutionBundle, phi: np.ndarray) -> float:
     """Midpoint quadrature of ``a(w) Du . Dphi`` with centered gradients."""
-    dphi = gradient(ScalarField(bundle.grid, phi)).components
+    dphi = gradient(bundle.grid, phi)
     integrand = bundle.a_w * np.sum(bundle.du * dphi, axis=0)
     return bundle.integral(integrand)
 
@@ -418,7 +418,7 @@ def _superlevel_test_function(bundle: SolutionBundle, beta: float, k: float) -> 
         on = np.flatnonzero(v_face > k)
         v_on = v_face.reshape(-1).take(on)
         coeffs.append(_on_support(v_face.shape, on, (v_on - k) ** beta / v_on))
-    return divergence_flux(bundle.grid, coeffs, _faces(bundle)).values
+    return divergence_flux(bundle.grid, coeffs, _faces(bundle))
 
 
 def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) -> dict:
@@ -453,8 +453,8 @@ def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) ->
     v = at(bundle.v)
     vk = v - k
     # gradient mass of v_k^((p + beta - 1)/2), for the fitted Sobolev quotient
-    gk = ScalarField(bundle.grid, _on_support(shape, on, vk ** ((p + beta - 1.0) / 2.0)))
-    table["grad_mass"] = bundle.integral(np.sum(gradient(gk).components ** 2, axis=0))
+    gk = _on_support(shape, on, vk ** ((p + beta - 1.0) / 2.0))
+    table["grad_mass"] = bundle.integral(np.sum(gradient(bundle.grid, gk) ** 2, axis=0))
     del gk
     hess2, u, f = at(bundle.hess2), at(bundle.u.values), at(bundle.f)
     dv2 = at(bundle.dv2)
@@ -745,9 +745,8 @@ def maximal_regularity_norm(u: ScalarField, q: float, gamma: float) -> MaxRegNor
     """
     if q < 1:
         raise ParameterError("maximal regularity norm needs q >= 1")
-    mag = gradient(u).magnitude()
-    power_field = ScalarField(mag.grid, mag.values**gamma)
-    via_power = lp_norm(power_field, q)
+    mag = ScalarField(u.grid, np.sqrt(np.sum(gradient(u.grid, u.values) ** 2, axis=0)))
+    via_power = lp_norm(ScalarField(u.grid, mag.values**gamma), q)
     via_gradient = lp_norm(mag, q * gamma) ** gamma
     return MaxRegNorm(
         value=via_power,

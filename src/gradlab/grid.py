@@ -9,7 +9,10 @@ without revisiting them.
 
 Conventions
 -----------
-Scalar data lives at cell centers, shape ``grid.cells``.  Face data along
+Stencils take and return plain arrays; a :class:`ScalarField` is what
+crosses the package's interfaces.  Scalar data lives at cell centers, shape
+``grid.cells``, checked wherever the grid is given, so nothing broadcasts;
+the gradient has shape ``(ndim, *cells)``.  Face data along
 axis ``d`` holds the interior faces only: shape ``cells`` with entry ``d``
 one shorter, index ``i`` along that axis addressing the face between cells
 ``i`` and ``i+1``.  The boundary faces have no entry, because their flux is
@@ -87,10 +90,6 @@ class Grid:
         return float(np.prod(self.spacing))
 
     @property
-    def size(self) -> int:
-        return int(np.prod(self.cells))
-
-    @property
     def max_spacing(self) -> float:
         return max(self.spacing)
 
@@ -115,39 +114,21 @@ def build_grid(domain: Box, cells: tuple[int, ...]) -> Grid:
     return Grid(domain, cells)
 
 
+def _cells(grid: Grid, values) -> np.ndarray:
+    """``values`` as a float array of exactly the grid's shape: no broadcasting."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ContractError(f"cell array shape {values.shape} does not match grid {grid.shape}")
+    return values
+
+
 @dataclass
 class ScalarField:
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ContractError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-
-@dataclass
-class VectorField:
-    grid: Grid
-    components: np.ndarray  # shape (ndim, *cells)
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-        expected = (self.grid.ndim,) + self.grid.shape
-        if self.components.shape != expected:
-            raise ContractError(
-                f"vector field shape {self.components.shape}, expected {expected}"
-            )
-
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, np.sqrt(np.sum(self.components**2, axis=0)))
-
-
-def _same_grid(a, b):
-    if a.grid.cells != b.grid.cells or a.grid.domain != b.grid.domain:
-        raise ContractError("fields live on different grids")
+        self.values = _cells(self.grid, self.values)
 
 
 def prolong(field: ScalarField, grid: Grid) -> ScalarField:
@@ -215,19 +196,21 @@ def _shift(view: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
     return view[tuple(idx)]
 
 
-def gradient(u: ScalarField) -> VectorField:
-    """Centered-difference gradient at cell centers with mirror ghosts."""
-    g = u.grid
-    comps = np.empty((g.ndim,) + g.shape)
-    for d in range(g.ndim):
-        p = _mirror_pad(u.values, d)
-        comps[d] = (_shift(p, d, 2, 0) - _shift(p, d, 0, -2)) / (2.0 * g.spacing[d])
-    return VectorField(g, comps)
+def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Centered-difference gradient at cell centers with mirror ghosts,
+    shape ``(ndim, *cells)``."""
+    values = _cells(grid, values)
+    du = np.empty((grid.ndim,) + grid.shape)
+    for d in range(grid.ndim):
+        p = _mirror_pad(values, d)
+        du[d] = (_shift(p, d, 2, 0) - _shift(p, d, 0, -2)) / (2.0 * grid.spacing[d])
+    return du
 
 
-def face_normal_differences(u: ScalarField) -> list[np.ndarray]:
+def face_normal_differences(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
     """Interior-face normal differences ``(u_R - u_L)/h``, one array per axis."""
-    return [np.diff(u.values, axis=d) / h for d, h in enumerate(u.grid.spacing)]
+    values = _cells(grid, values)
+    return [np.diff(values, axis=d) / h for d, h in enumerate(grid.spacing)]
 
 
 def face_average(values: np.ndarray, axis: int) -> np.ndarray:
@@ -239,7 +222,7 @@ def divergence_flux(
     grid: Grid,
     coefficient_at_faces: list[np.ndarray],
     grad_normal_at_faces: list[np.ndarray],
-) -> ScalarField:
+) -> np.ndarray:
     """Flux-form divergence ``div(c * g)`` from per-axis interior-face data.
 
     The boundary faces carry zero flux, which is the discrete Neumann
@@ -261,68 +244,62 @@ def divergence_flux(
         flux = np.zeros(shape)
         np.multiply(c, gn, out=_shift(flux, d, 1, -1))
         div += np.diff(flux, axis=d) / grid.spacing[d]
-    return ScalarField(grid, div)
+    return div
 
 
 def dirichlet_form(
     grid: Grid,
     coefficient_at_faces: list[np.ndarray],
-    u: ScalarField,
-    v: ScalarField,
+    u: np.ndarray,
+    v: np.ndarray,
 ) -> float:
     """Face-based energy pairing ``sum_f c_f (Du)_f (Dv)_f vol``.
 
     This is the exact negative adjoint of :func:`divergence_flux` applied to
     ``u`` and integrated against ``v``.
     """
-    _same_grid(u, v)
-    gu = face_normal_differences(u)
-    gv = face_normal_differences(v)
-    total = 0.0
-    for d in range(grid.ndim):
-        c = np.asarray(coefficient_at_faces[d], dtype=float)
-        total += (c * gu[d] * gv[d]).sum()
+    gu = face_normal_differences(grid, u)
+    gv = face_normal_differences(grid, v)
+    total = sum((c * a * b).sum() for c, a, b in zip(coefficient_at_faces, gu, gv))
     return float(total * grid.cell_volume)
 
 
-def second_derivatives(u: ScalarField) -> ScalarField:
+def second_derivatives(grid: Grid, values: np.ndarray) -> np.ndarray:
     """The squared Frobenius norm of the Hessian, ``|D2u|^2``, per cell.
 
     Pure second differences are the standard three-point stencil, mixed ones
     the centered cross stencil, both with mirror ghosts.
     """
-    g = u.grid
-    n = g.ndim
-    frob = np.zeros(g.shape)
+    values = _cells(grid, values)
+    n = grid.ndim
+    frob = np.zeros(grid.shape)
     for d in range(n):
-        p = _mirror_pad(u.values, d)
-        pure = (_shift(p, d, 2, 0) - 2.0 * u.values + _shift(p, d, 0, -2)) / (
-            g.spacing[d] ** 2
+        p = _mirror_pad(values, d)
+        pure = (_shift(p, d, 2, 0) - 2.0 * values + _shift(p, d, 0, -2)) / (
+            grid.spacing[d] ** 2
         )
         frob += pure**2
     for d in range(n):
         for e in range(d + 1, n):
-            p = _mirror_pad(_mirror_pad(u.values, d), e)
+            p = _mirror_pad(_mirror_pad(values, d), e)
             pp = _shift(_shift(p, d, 2, 0), e, 2, 0)
             pm = _shift(_shift(p, d, 2, 0), e, 0, -2)
             mp = _shift(_shift(p, d, 0, -2), e, 2, 0)
             mm = _shift(_shift(p, d, 0, -2), e, 0, -2)
-            mixed = (pp - pm - mp + mm) / (4.0 * g.spacing[d] * g.spacing[e])
+            mixed = (pp - pm - mp + mm) / (4.0 * grid.spacing[d] * grid.spacing[e])
             frob += 2.0 * mixed**2
-    return ScalarField(g, frob)
+    return frob
 
 
 # ---------------------------------------------------------------------------
-# integrals and norms
+# norms
 # ---------------------------------------------------------------------------
 
 
-def lp_norm(field: ScalarField | VectorField, q: float) -> float:
-    """Discrete ``L^q`` norm; vector fields are reduced to their magnitude."""
+def lp_norm(field: ScalarField, q: float) -> float:
+    """Discrete ``L^q`` norm of a scalar field."""
     if q < 1:
         raise ParameterError("lp_norm requires q >= 1")
-    if isinstance(field, VectorField):
-        field = field.magnitude()
     vals = np.abs(field.values)
     if np.isinf(q):
         return float(vals.max())

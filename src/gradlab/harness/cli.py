@@ -52,7 +52,6 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config)
-    config.validate()
     problem = config.build_problem()
     sample_source(problem.source, config.build_grid())
     # every point a sweep would solve; k_levels also serve thm2 and the scan
@@ -73,7 +72,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     config = load_config(args.config)
-    config.validate()
     result = run_experiment(config, out_dir=args.out)
     solve_block = result.payload["solve"]
     print(f"converged: {solve_block['converged']} "
@@ -88,7 +86,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     config = load_config(args.config)
-    config.validate()
     if not config.ledgers:
         config = dataclasses.replace(config, ledgers=_LEDGER_NAMES)
     result = run_experiment(config, out_dir=args.out)
@@ -126,7 +123,6 @@ def _cmd_bernstein(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    config.validate()
     results = sweep(config, args.axis, out_dir=args.out)
     for result in results:
         meta = result.meta

@@ -110,6 +110,12 @@ class RunConfig:
     lambda_sweep: tuple
     h_sweep: tuple
 
+    def __post_init__(self):
+        # on every config, each dataclasses.replace variant included
+        ndim = len(self.extents)
+        if not lq_membership(self.build_source(), float(self.q), ndim):
+            raise ConfigError(f"declared source is not in L^{self.q} over a {ndim}d box")
+
     def digest(self) -> str:
         """Hash of the parsed values; exact fractions enter as ``p/q``."""
         values = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
@@ -134,15 +140,6 @@ class RunConfig:
 
     def build_grid(self) -> Grid:
         return build_grid(Box(self.extents), self.cells)
-
-    def validate(self) -> None:
-        """Checks beyond syntax: membership of the source in the stated L^q."""
-        source = self.build_source()
-        ndim = len(self.extents)
-        if not lq_membership(source, float(self.q), ndim):
-            raise ConfigError(
-                f"declared source is not in L^{self.q} over a {ndim}d box"
-            )
 
 
 def _get(parser, section, key, default=None):

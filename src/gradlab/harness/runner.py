@@ -416,7 +416,8 @@ def scaling_fit(
             failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
             continue
         xs.append(lp_norm(f, q_eta))
-        ys.append(lp_norm(gradient(u), eta))
+        du = gradient(grid, u.values)
+        ys.append(lp_norm(ScalarField(grid, np.sqrt(np.sum(du**2, axis=0))), eta))
         used_scales.append(s)
     if len(xs) < 3:
         raise ParameterError(

@@ -59,6 +59,11 @@ class Scaled:
     base: "SourceSpec"
     factor: float
 
+    def __post_init__(self):
+        # refused here, before a sweep solves the scales ahead of it
+        if not np.isfinite(self.factor):
+            raise ParameterError(f"source scale must be finite, got {self.factor}")
+
 
 @dataclass(frozen=True)
 class SeededSmoothRandom:
@@ -99,12 +104,7 @@ def lq_membership(source: SourceSpec, q: float, ndim: int) -> bool:
 def sample_source(source: SourceSpec, grid: Grid) -> ScalarField:
     """Evaluate the source at cell centers; every sampled value must be finite."""
     if isinstance(source, Tabulated):
-        if source.values.shape != grid.shape:
-            raise ContractError(
-                f"tabulated source shape {source.values.shape} does not match "
-                f"grid {grid.shape}"
-            )
-        vals = source.values.copy()
+        vals = source.values.copy()  # the ScalarField below checks its shape
     elif isinstance(source, Scaled):
         vals = source.factor * sample_source(source.base, grid).values
     elif isinstance(source, CosineProduct):

@@ -153,12 +153,11 @@ def _discrete_l2(grid: Grid, values: np.ndarray) -> float:
 
 
 def _residual_values(problem: ProblemSpec, grid, f_values, u_values):
-    u = ScalarField(grid, u_values)
-    du = gradient(u).components
+    du = gradient(grid, u_values)
     w = problem.hamiltonian.eps + np.sum(du**2, axis=0)
-    faces = face_normal_differences(u)
+    faces = face_normal_differences(grid, u_values)
     coeffs = [problem.coefficient.a(face_average(w, d)) for d in range(grid.ndim)]
-    div = divergence_flux(grid, coeffs, faces).values
+    div = divergence_flux(grid, coeffs, faces)
     return problem.lam * u_values - div + problem.hamiltonian.h_of_w(w) - f_values
 
 
@@ -397,8 +396,7 @@ def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
     its mean where ``a'`` vanishes on every face and ``a`` is constant.
     """
     coeff, ham = problem.coefficient, problem.hamiltonian
-    u = ScalarField(grid, u_values)
-    du = gradient(u).components
+    du = gradient(grid, u_values)
     w = ham.eps + np.sum(du**2, axis=0)
     face_w = [face_average(w, d) for d in range(grid.ndim)]
     face_ap = [np.asarray(coeff.a_prime(wf), dtype=float) for wf in face_w]
@@ -420,7 +418,7 @@ def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
     q = [du[e] / h for e, h in enumerate(grid.spacing)]
     # dR_i/dw_i: h'(w_i), plus the a' terms of cell i's faces added below
     own = ham.h_prime_of_w(w)
-    faces = face_normal_differences(u) if wide else None
+    faces = face_normal_differences(grid, u_values) if wide else None
     for d, h in enumerate(grid.spacing):
         # the cells on the left and right of each face along d
         left, right = (

@@ -348,7 +348,7 @@ def _full_array_superlevel_table(bundle, k, beta, ns):
     v, hess2, u, f = bundle.v, bundle.hess2, bundle.u.values, bundle.f
     mask = v > k
     vk = np.where(mask, v - k, 0.0)
-    dv = gradient(ScalarField(g, v)).components
+    dv = gradient(g, v)
     dv2 = np.where(mask, np.sum(dv**2, axis=0), 0.0)
 
     def masked(values):
@@ -358,9 +358,9 @@ def _full_array_superlevel_table(bundle, k, beta, ns):
     for d in range(g.ndim):
         v_face = face_average(v, d)
         coeffs.append(np.maximum(v_face - k, 0.0) ** beta / v_face)
-    phi = divergence_flux(g, coeffs, face_normal_differences(bundle.u)).values
-    dphi = gradient(ScalarField(g, phi)).components
-    dgk = gradient(ScalarField(g, vk ** ((p + beta - 1.0) / 2.0))).components
+    phi = divergence_flux(g, coeffs, face_normal_differences(g, u))
+    dphi = gradient(g, phi)
+    dgk = gradient(g, vk ** ((p + beta - 1.0) / 2.0))
     sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
     return {
         "pairing": bundle.integral(bundle.a_w * np.sum(bundle.du * dphi, axis=0)),

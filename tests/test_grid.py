@@ -11,7 +11,6 @@ from gradlab.grid import (
     Box,
     Grid,
     ScalarField,
-    VectorField,
     build_grid,
     dirichlet_form,
     divergence_flux,
@@ -43,18 +42,45 @@ def test_field_shape_contracts():
     grid = build_grid(Box((1.0, 1.0)), (8, 8))
     with pytest.raises(ContractError):
         ScalarField(grid, np.zeros((8, 9)))
+
+
+_GRID_2D = build_grid(Box((1.0, 0.5)), (12, 8))
+
+# every way to hand a cell array to the grid: each checks its shape
+# (divergence_flux takes face arrays, checked in the face-array test)
+_CELL_ARRAY_TAKERS = {
+    "ScalarField": ScalarField,
+    "gradient": gradient,
+    "face_normal_differences": face_normal_differences,
+    "second_derivatives": second_derivatives,
+    "dirichlet_form u": lambda g, a: dirichlet_form(g, _unit_faces(g), a, np.zeros(g.shape)),
+    "dirichlet_form v": lambda g, a: dirichlet_form(g, _unit_faces(g), np.zeros(g.shape), a),
+}
+
+
+def _unit_faces(grid):
+    return [np.ones(f.shape) for f in face_normal_differences(grid, np.zeros(grid.shape))]
+
+
+@pytest.mark.parametrize("taker", sorted(_CELL_ARRAY_TAKERS))
+@pytest.mark.parametrize("shape", [(12, 1), (1, 8), (8, 12), (12, 9), (12, 8, 1), (96,)])
+def test_cell_arrays_of_another_shape_are_refused(taker, shape):
+    """An array whose shape is not the grid's is refused, never broadcast:
+    an ``(n, 1)`` array would otherwise pass through every stencil."""
+    take = _CELL_ARRAY_TAKERS[taker]
+    take(_GRID_2D, np.ones(_GRID_2D.shape))
     with pytest.raises(ContractError):
-        VectorField(grid, np.zeros((3, 8, 8)))
+        take(_GRID_2D, np.ones(shape))
 
 
 def test_gradient_exact_on_interior_quadratic():
     grid = build_grid(Box((1.0, 1.0)), (17, 17))
     x, y = grid.centers()
-    u = ScalarField(grid, 0.5 * x**2 - x * y + y**2)
-    du = gradient(u)
+    du = gradient(grid, 0.5 * x**2 - x * y + y**2)
+    assert du.shape == (2, 17, 17)
     inner = (slice(1, -1), slice(1, -1))
-    assert np.allclose(du.components[0][inner], (x - y)[inner], atol=1e-13)
-    assert np.allclose(du.components[1][inner], (-x + 2 * y)[inner], atol=1e-13)
+    assert np.allclose(du[0][inner], (x - y)[inner], atol=1e-13)
+    assert np.allclose(du[1][inner], (-x + 2 * y)[inner], atol=1e-13)
 
 
 def test_gradient_second_order_on_compatible_field():
@@ -62,10 +88,9 @@ def test_gradient_second_order_on_compatible_field():
     for n in (32, 64, 128):
         grid = build_grid(Box((1.0, 1.0)), (n, n))
         x, y = grid.centers()
-        u = ScalarField(grid, np.cos(np.pi * x) * np.cos(np.pi * y))
-        du = gradient(u)
+        du = gradient(grid, np.cos(np.pi * x) * np.cos(np.pi * y))
         exact = -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
-        errs.append(np.max(np.abs(du.components[0] - exact)))
+        errs.append(np.max(np.abs(du[0] - exact)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.8)
 
@@ -73,11 +98,10 @@ def test_gradient_second_order_on_compatible_field():
 def test_second_derivatives_exact_on_quadratic():
     grid = build_grid(Box((1.0, 1.0)), (17, 17))
     x, y = grid.centers()
-    u = ScalarField(grid, x**2 + 3.0 * x * y - 2.0 * y**2)
-    hess2 = second_derivatives(u)
+    hess2 = second_derivatives(grid, x**2 + 3.0 * x * y - 2.0 * y**2)
     inner = (slice(1, -1), slice(1, -1))
     # D2u = [[2, 3], [3, -4]]: |D2u|^2 = 4 + 9 + 9 + 16 = 38
-    assert np.allclose(hess2.values[inner], 38.0, atol=1e-10)
+    assert np.allclose(hess2[inner], 38.0, atol=1e-10)
 
 
 def test_divergence_theorem_and_adjointness(rng):
@@ -89,17 +113,14 @@ def test_divergence_theorem_and_adjointness(rng):
     ):
         vol = grid.cell_volume
         for _ in range(20):
-            u = ScalarField(grid, rng.standard_normal(grid.shape))
-            v = ScalarField(grid, rng.standard_normal(grid.shape))
-            coeffs = [
-                0.1 + rng.random(face_average(u.values, d).shape)
-                for d in range(grid.ndim)
-            ]
-            faces = face_normal_differences(u)
+            u = rng.standard_normal(grid.shape)
+            v = rng.standard_normal(grid.shape)
+            coeffs = [0.1 + rng.random(face_average(u, d).shape) for d in range(grid.ndim)]
+            faces = face_normal_differences(grid, u)
             div = divergence_flux(grid, coeffs, faces)
-            total = abs(float(div.values.sum() * vol))
-            assert total <= 1e-12 * max(1.0, np.abs(div.values).sum() * vol)
-            pairing = float((v.values * div.values).sum() * vol)
+            total = abs(float(div.sum() * vol))
+            assert total <= 1e-12 * max(1.0, np.abs(div).sum() * vol)
+            pairing = float((v * div).sum() * vol)
             energy = dirichlet_form(grid, coeffs, u, v)
             scale = max(abs(pairing), abs(energy), 1.0)
             assert abs(pairing + energy) <= 1e-12 * scale
@@ -110,13 +131,13 @@ def test_face_arrays_hold_interior_faces_only(rng, cells):
     """Face data along axis d has n_d - 1 entries along d; the boundary
     faces have none, so an array with the two boundary faces is refused."""
     grid = build_grid(Box((1.0,) * len(cells)), cells)
-    u = ScalarField(grid, rng.standard_normal(grid.shape))
-    faces = face_normal_differences(u)
+    u = rng.standard_normal(grid.shape)
+    faces = face_normal_differences(grid, u)
     for d in range(grid.ndim):
         shape = list(cells)
         shape[d] -= 1
         assert faces[d].shape == tuple(shape)
-        assert face_average(u.values, d).shape == tuple(shape)
+        assert face_average(u, d).shape == tuple(shape)
     ones = [np.ones(f.shape) for f in faces]
     divergence_flux(grid, ones, faces)
     for d in range(grid.ndim):
@@ -128,6 +149,11 @@ def test_face_arrays_hold_interior_faces_only(rng, cells):
             divergence_flux(grid, ones, padded)
         with pytest.raises(ContractError, match=f"along axis {d}"):
             divergence_flux(grid, padded, faces)
+        # one that would broadcast is refused too
+        thin = list(faces)
+        thin[d] = faces[d][..., :1]
+        with pytest.raises(ContractError, match=f"along axis {d}"):
+            divergence_flux(grid, ones, thin)
 
 
 def test_integrate_and_lp_norms():
@@ -139,8 +165,10 @@ def test_integrate_and_lp_norms():
     assert lp_norm(const, np.inf) == pytest.approx(3.0)
     wave = ScalarField(grid, np.cos(np.pi * x))
     assert lp_norm(wave, 2.0) == pytest.approx(np.sqrt(0.5), rel=1e-3)
-    vec = VectorField(grid, np.stack([np.full(grid.shape, 3.0), np.full(grid.shape, 4.0)]))
-    assert lp_norm(vec, 2.0) == pytest.approx(5.0, rel=1e-14)
+    # the norm of a vector field is that of its magnitude
+    du = np.stack([np.full(grid.shape, 3.0), np.full(grid.shape, 4.0)])
+    magnitude = ScalarField(grid, np.sqrt(np.sum(du**2, axis=0)))
+    assert lp_norm(magnitude, 2.0) == pytest.approx(5.0, rel=1e-14)
     with pytest.raises(ParameterError):
         lp_norm(const, 0.5)
 

@@ -121,7 +121,6 @@ def test_parse_minimal_and_defaults():
     assert cfg.cells == (24, 24)
     assert cfg.solver.continuation is True
     assert cfg.ledgers == ()
-    cfg.validate()
 
 
 @pytest.mark.parametrize(
@@ -295,11 +294,12 @@ def test_readme_config_blocks_parse():
 
 
 def test_validate_checks_source_membership():
-    bad = parse_config(
-        SINGULAR.replace("power = 0.55", "power = 0.9").replace("q = 3", "q = 3")
-    )
-    with pytest.raises(ConfigError):
-        bad.validate()
+    """L^q membership is checked on every config: at parse, and on every
+    variant made from one, such as a sweep point."""
+    with pytest.raises(ConfigError, match="not in L"):
+        parse_config(SINGULAR.replace("power = 0.55", "power = 0.9"))
+    with pytest.raises(ConfigError, match="not in L"):
+        dataclasses.replace(parse_config(SINGULAR), q=Fraction(4))
 
 
 def test_natural_growth_config_rejected_at_build():
@@ -481,6 +481,46 @@ def test_every_definition_in_src_is_named_outside_itself():
     assert unnamed == _UNCALLED_IN_SRC
 
 
+def _imported_names(tree):
+    """``(name, line)`` for each name an import binds, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _reexported(tree):
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_module_in_src_imports_a_name_it_never_uses():
+    """Each name a module in ``src/`` imports is read in that module, or,
+    in a package ``__init__``, re-exported through ``__all__``."""
+    package = Path(gradlab.__file__).parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            read |= _reexported(tree)
+        for name, line in _imported_names(tree):
+            if name not in read:
+                unused.append(f"{path.relative_to(package)}:{line} {name}")
+    assert unused == []
+
+
 def test_only_the_harness_runs_ladders_of_solves():
     """``bernstein`` audits one given solution and ``solver`` solves one
     problem: neither runs a ladder of solves."""
@@ -539,6 +579,7 @@ def test_k_sweep_needs_superlevel_regime(tmp_path, monkeypatch):
         ("h", "h_sweep = 48 6", ResolutionError),
         ("eps", "epsilon_sweep = 1e-1 -1e-2", ParameterError),
         ("lambda", "lambda_sweep = 1 -1", ParameterError),
+        ("scale", "scales = 1 nan", ParameterError),
     ],
 )
 def test_sweep_with_a_bad_point_fails_before_it_solves(

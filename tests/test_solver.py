@@ -135,24 +135,20 @@ def _stencil_matrix(grid, apply):
     """The matrices of the linear stencil ``apply``, one per array it returns:
     column k is ``apply`` of the k-th unit cell vector, in C order."""
     columns = []
-    for k in range(grid.size):
+    for k in range(math.prod(grid.shape)):
         unit = np.zeros(grid.shape)
         unit.flat[k] = 1.0
-        columns.append([np.ravel(part) for part in apply(ScalarField(grid, unit))])
+        columns.append([np.ravel(part) for part in apply(grid, unit)])
     return tuple(sp.csr_matrix(np.column_stack(part)) for part in zip(*columns))
 
 
-def _gradients(u):
-    return gradient(u).components
+def _face_averages(grid, u):
+    return [face_average(u, d) for d in range(grid.ndim)]
 
 
-def _face_averages(u):
-    return [face_average(u.values, d) for d in range(u.grid.ndim)]
-
-
-def _neumann_laplacian(u):
-    faces = face_normal_differences(u)
-    return [-divergence_flux(u.grid, [np.ones(f.shape) for f in faces], faces).values]
+def _neumann_laplacian(grid, u):
+    faces = face_normal_differences(grid, u)
+    return [-divergence_flux(grid, [np.ones(f.shape) for f in faces], faces)]
 
 
 def _scipy_dia(J):
@@ -171,7 +167,7 @@ def _reference_jacobian(grid, coeff, ham, lam, u_values):
     """The Jacobian by sparse-matrix products, term by term, with each
     operator's matrix taken from its stencil."""
     ops = {
-        "C": _stencil_matrix(grid, _gradients),
+        "C": _stencil_matrix(grid, gradient),
         "G": _stencil_matrix(grid, face_normal_differences),
         "A": _stencil_matrix(grid, _face_averages),
     }
@@ -253,7 +249,7 @@ def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
     edge = np.zeros(grid.shape, dtype=bool)
     for d in range(grid.ndim):
         edge[(slice(None),) * d + ([0, -1],)] = True
-    x_all = rng.standard_normal(grid.size)
+    x_all = rng.standard_normal(u_vals.size)
     x_edge = np.where(edge, rng.standard_normal(grid.shape), 0.0).ravel()
     for x in (x_all, x_edge):
         assert (J @ x).tobytes() == (ref @ x).tobytes()
@@ -261,7 +257,7 @@ def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
     assert isinstance(public, BandedMatrix)
     assert list(public.offsets) == list(J.offsets)
     assert np.array_equal(public.rows, J.rows)
-    assert public.nnz == ref.nnz == sum(grid.size - abs(s) for s in J.offsets)
+    assert public.nnz == ref.nnz == sum(u_vals.size - abs(s) for s in J.offsets)
 
 
 @pytest.mark.parametrize("cells", [(8, 8), (8, 10, 9)])
@@ -670,17 +666,17 @@ def test_dct_preconditioner_inverts_neumann_operator(rng, extents, cells):
     a = rng.uniform(0.2, 3.0, grid.shape)
     S = sp.diags(np.sqrt(a / a.mean()).ravel())
     for coeff, op in [
-        (1.7, lam * sp.identity(grid.size) + 1.7 * laplacian),
-        (a, S @ (lam * sp.identity(grid.size) + a.mean() * laplacian) @ S),
+        (1.7, lam * sp.identity(a.size) + 1.7 * laplacian),
+        (a, S @ (lam * sp.identity(a.size) + a.mean() * laplacian) @ S),
     ]:
         inverse = _dct_preconditioner(grid, lam, coeff)
-        x = rng.standard_normal(grid.size)
+        x = rng.standard_normal(a.size)
         assert np.max(np.abs(inverse(op @ x) - x)) <= 1e-12 * np.max(np.abs(x))
         b = op @ x
         assert np.max(np.abs(op @ inverse(b) - b)) <= 1e-12 * np.max(np.abs(b))
     # a constant coefficient, one number as a p = 2 Jacobian hands it on,
     # takes the unscaled products bit for bit
-    r = rng.standard_normal(grid.size)
+    r = rng.standard_normal(a.size)
     assert np.array_equal(
         _dct_preconditioner(grid, lam, 1.7)(r), _unscaled_dct_inverse(grid, lam, 1.7, r)
     )

@@ -116,7 +116,7 @@ def test_seeded_random_reproducible(grid16):
 def test_tabulated_shape_contract(grid16):
     good = Tabulated(np.ones(grid16.shape))
     assert sample_source(good, grid16).values.sum() == pytest.approx(
-        grid16.size, rel=1e-15
+        np.prod(grid16.shape), rel=1e-15
     )
     bad = Tabulated(np.ones((4, 4)))
     with pytest.raises(ContractError):

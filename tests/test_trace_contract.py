@@ -3,6 +3,25 @@
 ``perfbench/layertrace.py`` rebinds gradlab's layer entry points by name and
 leaves out the metrics of any name it no longer finds, so a renamed entry
 point would silently drop per-layer metrics from every traced run.
+
+What the benchmark fixes in ``src/``, and nothing more:
+
+- the names it rebinds, each where it is bound (``layertrace._entry_points``):
+  the grid stencils ``gradient``, ``second_derivatives``,
+  ``divergence_flux`` and ``face_average`` as bound in ``solver``,
+  ``bernstein`` and ``harness.runner``, and each other entry point on the
+  module or class it is listed on.  The wrapper passes ``*args, **kwargs``
+  through, so their signatures are free;
+- ``solver._newton_stage``'s result, the 4-tuple ``(u, history,
+  damping_events, krylov_iterations)`` that ``layertrace._stage_attrs``
+  unpacks;
+- the ``ProblemSpec`` fields ``eps``, ``hamiltonian`` and ``gamma``, which
+  ``worker.jacobian_nnz`` replaces, and ``solver.jacobian(problem, u).nnz``,
+  which it reads;
+- ``RunConfig.build_problem``, and the calls ``perfbench/workloads.py``
+  makes: ``parse_config``, ``runner.sweep``, ``runner.run_experiment``,
+  ``records.load_record`` and ``records.load_record_field``, and the
+  ``payload``, ``path`` and ``u`` of the results.
 """
 
 import importlib.util
