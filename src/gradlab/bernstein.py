@@ -287,9 +287,17 @@ def _pairing(bundle: SolutionBundle, phi: np.ndarray) -> float:
 def weak_identity_check(bundle: SolutionBundle, beta: float) -> LedgerRow:
     """Variational identity tested with ``phi = -2 div(Du w^beta)``.
 
-    Both sides are evaluated by midpoint quadrature with centered gradients,
-    so the gap measures the discretization error of the identity rather than
-    the solver residual; it should shrink at least linearly in h.
+    Both sides are evaluated by midpoint quadrature with centered gradients.
+    The discrete equation pairs with ``phi`` on the faces instead: summation
+    by parts over the solver's flux makes ``sum_f a(w_f) (D_f u)(D_f phi)
+    vol`` equal the rhs up to ``int R phi``, ``R`` the residual.  So the gap
+    is the difference between the centered quadrature of the energy pairing
+    and that face pairing, not the solver residual.  On a smooth source it
+    closes at first order or better.  Near a singular source ``Dphi``
+    carries third derivatives of u and it need not: on the README config at
+    ``tol = 1e-8`` the gap is 1.68e4, 1.35e4, 7.86e3 and 3.20e3 from 48^2 to
+    384^2 (observed orders 0.31, 0.78 and 1.30), while the face pairing's
+    gap stays below 3e-5.
     """
     if beta < 0:
         raise ParameterError("test power beta must be nonnegative")
@@ -501,10 +509,12 @@ def thm2_ledger(
     t2s4      Hamiltonian, zero-order, and data terms split by Young
     mainineq  assembled superlevel bound with fitted Sobolev constant
 
-    ``mainineq`` is vacuous as its constants stand: ``c14`` is about 1e54
-    on the README config (1e58 on the 3D radial one), so ``c15`` is about
-    6e-55 and the lhs about 1e-55 against an rhs of about 6e4.  The row
-    passes whatever the integrals are; its pass is no evidence.
+    ``mainineq`` and ``t2s4`` are vacuous as their constants stand:
+    ``c14`` is about 1.6e54 on the README config (1e58 on the 3D radial
+    one).  So ``c15`` is about 6e-55 and ``mainineq``'s lhs about 1e-55
+    against an rhs of about 6e4, and ``t2s4``'s rhs carries ``c14 Gk``, about
+    1e51 times its lhs at every size from 48^2 to 384^2.  Both rows pass
+    whatever the integrals are; their passes are no evidence.
     """
     p, gam, lam = bundle.problem.p, bundle.problem.gamma, bundle.problem.lam
     if p < 2:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from ..model.sources import (
     lq_membership,
 )
 from ..solver import SolverOptions
+from .records import sha256
 
 
 def _floats(raw: str) -> tuple:
@@ -119,7 +119,7 @@ class RunConfig:
     def digest(self) -> str:
         """Hash of the parsed values; exact fractions enter as ``p/q``."""
         values = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(values.encode()).hexdigest()
+        return sha256(values.encode()).hexdigest()
 
     def build_source(self):
         params = dict(self.source_params)

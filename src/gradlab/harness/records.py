@@ -10,17 +10,31 @@ the payload in the package's binary field format.
 Records are written atomically: everything goes into a temporary directory
 that is renamed into place.  A record that already exists is never
 rewritten; persisting on top of it is a cache hit.
+
+Both hashes a run takes, this id and the config digest, use :data:`sha256`
+from CPython's built-in module rather than :mod:`hashlib`, which maps
+OpenSSL's libcrypto into the process (about 3.4 MB resident) to hash a few
+kilobytes.  The digests are the same SHA-256 either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 
 from ..grid import ScalarField, load_field, save_field
+
+# hashlib is heavy to load; take the interpreter's own SHA-256 first, as
+# CPython's random does for SHA-512
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # built without the module
 
 PAYLOAD_NAME = "record.json"
 META_NAME = "meta.json"
@@ -43,7 +57,7 @@ def persist_record(
     # canonical JSON, sorted keys and no layout whitespace, encoded once:
     # the id is the hash of the bytes written
     data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    rid = hashlib.sha256(data).hexdigest()[:16]
+    rid = sha256(data).hexdigest()[:16]
     final = out_dir / rid
     if final.exists():
         return final, False

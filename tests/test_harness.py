@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -38,6 +39,7 @@ from gradlab.harness import (
     run_experiment,
     sweep,
 )
+from gradlab.harness import records
 from gradlab.harness import runner as runner_module
 from gradlab.harness.cli import main
 from gradlab.harness.records import list_records, load_record_field
@@ -348,8 +350,64 @@ def test_record_directory_is_named_by_its_payload_hash(tmp_path):
     """A record's directory name is the first 16 hex digits of the sha256 of
     its record.json bytes."""
     result = run_experiment(parse_config(SMOOTH), tmp_path)
-    digest = hashlib.sha256((result.path / "record.json").read_bytes()).hexdigest()
+    data = (result.path / "record.json").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     assert result.path.name == digest[:16]
+    assert records.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 100_000])
+def test_builtin_sha256_is_hashlibs(size):
+    """The hash behind config digests and record ids is SHA-256 on either
+    side of the one-block padding edge (55 and 56 bytes), at one block and
+    over many."""
+    data = np.random.default_rng(size).bytes(size)
+    assert records.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="CPython's built-in SHA-256 module"
+)
+def test_sha256_is_the_interpreters_own():
+    """The hash comes from ``_sha2`` on 3.12+ and ``_sha256`` on 3.10 and
+    3.11, so a silent fallback to hashlib, and with it OpenSSL, fails here."""
+    module = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert records.sha256 is importlib.import_module(module).sha256
+
+
+_NO_BUILTIN_SHA256 = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from gradlab.harness import parse_config
+from gradlab.harness.records import persist_record, sha256
+
+config, out_dir = sys.argv[1:]
+path, _ = persist_record(out_dir, {"cells": [24, 24], "eps": 0.01}, {})
+print(json.dumps({
+    "hashlib": sha256 is hashlib.sha256,
+    "digest": parse_config(open(config).read()).digest(),
+    "record": path.name,
+}))
+"""
+
+
+def test_interpreters_without_the_builtin_sha256_fall_back_to_hashlib(tmp_path):
+    """With neither built-in module importable, gradlab hashes through
+    hashlib and gets the same config digest and record id."""
+    src = str(Path(gradlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_BUILTIN_SHA256, _write(tmp_path, "c.ini", SMOOTH),
+         str(tmp_path / "theirs")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    ours, _ = records.persist_record(tmp_path / "ours", {"cells": [24, 24], "eps": 0.01}, {})
+    assert json.loads(proc.stdout) == {
+        "hashlib": True,
+        "digest": parse_config(SMOOTH).digest(),
+        "record": ours.name,
+    }
 
 
 def test_one_point_eps_sweep_matches_single_run(tmp_path):
@@ -444,12 +502,30 @@ def _identifiers(tree, bare=True):
             yield node.name.rsplit(".", 1)[-1]
 
 
+# A method named like a numpy array attribute (``Grid.shape``) would count
+# as reached by any array's ``.shape``, so it counts only when read on a
+# receiver of its class: a name (``grid.shape``) or an attribute
+# (``bundle.grid.shape``) spelled as listed here.
+_RECEIVERS = {"Grid": {"grid", "g"}, "Box": {"box", "domain"}}
+
+
+def _receiver_attributes(tree, receivers):
+    """The attributes the tree reads on a receiver named in ``receivers``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) in receivers:
+                yield node.attr
+
+
 def test_every_definition_in_src_is_named_outside_itself():
     """``src/`` holds no code that only the tests reach: each function, class
     and method is named somewhere in ``src/`` outside its own definition, or
     in perfbench, which rebinds layer entry points by name.  A method is
     reached through an attribute or by name in a string, so a bare name,
-    such as a local variable of the same name, does not count for it."""
+    such as a local variable of the same name, does not count for it; a
+    method named like an array attribute is reached only through a receiver
+    of its class (``_RECEIVERS``)."""
     package = Path(gradlab.__file__).parent
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     trees = [ast.parse(path.read_text()) for path in package.rglob("*.py")]
@@ -458,11 +534,12 @@ def test_every_definition_in_src_is_named_outside_itself():
     for tree in trees + others:
         named.update(_identifiers(tree))
         attributes.update(_identifiers(tree, bare=False))
+    array_attributes = set(dir(np.ndarray))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unnamed = set()
     for tree in trees:
-        methods = {
-            node
+        owners = {
+            node: cls.name
             for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef)
             for node in cls.body
@@ -471,13 +548,23 @@ def test_every_definition_in_src_is_named_outside_itself():
         for node in ast.walk(tree):
             if not isinstance(node, defs) or node.name.startswith("__"):
                 continue
-            method = node in methods
-            counts = attributes if method else named
-            inside = sum(
-                name == node.name for name in _identifiers(node, bare=not method)
-            )
+            method = node in owners
+            if method and node.name in array_attributes:
+                owner = owners[node]
+                assert owner in _RECEIVERS, f"name the receivers of {owner}.{node.name}"
+                receivers = _RECEIVERS[owner]
+                counts = Counter(
+                    name
+                    for other in trees + others
+                    for name in _receiver_attributes(other, receivers)
+                )
+                mentions = _receiver_attributes(node, receivers)
+            else:
+                counts = attributes if method else named
+                mentions = _identifiers(node, bare=not method)
+            inside = sum(name == node.name for name in mentions)
             if counts[node.name] == inside:
-                unnamed.add(node.name)
+                unnamed.add(f"{owners[node]}.{node.name}" if method else node.name)
     assert unnamed == _UNCALLED_IN_SRC
 
 
@@ -1014,9 +1101,9 @@ from gradlab.harness import parse_config, run_experiment
 from gradlab.solver import jacobian, solve
 
 loaded = {"import": modules()}
-config_path, field_path = sys.argv[1:]
+config_path, field_path, out_dir = sys.argv[1:]
 cfg = parse_config(Path(config_path).read_text())
-audit = run_experiment(cfg, initial=load_field(field_path))
+audit = run_experiment(cfg, out_dir, initial=load_field(field_path))
 loaded["audit"] = modules()
 problem = cfg.build_problem()
 u, report = solve(problem, cfg.build_grid())
@@ -1029,6 +1116,7 @@ print(json.dumps({
         "solve": report.total_iterations,
     },
     "nnz": nnz,
+    "record": str(audit.path),
     "loaded": loaded,
 }))
 """
@@ -1037,8 +1125,8 @@ print(json.dumps({
 @pytest.fixture(scope="module")
 def scipy_probe(tmp_path_factory):
     """One subprocess that imports the CLI and the ledgers, re-audits a
-    stored converged field, then solves and calls ``jacobian()``, noting
-    the modules loaded after each step."""
+    stored converged field and persists its record, then solves and calls
+    ``jacobian()``, noting the modules loaded after each step."""
     tmp = tmp_path_factory.mktemp("scipy_probe")
     text = SMOOTH.replace("cells = 24 24", "cells = 16 16")
     config_path = _write(tmp, "probe.ini", text)
@@ -1046,7 +1134,8 @@ def scipy_probe(tmp_path_factory):
     save_field(field_path, run_experiment(parse_config(text)).u)
     src = str(Path(gradlab.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, config_path, str(field_path)],
+        [sys.executable, "-c", _SCIPY_PROBE, config_path, str(field_path),
+         str(tmp / "records")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
@@ -1055,14 +1144,17 @@ def scipy_probe(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "step, absent",
-    [("import", ("scipy",)), ("audit", ("scipy",)), ("solve", ("scipy",))],
+    [(step, ("scipy", "_hashlib")) for step in ("import", "audit", "solve")],
 )
 def test_scipy_loads_only_where_it_runs(scipy_probe, step, absent):
     """Importing the CLI and the ledgers, re-auditing a converged field
     without a Newton step, and a Newton solve followed by the public
     ``jacobian()`` load no scipy module at all: the Jacobian is numpy's own
-    banded operator.  The three steps share one subprocess."""
+    banded operator.  Nor do they load OpenSSL's ``_hashlib``: the config
+    digest and the record id come from the interpreter's built-in SHA-256.
+    The three steps share one subprocess."""
     assert (scipy_probe["newton"][step] > 0) == (step == "solve")
+    assert scipy_probe["record"]
     assert scipy_probe["nnz"] > 0
     loaded = [
         m for m in scipy_probe["loaded"][step]
@@ -1071,9 +1163,17 @@ def test_scipy_loads_only_where_it_runs(scipy_probe, step, absent):
     assert loaded == []
 
 
+# the interpreter's SHA-256 module, ``_sha256`` up to 3.11 and ``_sha2`` from
+# 3.12: each is stdlib, but 3.11's ``sys.stdlib_module_names`` lacks
+# ``_sha2`` and 3.12's lacks ``_sha256``, and ``harness/records.py`` imports
+# both, one as the fallback of the other
+_BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
 def _top_level_imports(root: Path) -> set:
     """The non-stdlib top-level packages that the files under ``root``
-    import by absolute name, gradlab left out."""
+    import by absolute name, gradlab and the modules beside them (the tests'
+    ``fingerprints``) left out."""
     names = set()
     for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -1081,7 +1181,8 @@ def _top_level_imports(root: Path) -> set:
                 names |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"gradlab"}
+    local = {path.stem for path in root.glob("*.py")} | {"gradlab"}
+    return names - set(sys.stdlib_module_names) - _BUILTIN_SHA256 - local
 
 
 def test_imports_are_declared_dependencies():
