@@ -42,7 +42,6 @@ from .grid import (
     ScalarField,
     divergence_flux,
     face_average,
-    face_normal_differences,
     gradient,
     lp_norm,
     second_derivatives,
@@ -51,8 +50,7 @@ from .model.exponents import effective_sobolev_dimension
 from .model.families import check_structure_conditions
 from .model.problem import ProblemSpec
 from .model.sources import sample_source
-from .solver import SolveReport
-from .solver import residual as solver_residual
+from .solver import Evaluation, SolveReport, evaluate
 
 RESIDUAL_GATE = 1e-6  # fields with a larger discrete residual are rejected
 
@@ -153,15 +151,12 @@ class SolutionBundle:
     problem: ProblemSpec
     u: ScalarField
     f: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray  # |Du|^2
-    w: np.ndarray
+    ev: Evaluation  # the solver's evaluation of u: Du, |Du|^2, w, H(w), faces
     v: np.ndarray
     dw2: np.ndarray  # |Dw|^2
     dv2: np.ndarray  # |Dv|^2
     hess2: np.ndarray
     a_w: np.ndarray
-    h_w: np.ndarray
     env_lower: float
     env_upper: float
     ellipticity_margin: float
@@ -193,22 +188,21 @@ def prepare_bundle(
     Rejects fields that do not actually solve the discrete problem: the rows
     read the equation through the data ``f - lam u``, so a large residual
     would silently change what is being checked.  The ``report`` of the
-    solve that returned ``u`` hands over the same source and residual norm.
+    solve that returned ``u`` hands over its final :class:`Evaluation`,
+    source and residual norm; without one, :func:`evaluate` forms both here.
     """
     if report is None:
         f = sample_source(problem.source, u.grid)
-        res = solver_residual(problem, u, f)
-        res_norm = float(np.sqrt(np.sum(res.values**2) * u.grid.cell_volume))
+        ev = evaluate(problem, u, f)
+        res_norm = float(np.sqrt(np.sum(ev.residual**2) * u.grid.cell_volume))
     else:
-        f, res_norm = report.source, report.residual_norm
+        f, ev, res_norm = report.source, report.evaluation, report.residual_norm
     if res_norm > RESIDUAL_GATE:
         raise UnconvergedInputError(
             f"field has discrete residual {res_norm:.3e} "
             f"(gate {RESIDUAL_GATE:.1e}); solve before checking"
         )
-    du = gradient(u.grid, u.values)
-    du2 = np.sum(du**2, axis=0)
-    w = problem.eps + du2
+    w = ev.w
     v = np.sqrt(w)
     dw2 = np.sum(gradient(u.grid, w) ** 2, axis=0)
     dv2 = np.sum(gradient(u.grid, v) ** 2, axis=0)
@@ -223,15 +217,12 @@ def prepare_bundle(
         problem=problem,
         u=u,
         f=f.values,
-        du=du,
-        du2=du2,
-        w=w,
+        ev=ev,
         v=v,
         dw2=dw2,
         dv2=dv2,
         hess2=hess2,
         a_w=np.asarray(problem.coefficient.a(w), dtype=float),
-        h_w=problem.hamiltonian.h_of_w(w),
         env_lower=structure.env_lower,
         env_upper=structure.env_upper,
         ellipticity_margin=structure.ellipticity_margin,
@@ -255,17 +246,13 @@ def _power_of(base: np.ndarray):
     return lru_cache(maxsize=1)(lambda e: base**e)
 
 
-def _faces(bundle: SolutionBundle) -> list:
-    return bundle.once("faces", lambda: face_normal_differences(bundle.grid, bundle.u.values))
-
-
 def _full_gradient_pairing(bundle: SolutionBundle, beta: float) -> tuple:
     """``(phi, pairing)`` for ``phi = -2 div(Du w^beta)`` in flux form, once per
     bundle and ``beta``: the weak identity and the full-gradient rows share it."""
 
     def make():
-        coeffs = [face_average(bundle.w, d) ** beta for d in range(bundle.grid.ndim)]
-        phi = -2.0 * divergence_flux(bundle.grid, coeffs, _faces(bundle))
+        coeffs = [wf**beta for wf in bundle.ev.face_w]
+        phi = -2.0 * divergence_flux(bundle.grid, coeffs, bundle.ev.faces)
         del coeffs  # freed before the pairing's temporaries
         return phi, _pairing(bundle, phi)
 
@@ -275,7 +262,7 @@ def _full_gradient_pairing(bundle: SolutionBundle, beta: float) -> tuple:
 def _pairing(bundle: SolutionBundle, phi: np.ndarray) -> float:
     """Midpoint quadrature of ``a(w) Du . Dphi`` with centered gradients."""
     dphi = gradient(bundle.grid, phi)
-    integrand = bundle.a_w * np.sum(bundle.du * dphi, axis=0)
+    integrand = bundle.a_w * np.sum(bundle.ev.du * dphi, axis=0)
     return bundle.integral(integrand)
 
 
@@ -303,7 +290,7 @@ def weak_identity_check(bundle: SolutionBundle, beta: float) -> LedgerRow:
         raise ParameterError("test power beta must be nonnegative")
     phi, lhs = _full_gradient_pairing(bundle, beta)
     rhs = bundle.integral(
-        (bundle.f - bundle.problem.lam * bundle.u.values - bundle.h_w) * phi
+        (bundle.f - bundle.problem.lam * bundle.u.values - bundle.ev.h_w) * phi
     )
     h = bundle.grid.max_spacing
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -364,7 +351,7 @@ def thm1_ledger(
     c5 = c1 * bundle.c_reg**2 / 8.0
     c6 = 2.0 * c1 + c2 / delta1
 
-    w, hess2 = bundle.w, bundle.hess2
+    w, hess2 = bundle.ev.w, bundle.hess2
     data = bundle.f - problem.lam * bundle.u.values
     phi, pairing = _full_gradient_pairing(bundle, beta)
     w_pow = _power_of(w)  # at p = 2, A, D and F all take w^beta
@@ -377,7 +364,7 @@ def thm1_ledger(
         "B": bundle.integral(bundle.dw2 * w_pow(beta - 1.0 + (p - 2.0) / 2.0)),
         "G": bundle.integral(w_pow(beta + problem.gamma + (2.0 - p) / 2.0)),
         "data_phi": bundle.integral(data * phi),
-        "h_phi": bundle.integral(bundle.h_w * phi),
+        "h_phi": bundle.integral(bundle.ev.h_w * phi),
         # squared L^(2 ns/(ns - 2)) norm of w^((beta + p/2)/2)
         "S1": bundle.integral(w_pow(sob_power)) ** ((ns - 2.0) / ns),
     }
@@ -426,7 +413,7 @@ def _superlevel_test_function(bundle: SolutionBundle, beta: float, k: float) -> 
         on = np.flatnonzero(v_face > k)
         v_on = v_face.reshape(-1).take(on)
         coeffs.append(_on_support(v_face.shape, on, (v_on - k) ** beta / v_on))
-    return divergence_flux(bundle.grid, coeffs, _faces(bundle))
+    return divergence_flux(bundle.grid, coeffs, bundle.ev.faces)
 
 
 def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) -> dict:
@@ -453,7 +440,7 @@ def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) ->
     phi = _superlevel_test_function(bundle, beta, k)
     table = {
         "pairing": _pairing(bundle, phi),
-        "h_phi": bundle.integral(bundle.h_w * phi),
+        "h_phi": bundle.integral(bundle.ev.h_w * phi),
         "u_phi": bundle.integral(bundle.u.values * phi),
         "f_phi": bundle.integral(bundle.f * phi),
     }
@@ -471,7 +458,7 @@ def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) ->
     sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
     table |= {
         "L2": total(at(bundle.a_w) * hess2 * vk_beta / v),
-        "P": total(at(bundle.du2) * vk_beta / v),
+        "P": total(at(bundle.ev.du2) * vk_beta / v),
         "T2": total(v_pow(eta) * vk_beta),
         "T3": total(hess2 * v_pow(p - 3.0) * vk_beta),
         "Q": total((lam * u - f) ** 2 * vk_beta * v_pow(1.0 - p)),
@@ -675,7 +662,7 @@ def levelset_scan(
     ns = effective_sobolev_dimension(bundle.grid.ndim, sobolev_dim)
     s = (ns - 2.0) / ns
     vol = bundle.vol
-    cheb_total = float(np.sum(np.sqrt(bundle.du2 + 1.0)) * vol)
+    cheb_total = float(np.sum(np.sqrt(bundle.ev.du2 + 1.0)) * vol)
 
     # v_k^(r gamma) on the support v > k only, as in _superlevel_table
     v = bundle.v.reshape(-1)
@@ -738,7 +725,6 @@ class MaxRegNorm:
     value: float
     via_power_field: float
     via_gradient_norm: float
-    magnitude: ScalarField = field(repr=False)  # |Du|, which both routes start from
 
     @property
     def relative_agreement(self) -> float:
@@ -746,8 +732,9 @@ class MaxRegNorm:
         return abs(self.via_power_field - self.via_gradient_norm) / scale
 
 
-def maximal_regularity_norm(u: ScalarField, q: float, gamma: float) -> MaxRegNorm:
-    """``L^q`` norm of ``|Du|^gamma``, computed along both routes.
+def maximal_regularity_norm(magnitude: ScalarField, q: float, gamma: float) -> MaxRegNorm:
+    """``L^q`` norm of ``|Du|^gamma`` from the gradient magnitude ``|Du|``,
+    computed along both routes.
 
     The same quantity is the q-norm of the power field and the (q gamma)-norm
     of the gradient magnitude raised to gamma; the two evaluations share
@@ -755,12 +742,10 @@ def maximal_regularity_norm(u: ScalarField, q: float, gamma: float) -> MaxRegNor
     """
     if q < 1:
         raise ParameterError("maximal regularity norm needs q >= 1")
-    mag = ScalarField(u.grid, np.sqrt(np.sum(gradient(u.grid, u.values) ** 2, axis=0)))
-    via_power = lp_norm(ScalarField(u.grid, mag.values**gamma), q)
-    via_gradient = lp_norm(mag, q * gamma) ** gamma
+    via_power = lp_norm(ScalarField(magnitude.grid, magnitude.values**gamma), q)
+    via_gradient = lp_norm(magnitude, q * gamma) ** gamma
     return MaxRegNorm(
         value=via_power,
         via_power_field=via_power,
         via_gradient_norm=via_gradient,
-        magnitude=mag,
     )

@@ -32,7 +32,7 @@ from ..bernstein import (
     weak_identity_check,
 )
 from ..errors import ConfigError, GradlabError, ParameterError, RegimeError
-from ..grid import Box, ScalarField, build_grid, gradient, lp_norm
+from ..grid import Box, ScalarField, build_grid, lp_norm
 from ..model.exponents import (
     build_exponent_table,
     effective_sobolev_dimension,
@@ -86,10 +86,11 @@ def exponent_table(config: RunConfig):
     )
 
 
-def _norm_table(config: RunConfig, u: ScalarField, table) -> dict:
-    maxreg = maximal_regularity_norm(u, float(config.q), float(config.gamma))
-    # |Du| once: an L^q norm of Du is that of its magnitude
-    mag = maxreg.magnitude
+def _norm_table(config: RunConfig, u: ScalarField, report, table) -> dict:
+    # |Du| from the solve's final evaluation: an L^q norm of Du is that of
+    # its magnitude
+    mag = ScalarField(u.grid, np.sqrt(report.evaluation.du2))
+    maxreg = maximal_regularity_norm(mag, float(config.q), float(config.gamma))
     vol = u.grid.cell_volume
     norms = {
         "u_l2": float(np.sqrt(np.sum(u.values**2) * vol)),
@@ -158,7 +159,7 @@ def run_experiment(
             ],
         },
         "exponents": table.to_dict(),
-        "norms": _norm_table(config, u, table),
+        "norms": _norm_table(config, u, report, table),
         "ledgers": {},
     }
 
@@ -411,13 +412,12 @@ def scaling_fit(
         spec = dataclasses.replace(problem, source=Scaled(problem.source, s))
         f = sample_source(spec.source, grid)
         try:
-            u, _ = solve(spec, grid, options, initial=u)
+            u, report = solve(spec, grid, options, initial=u)
         except GradlabError as exc:  # failures are data here
             failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
             continue
         xs.append(lp_norm(f, q_eta))
-        du = gradient(grid, u.values)
-        ys.append(lp_norm(ScalarField(grid, np.sqrt(np.sum(du**2, axis=0))), eta))
+        ys.append(lp_norm(ScalarField(grid, np.sqrt(report.evaluation.du2)), eta))
         used_scales.append(s)
     if len(xs) < 3:
         raise ParameterError(
@@ -444,32 +444,6 @@ def scaling_fit(
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
-
-REPORT_COLUMNS = [
-    "record",
-    "sweep_axis",
-    "sweep_value",
-    "p",
-    "gamma",
-    "lambda",
-    "eps",
-    "q",
-    "cells",
-    "regime",
-    "converged",
-    "iterations",
-    "residual",
-    "u_l2",
-    "u_linf",
-    "du_l2",
-    "du_eta",
-    "du_qgamma",
-    "maxreg",
-    "weak_gap",
-    "thm1_pass",
-    "thm2_pass",
-    "scan_small_branch",
-]
 
 
 def _report_row(name: str, payload: dict, meta: dict) -> dict:
@@ -511,6 +485,10 @@ def _report_row(name: str, payload: dict, meta: dict) -> dict:
         "thm2_pass": ledger_pass("thm2"),
         "scan_small_branch": scan.get("small_branch_ok", "") if scan and "skipped" not in scan else "",
     }
+
+
+# the report's columns, in order: the keys of a row built from no record
+REPORT_COLUMNS = list(_report_row("", {}, {}))
 
 
 def emit_report(

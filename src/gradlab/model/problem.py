@@ -20,8 +20,8 @@ class ProblemSpec:
 
     ``lam * u - div(a(|Du|^2 + eps) Du) + H(Du) = f``  with zero-flux boundary.
 
-    The Hamiltonian must share the problem's regularization so that both
-    nonlinearities are functions of the same shifted gradient square.
+    The Hamiltonian must share the problem's regularization exactly, so that
+    both nonlinearities, and the ledgers, read one shifted gradient square.
     """
 
     domain: Box
@@ -49,8 +49,8 @@ class ProblemSpec:
             raise ParameterError("coefficient family p does not match the problem")
         if abs(self.hamiltonian.gamma - self.gamma) > 1e-14:
             raise ParameterError("hamiltonian gamma does not match the problem")
-        if abs(self.hamiltonian.eps - self.eps) > 1e-14:
-            raise ParameterError("hamiltonian eps does not match the problem")
+        if self.hamiltonian.eps != self.eps:
+            raise ParameterError(f"hamiltonian eps {self.hamiltonian.eps!r} != problem eps {self.eps!r}")
 
     @classmethod
     def power_model(

@@ -8,20 +8,27 @@ with ``w = |Du|^2 + eps`` evaluated from the centered cell gradient and
 averaged arithmetically onto faces.  Boundary faces carry zero flux, so the
 divergence is exactly conservative.
 
-The Jacobian is the exact derivative of that residual, taken stencil by
-stencil from the same ``gradient``, ``face_average`` and face arrays, so
-Jacobian-vector products agree with directional finite differences of the
-residual.  With mirror ghosts every term couples a cell ``i`` only to cells
-``clip(i + o)`` for a fixed set of offsets ``o``: ``{0, +-e_d}`` for the
-``lam``, ``a`` and ``h'`` terms, and also ``{+-2 e_d, +-e_d +- e_e}`` for
-the ``a'`` term, which is left out whenever ``a'`` vanishes on every face,
-as it does for p = 2.  Each Newton step fills one coefficient array per
-offset, moves each entry whose step crosses a wall onto the offset of the
-edge cell it lands on, and keeps the arrays as the rows of a banded
-matrix stored by rows: 2N + 1 of them, or 2N^2 + 2N + 1 for the wide
-stencil (Saad 2003, sec. 3.4).  The matrix is a :class:`BandedMatrix`,
-whose product sums the rows in stored order, one numpy product per row;
-:func:`jacobian` returns it, the operator Newton applies.
+Each iterate is evaluated once.  :func:`_residual_values` forms its
+stencil quantities, ``Du``, ``|Du|^2``, ``w``, the face averages of ``w``,
+the face differences, ``a`` on the faces and ``H(w)``, with the residual,
+as one :class:`Evaluation`, and everything downstream reads them there:
+the Jacobian of an accepted iterate, and the ledger bundle and the norm
+table of the final one, which :class:`SolveReport` carries.
+
+The Jacobian is the exact derivative of the residual, taken stencil by
+stencil from those arrays, so Jacobian-vector products agree with
+directional finite differences of the residual.  With mirror ghosts every
+term couples a cell ``i`` only to cells ``clip(i + o)`` for a fixed set of
+offsets ``o``: ``{0, +-e_d}`` for the ``lam``, ``a`` and ``h'`` terms, and
+also ``{+-2 e_d, +-e_d +- e_e}`` for the ``a'`` term, which is left out
+whenever ``a'`` vanishes on every face, as it does for p = 2.  Each Newton
+step fills one coefficient array per offset, moves each entry whose step
+crosses a wall onto the offset of the edge cell it lands on, and keeps the
+arrays as the rows of a banded matrix stored by rows: 2N + 1 of them, or
+2N^2 + 2N + 1 for the wide stencil (Saad 2003, sec. 3.4).  The matrix is a
+:class:`BandedMatrix`, whose product sums the rows in stored order, one
+numpy product per row; :func:`jacobian` returns it, the operator Newton
+applies.
 
 Each Newton step is solved inexactly by GMRES.  The preconditioner is
 ``S (lam I - abar Laplacian) S``, where ``abar`` is the grid mean of
@@ -71,6 +78,7 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,12 +144,27 @@ class StageReport:
     krylov_iterations: int = 0
 
 
+class Evaluation(NamedTuple):
+    """One iterate's stencil quantities and its residual, formed once."""
+
+    u: np.ndarray  # the iterate's cell values
+    du: np.ndarray  # the centred gradient, shape (ndim, *cells)
+    du2: np.ndarray  # |Du|^2
+    w: np.ndarray  # |Du|^2 + eps
+    face_w: list  # w averaged onto the interior faces, one array per axis
+    faces: list  # the face differences (u_R - u_L) / h, one array per axis
+    face_a: list  # a(w) on the faces
+    h_w: np.ndarray  # H as a function of w
+    residual: np.ndarray
+
+
 @dataclass
 class SolveReport:
     stages: list
     converged: bool
     residual_norm: float
     source: ScalarField  # the source sampled on the target grid
+    evaluation: Evaluation  # the last stage's, at the returned iterate
 
     @property
     def total_iterations(self) -> int:
@@ -152,13 +175,19 @@ def _discrete_l2(grid: Grid, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(values**2) * grid.cell_volume))
 
 
-def _residual_values(problem: ProblemSpec, grid, f_values, u_values):
+def _residual_values(problem: ProblemSpec, grid, f_values, u_values) -> Evaluation:
+    """The :class:`Evaluation` of ``u_values``: the one place its stencil
+    quantities are formed."""
     du = gradient(grid, u_values)
-    w = problem.hamiltonian.eps + np.sum(du**2, axis=0)
+    du2 = np.sum(du**2, axis=0)
+    w = problem.hamiltonian.eps + du2
+    face_w = [face_average(w, d) for d in range(grid.ndim)]
     faces = face_normal_differences(grid, u_values)
-    coeffs = [problem.coefficient.a(face_average(w, d)) for d in range(grid.ndim)]
-    div = divergence_flux(grid, coeffs, faces)
-    return problem.lam * u_values - div + problem.hamiltonian.h_of_w(w) - f_values
+    face_a = [problem.coefficient.a(wf) for wf in face_w]
+    h_w = problem.hamiltonian.h_of_w(w)
+    div = divergence_flux(grid, face_a, faces)
+    r = problem.lam * u_values - div + h_w - f_values
+    return Evaluation(u_values, du, du2, w, face_w, faces, face_a, h_w, r)
 
 
 @functools.lru_cache(maxsize=8)
@@ -385,21 +414,22 @@ class BandedMatrix:
         return y
 
 
-def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
-    """Jacobian of the residual at ``u_values`` and ``a(w)`` on the cells.
+def _jacobian_matrix(problem: ProblemSpec, grid, ev: Evaluation):
+    """Jacobian of the residual at the iterate of ``ev`` and ``a(w)`` on the
+    cells.
 
     The entries are the derivatives of ``_residual_values``'s stencils,
-    gathered in one coefficient array per stencil offset.  With the wall
-    steps folded onto the edge cells, each array is one row of the matrix's
-    storage.  ``a(w)``, from the same ``w``, is the preconditioner's
-    coefficient: the cell field where ``a'`` is nonzero on some face, and
-    its mean where ``a'`` vanishes on every face and ``a`` is constant.
+    gathered in one coefficient array per stencil offset.  They are built
+    from ``ev``'s ``Du``, ``w``, face averages of ``w``, face differences
+    and ``a`` on the faces; this computes only ``a'`` on the faces,
+    ``h'(w)``, ``Du / h`` and ``a(w)``.  With the wall steps folded onto
+    the edge cells, each array is one row of the matrix's storage.
+    ``a(w)`` is the preconditioner's coefficient: the cell field where
+    ``a'`` is nonzero on some face, and its mean where ``a'`` vanishes on
+    every face and ``a`` is constant.
     """
     coeff, ham = problem.coefficient, problem.hamiltonian
-    du = gradient(grid, u_values)
-    w = ham.eps + np.sum(du**2, axis=0)
-    face_w = [face_average(w, d) for d in range(grid.ndim)]
-    face_ap = [np.asarray(coeff.a_prime(wf), dtype=float) for wf in face_w]
+    face_ap = [np.asarray(coeff.a_prime(wf), dtype=float) for wf in ev.face_w]
     # the width depends on a' alone, not on u, so a p != 2 solve from a
     # constant iterate takes the wide stencil from its first step, and p = 2
     # keeps the compact one
@@ -415,10 +445,9 @@ def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
     centre = at(0 * unit[0])
     centre += problem.lam
     # w at cell c moves by +-q_e[c] per unit change of u at clip(c +- e_e)
-    q = [du[e] / h for e, h in enumerate(grid.spacing)]
+    q = [du_e / h for du_e, h in zip(ev.du, grid.spacing)]
     # dR_i/dw_i: h'(w_i), plus the a' terms of cell i's faces added below
-    own = ham.h_prime_of_w(w)
-    faces = face_normal_differences(grid, u_values) if wide else None
+    own = ham.h_prime_of_w(ev.w)
     for d, h in enumerate(grid.spacing):
         # the cells on the left and right of each face along d
         left, right = (
@@ -427,7 +456,7 @@ def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
         )
         # the flux a(w_f) (Du)_f enters the residual of its left cell with
         # -1/h and of its right cell with +1/h
-        t = np.asarray(coeff.a(face_w[d]), dtype=float) / h**2
+        t = ev.face_a[d] / h**2
         for cells, across in ((left, unit[d]), (right, -unit[d])):
             centre[cells] += t
             at(across)[cells] -= t
@@ -435,7 +464,7 @@ def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
             continue
         # through a'(w_f), that flux over h also moves by m per unit change
         # of w at either cell of the face
-        m = 0.5 * face_ap[d] * faces[d] / h
+        m = 0.5 * face_ap[d] * ev.faces[d] / h
         own[left] -= m
         own[right] += m
         for e in range(grid.ndim):
@@ -452,7 +481,7 @@ def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
     for src, dst, cells in _wall_folds(grid.ndim, wide):
         coefs[dst][cells] += coefs[src][cells]
         coefs[src][cells] = 0.0
-    a = coeff.a(w)
+    a = coeff.a(ev.w)
     # each offset's flat C-order step
     strides = [math.prod(grid.cells[d + 1 :]) for d in range(grid.ndim)]
     steps = (np.array(offsets) @ strides).tolist()
@@ -460,52 +489,61 @@ def _jacobian_matrix(problem: ProblemSpec, grid, u_values):
     return J, (a if wide else float(np.mean(a)))
 
 
-def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
-    """Discrete residual of ``u`` against the problem's sampled source."""
+def evaluate(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> Evaluation:
+    """The :class:`Evaluation` of ``u`` against the problem's sampled source."""
     if u.grid.domain != problem.domain:
         raise ContractError("field domain does not match the problem domain")
     f_values = (f.values if f is not None else sample_source(problem.source, u.grid).values)
-    return ScalarField(u.grid, _residual_values(problem, u.grid, f_values, u.values))
+    return _residual_values(problem, u.grid, f_values, u.values)
+
+
+def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
+    """Discrete residual of ``u`` against the problem's sampled source."""
+    return ScalarField(u.grid, evaluate(problem, u, f).residual)
 
 
 def jacobian(problem: ProblemSpec, u: ScalarField) -> BandedMatrix:
     """Jacobian of the residual at ``u`` in C order: the operator Newton applies."""
-    return _jacobian_matrix(problem, u.grid, u.values)[0]
+    return _jacobian_matrix(problem, u.grid, evaluate(problem, u))[0]
 
 
 def _newton_stage(problem: ProblemSpec, grid, f_values, u_values, options):
-    """One Newton stage, ``(u, history, damping_events, krylov_iterations)``;
-    it converged iff ``history[-1] <= options.tol``.
+    """One Newton stage, ``(ev, history, damping_events, krylov_iterations)``
+    with ``ev`` the :class:`Evaluation` at its last iterate; it converged iff
+    ``history[-1] <= options.tol``.
     """
     history = []
     damping_events = krylov_iterations = 0
-    u = u_values
-    # each point is evaluated once: an accepted step carries over the
-    # residual its line search computed
-    r = _residual_values(problem, grid, f_values, u)
+    # each point is evaluated once, but for the last one of a collapsed line
+    # search: an accepted step carries over the evaluation its line search
+    # computed, and the Jacobian reads it
+    ev = _residual_values(problem, grid, f_values, u_values)
     for it in range(options.max_iter + 1):
-        rn = _discrete_l2(grid, r)
+        rn = _discrete_l2(grid, ev.residual)
         history.append(rn)
         if rn <= options.tol or it == options.max_iter:
             break
-        J, a = _jacobian_matrix(problem, grid, u)
+        J, a = _jacobian_matrix(problem, grid, ev)
+        # only the iterate and its residual outlive the Jacobian: the rest of
+        # the evaluation is freed before the linear solve
+        u, r = ev.u, ev.residual
+        del ev
         delta, iterations = _newton_direction(grid, J, r, rn, problem.lam, a, options.tol)
         krylov_iterations += iterations
         merit = 0.5 * rn * rn
         alpha = 1.0
         while True:
-            trial = u + alpha * delta
-            rt = _residual_values(problem, grid, f_values, trial)
-            merit_trial = 0.5 * _discrete_l2(grid, rt) ** 2
+            ev = _residual_values(problem, grid, f_values, u + alpha * delta)
+            merit_trial = 0.5 * _discrete_l2(grid, ev.residual) ** 2
             if merit_trial <= merit * (1.0 - 2.0 * _ARMIJO * alpha):
                 break
             alpha *= _DAMPING_FACTOR
             if alpha < _MIN_STEP:
-                return u, history, damping_events, krylov_iterations
+                ev = _residual_values(problem, grid, f_values, u)
+                return ev, history, damping_events, krylov_iterations
         if alpha < 1.0:
             damping_events += 1
-        u, r = trial, rt
-    return u, history, damping_events, krylov_iterations
+    return ev, history, damping_events, krylov_iterations
 
 
 def solve(
@@ -566,7 +604,8 @@ def solve(
     stages = []
     for f in reversed(sources):
         level = f.grid
-        u_values, history, damping, krylov = _newton_stage(
+        ev = None  # a coarser stage's evaluation is freed before this stage runs
+        ev, history, damping, krylov = _newton_stage(
             problem, level, f.values, prolong(u, level).values, options
         )
         stages.append(
@@ -579,7 +618,7 @@ def solve(
                 krylov_iterations=krylov,
             )
         )
-        u = ScalarField(level, u_values)
+        u = ScalarField(level, ev.u)
         # a nan residual stops the solve here too
         if not history[-1] <= options.tol:
             break
@@ -588,6 +627,7 @@ def solve(
         converged=history[-1] <= options.tol,
         residual_norm=history[-1],
         source=sources[0],
+        evaluation=ev,
     )
     if not report.converged:
         # a stage that stops before its last iteration stops in the line search

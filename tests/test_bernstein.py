@@ -3,13 +3,16 @@ level-set dichotomy, and the maximal-regularity norm; and the harness's
 source-scale fit, whose slope the estimates predict."""
 
 import dataclasses
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradlab.bernstein import (
     _dichotomy_roots,
+    _full_gradient_pairing,
     _superlevel_table,
     levelset_scan,
     maximal_regularity_norm,
@@ -27,12 +30,13 @@ from gradlab.errors import (
 from gradlab.grid import (
     ScalarField,
     build_grid,
+    dirichlet_form,
     divergence_flux,
     face_average,
     face_normal_differences,
     gradient,
 )
-from gradlab.harness import scaling_fit
+from gradlab.harness import parse_config, scaling_fit
 from gradlab.model import CosineProduct, ProblemSpec, Tabulated
 from gradlab.solver import solve
 
@@ -62,6 +66,34 @@ def test_weak_identity_gap_converges(p2_problem, box2d):
         gaps.append(row.constants["relative_gap"])
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
     assert np.all(orders >= 0.9)
+
+
+def test_face_pairing_of_the_ledgers_phi_is_the_solvers_flux():
+    """Summation by parts over the solver's own flux: with the final
+    evaluation's face coefficients, ``dirichlet_form(a_f, u, phi)`` for the
+    ledgers' ``phi = -2 div(Du w^beta)`` is ``int (f - lam u - H(w)) phi +
+    int R phi``.  So on README's field solved at 48^2 to ``tol = 1e-8`` the
+    two sides differ by at most ``|R|_2 |phi|_2`` (Cauchy-Schwarz), and by
+    ``int R phi`` itself up to rounding.  The rounding allowance is 64 ulps
+    of ``int (|f| + |lam u| + |H(w)| + |div(a Du)|) |phi|``, the size of
+    the terms both sides and ``R`` sum."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = parse_config(re.findall(r"```ini\n(.*?)```", readme, flags=re.S)[0])
+    config = dataclasses.replace(config, solver=dataclasses.replace(config.solver, tol=1e-8))
+    problem, grid = config.build_problem(), config.build_grid()
+    u, report = solve(problem, grid, config.solver)
+    bundle = prepare_bundle(problem, u, report)
+    ev = bundle.ev
+    phi, _ = _full_gradient_pairing(bundle, float(config.beta))
+    lhs = dirichlet_form(grid, ev.face_a, u.values, phi)
+    rhs = bundle.integral((bundle.f - problem.lam * u.values - ev.h_w) * phi)
+    flux = divergence_flux(grid, ev.face_a, ev.faces)
+    terms = (bundle.f, problem.lam * u.values, ev.h_w, flux)
+    rounding = 64 * np.finfo(float).eps * bundle.integral(sum(map(np.abs, terms)) * np.abs(phi))
+    phi_norm = np.sqrt(bundle.integral(phi**2))
+    assert 0 < report.residual_norm <= 1e-8
+    assert abs(lhs - rhs) <= report.residual_norm * phi_norm + rounding
+    assert abs(lhs - rhs - bundle.integral(ev.residual * phi)) <= rounding
 
 
 def test_full_gradient_ledger_smooth_p2(p2_problem, p2_solution_64):
@@ -181,13 +213,17 @@ def test_levelset_scan_dichotomy(sing_problem, sing_solution_96):
     assert scan.small_branch_ok
 
 
+def _magnitude(u):
+    return ScalarField(u.grid, np.sqrt(np.sum(gradient(u.grid, u.values) ** 2, axis=0)))
+
+
 def test_maximal_regularity_norm_routes_agree(sing_solution_48, sing_solution_96):
     for u in (sing_solution_48, sing_solution_96):
-        norm = maximal_regularity_norm(u, q=3.0, gamma=6.0)
+        norm = maximal_regularity_norm(_magnitude(u), q=3.0, gamma=6.0)
         assert norm.relative_agreement <= 1e-12
         assert norm.value > 0
     with pytest.raises(ParameterError):
-        maximal_regularity_norm(sing_solution_48, q=0.5, gamma=6.0)
+        maximal_regularity_norm(_magnitude(sing_solution_48), q=0.5, gamma=6.0)
 
 
 def test_scaling_fit_validations(p3_problem, box2d):
@@ -363,13 +399,13 @@ def _full_array_superlevel_table(bundle, k, beta, ns):
     dgk = gradient(g, vk ** ((p + beta - 1.0) / 2.0))
     sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
     return {
-        "pairing": bundle.integral(bundle.a_w * np.sum(bundle.du * dphi, axis=0)),
+        "pairing": bundle.integral(bundle.a_w * np.sum(bundle.ev.du * dphi, axis=0)),
         "L2": masked(bundle.a_w * hess2 * vk**beta / v),
         "T1": masked(v ** (p - 2.0) * vk ** (beta - 1.0) * dv2),
         "T2": masked(v**eta * vk**beta),
         "T3": masked(hess2 * v ** (p - 3.0) * vk**beta),
         "T4": bundle.integral(vk ** (p + beta - 3.0) * dv2),
-        "P": masked(np.sum(bundle.du**2, axis=0) * vk**beta / v),
+        "P": masked(np.sum(bundle.ev.du**2, axis=0) * vk**beta / v),
         "Q": masked((lam * u - f) ** 2 * vk**beta * v ** (1.0 - p)),
         "U": masked(u**2 * vk**beta * v ** (1.0 - p)),
         "Gk": bundle.integral(vk ** (beta + eta)),
@@ -377,7 +413,7 @@ def _full_array_superlevel_table(bundle, k, beta, ns):
         "f_r": masked(np.abs(f) ** r),
         "Zk": bundle.integral(vk ** (r * gam)),
         "level_mass": bundle.integral(vk ** (p + beta - 1.0)),
-        "h_phi": bundle.integral(bundle.h_w * phi),
+        "h_phi": bundle.integral(bundle.ev.h_w * phi),
         "u_phi": bundle.integral(u * phi),
         "f_phi": bundle.integral(f * phi),
         "S3": bundle.integral(vk**sob_power) ** ((ns - 2.0) / ns),

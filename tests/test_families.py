@@ -1,10 +1,13 @@
 """Coefficient and Hamiltonian families and their structural checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gradlab.errors import ParameterError, StructureViolationError
+from gradlab.model import CosineProduct, ProblemSpec
 from gradlab.model.families import (
     PerturbedPower,
     PowerDiffusion,
@@ -109,6 +112,20 @@ def test_hamiltonian_rejects_bad_parameters():
     # (gamma must exceed 2 for eps to enter the gradient at all)
     with pytest.raises(StructureViolationError):
         PowerHamiltonian(3.0, eps=9.0)
+
+
+def test_problem_refuses_a_hamiltonian_eps_one_ulp_off(box2d):
+    """The solver and the ledgers read one ``w = |Du|^2 + eps``, so the
+    Hamiltonian's eps must be the problem's exactly, not only to 1e-14."""
+    eps = 1e-2
+    problem = ProblemSpec.power_model(
+        box2d, p=2.0, gamma=3.0, lam=1.0, eps=eps, source=CosineProduct(1.0, (1, 1))
+    )
+    nudged = eps * (1 + 2.0**-52)
+    assert nudged != eps
+    with pytest.raises(ParameterError, match="hamiltonian eps"):
+        dataclasses.replace(problem, hamiltonian=PowerHamiltonian(3.0, nudged))
+    assert dataclasses.replace(problem, hamiltonian=PowerHamiltonian(3.0, eps)) == problem
 
 
 def test_growth_conditions_power_family():

@@ -1240,6 +1240,31 @@ def test_no_ledger_state_outlives_its_run(monkeypatch):
     assert refs[0]() is None
 
 
+def test_a_run_takes_the_gradient_of_its_solution_once(monkeypatch):
+    """The solve's last evaluation of ``u`` serves the norm table and the
+    ledger bundle too: a 48^2 run of README's config with all five ledgers
+    takes the gradient of the returned solution's values once."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = parse_config(re.findall(r"```ini\n(.*?)```", readme, flags=re.S)[0])
+    assert config.cells == (48, 48)
+    assert config.ledgers == ("weak", "thm1", "thm2", "scan", "maxreg")
+    seen = []
+    for module in (gradlab.solver, bernstein, runner_module):
+        if hasattr(module, "gradient"):
+            inner = module.gradient
+
+            def recorded(grid, values, _inner=inner):
+                seen.append(np.array(values, copy=True))
+                return _inner(grid, values)
+
+            monkeypatch.setattr(module, "gradient", recorded)
+    result = run_experiment(config)
+    assert result.payload["solve"]["converged"]
+    assert all(result.payload["ledgers"][name].get("skipped") is None for name in config.ledgers)
+    u = result.u.values
+    assert sum(v.shape == u.shape and np.array_equal(v, u) for v in seen) == 1
+
+
 def test_residual_gate_bites_through_the_handed_over_residual(monkeypatch):
     """A solve that stops above ``RESIDUAL_GATE`` is still refused by the
     ledgers, now on the residual norm the solve reports.  The source is
@@ -1260,7 +1285,7 @@ def test_residual_gate_bites_through_the_handed_over_residual(monkeypatch):
 
         def counted(*args, _inner=inner, _name=name, **kwargs):
             out = _inner(*args, **kwargs)
-            field = out[0] if _name == "solve" else out
+            field = out[0] if _name == "solve" else getattr(out, "residual", out)
             calls.append((_name, np.shape(getattr(field, "values", field))))
             return out
 

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from gradlab.solver import (
     _residual_values,
     _stencil_offsets,
     _wall_folds,
+    evaluate,
     jacobian,
     residual,
     solve,
@@ -244,7 +246,7 @@ def test_banded_product_is_scipys_bit_for_bit(rng, extents, cells, p):
         box, p=p, gamma=3.0, source=CosineProduct(amplitude=8.0, modes=(1,) * len(cells))
     )
     u_vals = 1.0 + 0.1 * rng.standard_normal(grid.shape)
-    J, _ = _jacobian_matrix(prob, grid, u_vals)
+    J, _ = _jacobian_matrix(prob, grid, evaluate(prob, ScalarField(grid, u_vals)))
     ref = _scipy_dia(J)
     edge = np.zeros(grid.shape, dtype=bool)
     for d in range(grid.ndim):
@@ -341,6 +343,25 @@ def test_newton_stage_evaluates_each_point_once(box2d, monkeypatch):
             assert trials == stage.iterations
 
 
+def test_newton_takes_one_gradient_per_evaluation(box2d, monkeypatch):
+    """The Jacobian reads the evaluation of the iterate it linearizes at,
+    so in a nested cold p = 3 solve the solver's ``gradient`` runs exactly
+    once per ``_residual_values``, not once more per Newton step."""
+    calls = Counter()
+    for name in ("gradient", "_residual_values"):
+        inner = getattr(gradlab.solver, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(gradlab.solver, name, counted)
+    _, report = solve(_problem(box2d, p=3.0, gamma=3.0), build_grid(box2d, (16, 16)))
+    assert report.converged and len(report.stages) == 2
+    assert report.total_iterations > 0
+    assert calls["gradient"] == calls["_residual_values"]
+
+
 def _step_system(case):
     """Jacobian and residual at a perturbed iterate: a 2D p = 3 cosine case
     and the 3D radial case."""
@@ -358,9 +379,9 @@ def _step_system(case):
     f_values = sample_source(prob.source, grid).values
     x = grid.centers()
     u = f_values.mean() / prob.lam + 0.3 * np.prod([np.cos(np.pi * c) for c in x], axis=0)
-    J, a = _jacobian_matrix(prob, grid, u)
-    r = _residual_values(prob, grid, f_values, u)
-    return grid, prob.lam, J, a, r
+    ev = _residual_values(prob, grid, f_values, u)
+    J, a = _jacobian_matrix(prob, grid, ev)
+    return grid, prob.lam, J, a, ev.residual
 
 
 def _step(grid, lam, J, a, r, tol):
@@ -597,7 +618,9 @@ def test_nan_residual_stops_the_nested_solve_on_its_own_level(box2d, monkeypatch
     monkeypatch.setattr(
         gradlab.solver,
         "_residual_values",
-        lambda problem, grid, f_values, u_values: np.full(grid.shape, np.nan),
+        lambda problem, grid, f_values, u_values: _residual_values(
+            problem, grid, f_values, u_values
+        )._replace(residual=np.full(grid.shape, np.nan)),
     )
     with pytest.raises(NonconvergenceError, match="stalled on 8×8 with residual nan") as info:
         solve(_problem(box2d), build_grid(box2d, (32, 32)), options=SolverOptions(max_iter=0))
@@ -621,6 +644,10 @@ def test_stall_in_the_line_search_says_so(box2d, monkeypatch):
     ) as info:
         solve(prob, build_grid(box2d, (16, 16)))
     assert info.value.report.stages[-1].iterations < SolverOptions().max_iter
+    # the report's evaluation is whole, face arrays included
+    evaluation = info.value.report.evaluation
+    assert evaluation.u is info.value.best_iterate.values
+    assert evaluation.faces is not None and evaluation.face_a is not None
 
 
 def test_epsilon_sweep_norms_stable():

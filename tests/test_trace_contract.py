@@ -9,12 +9,14 @@ What the benchmark fixes in ``src/``, and nothing more:
 - the names it rebinds, each where it is bound (``layertrace._entry_points``):
   the grid stencils ``gradient``, ``second_derivatives``,
   ``divergence_flux`` and ``face_average`` as bound in ``solver``,
-  ``bernstein`` and ``harness.runner``, and each other entry point on the
-  module or class it is listed on.  The wrapper passes ``*args, **kwargs``
-  through, so their signatures are free;
-- ``solver._newton_stage``'s result, the 4-tuple ``(u, history,
+  ``bernstein`` and ``harness.runner`` (the runner binds none of them,
+  and the span is present while any module binds one), and each other
+  entry point on the module or class it is listed on.  The wrapper passes
+  ``*args, **kwargs`` through, so their signatures are free;
+- ``solver._newton_stage``'s result, the 4-tuple ``(ev, history,
   damping_events, krylov_iterations)`` that ``layertrace._stage_attrs``
-  unpacks;
+  unpacks, reading only the history and the damping count (``ev`` is the
+  stage's final :class:`gradlab.solver.Evaluation`);
 - the ``ProblemSpec`` fields ``eps``, ``hamiltonian`` and ``gamma``, which
   ``worker.jacobian_nnz`` replaces, and ``solver.jacobian(problem, u).nnz``,
   which it reads;
