@@ -64,12 +64,16 @@ each cycle ends on the true residual ``|b - J delta|``.  It is the
 module's one linear solve, :func:`spsolve`.  The module uses numpy alone.
 
 A cold solve is a nested iteration.  The target grid is halved along every
-axis for as long as it can be; the coarsest grid starts Newton from a
+axis for as long as it can be and the coarser grid keeps at least
+``_COARSEST_CELLS`` cells; the coarsest grid starts Newton from a
 constant, and each finer grid starts from the prolonged coarser solution.
 Every grid takes one Newton stage at the target (eps, gamma): Newton's step
 count does not grow under refinement (Allgower, Boehmer, Potra and
 Rheinboldt 1986), so the coarse grids, not a path in (eps, gamma), carry
-Newton into its basin on the fine ones.
+Newton into its basin on the fine ones.  For the same reason a level
+smaller than ``_COARSEST_CELLS`` does not pay for its stage: from the
+constant, Newton takes as many steps on the grid above it, and each of its
+steps has a fixed cost larger than what it saves the next level.
 """
 
 from __future__ import annotations
@@ -132,6 +136,15 @@ _GMRES_RESTART = 30
 _GMRES_CYCLES = 4
 _FORCING = 0.1
 _FORCING_MIN = 1e-12
+
+# a cold solve's coarsest grid keeps at least this many cells in total.
+# Newton from a constant takes 8 steps on README's config at tol = 1e-8
+# at every size from 48^2 to 768^2, and a step's fixed cost (a residual,
+# a Jacobian and the GMRES set-up, about 0.5-1 ms on a 2-core Xeon)
+# outweighs what a smaller level saves the next one: the 3D radial
+# config's 8^3 stage took 4.7 ms of a 19 ms solve at 16^3 and saved the
+# 16^3 stage about 1 ms
+_COARSEST_CELLS = 1024
 
 
 @dataclass
@@ -558,7 +571,9 @@ def solve(
     cold start with ``options.continuation`` set is a nested iteration, a
     continuation in the mesh width.  Every axis of ``grid`` is halved for
     as long as each axis is even and keeps at least ``_MIN_CELLS`` cells
-    (:meth:`gradlab.grid.Grid.coarsened`).  The coarsest grid starts from
+    (:meth:`gradlab.grid.Grid.coarsened`) and the halved grid keeps at
+    least ``_COARSEST_CELLS`` cells in all: 96^2 starts on 48^2 and 32^3
+    on 16^3, while 48^2 and 16^3 solve alone.  The coarsest grid starts from
     the constant ``mean(f) / lam``, and each finer grid, up to ``grid``,
     from the prolonged coarser solution.  A coarse grid's source is the
     block mean of the finer grid's (:func:`gradlab.grid.restrict`), so a
@@ -593,7 +608,9 @@ def solve(
     # mean of the finer one's
     sources = [sample_source(problem.source, grid)]
     if initial is None and options.continuation:
-        while (coarse := sources[-1].grid.coarsened()) is not None:
+        while (coarse := sources[-1].grid.coarsened()) is not None and (
+            math.prod(coarse.cells) >= _COARSEST_CELLS
+        ):
             sources.append(restrict(sources[-1], coarse))
     u = initial
     if u is None:

@@ -38,7 +38,7 @@ from gradlab.grid import (
 )
 from gradlab.harness import parse_config, scaling_fit
 from gradlab.model import CosineProduct, ProblemSpec, Tabulated
-from gradlab.solver import solve
+from gradlab.solver import SolverOptions, solve
 
 
 def test_weak_identity_trivial_on_constant(box2d):
@@ -271,8 +271,11 @@ def test_scaling_fit_chains_from_the_last_converged_scale(p3_problem, box2d, mon
         return u, report
 
     monkeypatch.setattr("gradlab.harness.runner.solve", fake_solve)
-    grid = build_grid(box2d, (16, 16))
-    fit = scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0)
+    # 64^2 nests onto 32^2; at 1e-8 no scale meets its rounding floor
+    grid = build_grid(box2d, (64, 64))
+    fit = scaling_fit(
+        p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0, options=SolverOptions(tol=1e-8)
+    )
     assert calls[0][:2] == (1.0, None) and calls[0][2] > 1
     assert calls[1:] == [(2.0, 1.0, 1), (4.0, 2.0, None), (8.0, 2.0, 1), (16.0, 8.0, 1)]
     assert fit.scales == [1.0, 2.0, 8.0, 16.0]

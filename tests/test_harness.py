@@ -436,7 +436,9 @@ def test_eps_and_h_sweeps(tmp_path):
 
 
 def test_lambda_sweep_is_a_warm_chain(tmp_path):
-    cfg = parse_config(SINGULAR + "lambda_sweep = 0.5 1 2\n")
+    cfg = parse_config(
+        SINGULAR.replace("cells = 48 48", "cells = 64 64") + "lambda_sweep = 0.5 1 2\n"
+    )
     rows = sweep(cfg, "lambda", tmp_path)
     assert [r.payload["parameters"]["lambda"] for r in rows] == ["1/2", "1", "2"]
     assert len(rows[0].payload["solve"]["stages"]) > 1
@@ -743,14 +745,14 @@ def _verdicts(payload):
     "text, single_steps",
     [
         (
-            SINGULAR.replace("cells = 48 48", "cells = 32 32").replace(
+            SINGULAR.replace("cells = 48 48", "cells = 64 64").replace(
                 "ledgers = thm2", "ledgers = weak thm1 thm2 scan maxreg"
             ),
             8,
         ),
-        (RADIAL_3D, 6),
+        (RADIAL_3D.replace("cells = 16 16 16", "cells = 32 32 32"), 6),
     ],
-    ids=["readme-32", "radial-16cubed"],
+    ids=["readme-64", "radial-32cubed"],
 )
 def test_nested_cold_solve_matches_a_single_grid_cold_solve(text, single_steps):
     """The nested solve and a cold solve on the target grid alone
@@ -764,7 +766,7 @@ def test_nested_cold_solve_matches_a_single_grid_cold_solve(text, single_steps):
     assert single.payload["solve"]["total_iterations"] <= single_steps
     nested = run_experiment(config)
     for stages in (nested.payload["solve"]["stages"], nested.meta["solve"]["stages"]):
-        assert stages[0]["cells"] == [8] * grid.ndim
+        assert stages[0]["cells"] == [n // 2 for n in grid.cells]
         assert stages[-1]["cells"] == list(grid.cells)
     bound = 10 * options.tol / (problem.lam * grid.max_spacing)
     assert np.max(np.abs(nested.u.values - single.u.values)) <= bound
@@ -775,21 +777,37 @@ def test_nested_cold_solve_matches_a_single_grid_cold_solve(text, single_steps):
 @pytest.mark.parametrize(
     "text, levels, max_steps",
     [
-        (SINGULAR.replace("cells = 48 48", "cells = 32 32"), [8, 16, 32], 19),
-        (RADIAL_3D, [8, 16], 11),
+        (SINGULAR.replace("cells = 48 48", "cells = 64 64"), [32, 64], 13),
+        (RADIAL_3D.replace("cells = 16 16 16", "cells = 32 32 32"), [16, 32], 11),
     ],
-    ids=["readme-32", "radial-16cubed"],
+    ids=["readme-64", "radial-32cubed"],
 )
 def test_cold_solve_newton_count(text, levels, max_steps):
     """At tol = 1e-8 a cold solve takes one stage per grid of its nested
-    iteration and no more Newton steps than measured; a walk in (eps,
-    gamma) on the coarsest grid would take 34 and 23."""
+    iteration and no more Newton steps than measured; nesting down to 8
+    cells per axis took 24 and 16."""
     config = _with_solver(parse_config(text), tol=1e-8)
     grid = config.build_grid()
     _, report = solve(config.build_problem(), grid, config.solver)
     assert report.converged
     assert [s.cells for s in report.stages] == [(n,) * grid.ndim for n in levels]
     assert report.total_iterations <= max_steps
+
+
+def test_readme_config_solves_cold_with_its_source_scaled_by_4():
+    """ROADMAP item 1's regression: README's config at tol = 1e-8 with its
+    source scaled by 4 solves cold, in one stage on its own 48^2 grid.
+    Nested down to 12^2, 8 cells per axis being the only floor, Newton
+    stalls there after 50 steps, at residual 4.676e-2."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)[0]
+    config = parse_config(text.replace("amplitude = 30", "amplitude = 30\nscale = 4"))
+    config = _with_solver(config, tol=1e-8)
+    assert config.cells == (48, 48) and config.source_params["scale"] == 4.0
+    _, report = solve(config.build_problem(), config.build_grid(), config.solver)
+    assert report.converged
+    assert [s.cells for s in report.stages] == [(48, 48)]
+    assert report.total_iterations <= 16
 
 
 def test_convergence_study_second_order(box2d):
@@ -1291,7 +1309,7 @@ def test_residual_gate_bites_through_the_handed_over_residual(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     with pytest.raises(
-        UnconvergedInputError, match=r"discrete residual 4\.233e-05 \(gate 1\.0e-06\)"
+        UnconvergedInputError, match=r"discrete residual 3\.724e-05 \(gate 1\.0e-06\)"
     ):
         run_experiment(config)
     on_target = [name for name, shape in calls if shape == (48, 48)]

@@ -306,9 +306,9 @@ def test_stencil_width_follows_a_prime(box2d, monkeypatch):
             return J, a
 
         monkeypatch.setattr(gradlab.solver, "_jacobian_matrix", recording)
-        _, report = solve(_problem(box2d, p=p, gamma=3.0), build_grid(box2d, (16, 16)))
+        _, report = solve(_problem(box2d, p=p, gamma=3.0), build_grid(box2d, (64, 64)))
         assert report.converged
-        assert {s.cells for s in report.stages} == {(8, 8), (16, 16)}
+        assert {s.cells for s in report.stages} == {(32, 32), (64, 64)}
         assert seen and set(seen) == {expected}
 
 
@@ -356,7 +356,7 @@ def test_newton_takes_one_gradient_per_evaluation(box2d, monkeypatch):
             return _inner(*args)
 
         monkeypatch.setattr(gradlab.solver, name, counted)
-    _, report = solve(_problem(box2d, p=3.0, gamma=3.0), build_grid(box2d, (16, 16)))
+    _, report = solve(_problem(box2d, p=3.0, gamma=3.0), build_grid(box2d, (64, 64)))
     assert report.converged and len(report.stages) == 2
     assert report.total_iterations > 0
     assert calls["gradient"] == calls["_residual_values"]
@@ -539,16 +539,43 @@ def test_a_cold_start_takes_one_target_stage_per_level(p3_problem, box2d):
     """A cold solve takes one stage at the target on each grid of its nested
     iteration, coarsest first; a warm solve, or a cold one without
     continuation, takes one stage on its own grid."""
-    grid = build_grid(box2d, (32, 32))
+    grid = build_grid(box2d, (64, 64))
     u, cold = solve(p3_problem, grid)
-    assert [s.cells for s in cold.stages] == [(8, 8), (16, 16), (32, 32)]
+    assert [s.cells for s in cold.stages] == [(32, 32), (64, 64)]
     for options, initial in [
         (SolverOptions(continuation=False), None),
         (SolverOptions(), u),
         (SolverOptions(continuation=False), u),
     ]:
         _, report = solve(p3_problem, grid, options, initial=initial)
-        assert [s.cells for s in report.stages] == [(32, 32)]
+        assert [s.cells for s in report.stages] == [(64, 64)]
+
+
+@pytest.mark.parametrize(
+    "cells, levels",
+    [
+        ((96, 96), [48, 96]),
+        ((64, 64), [32, 64]),
+        ((48, 48), [48]),
+        ((32, 32, 32), [16, 32]),
+        ((16, 16, 16), [16]),
+    ],
+)
+def test_a_cold_start_halves_only_onto_grids_of_1024_cells(cells, levels):
+    """A cold start halves its grid only while the coarser grid keeps at
+    least 1024 cells: 96^2 starts on 48^2, 64^2 on 32^2 and 32^3 on 16^3,
+    and 48^2 and 16^3, whose halves hold 576 and 512 cells, solve alone.
+    A tolerance every residual meets ends each stage where it starts, so
+    the stages are the levels."""
+    ndim = len(cells)
+    box = Box((1.0,) * ndim)
+    prob = ProblemSpec.power_model(
+        box, p=2.0, gamma=2.0, lam=1.0, eps=1e-2,
+        source=RadialSingular(center=(0.5,) * ndim, power=0.8, amplitude=15.0),
+    )
+    _, report = solve(prob, build_grid(box, cells), SolverOptions(tol=1e300))
+    assert [s.cells for s in report.stages] == [(n,) * ndim for n in levels]
+    assert report.total_iterations == 0
 
 
 @pytest.mark.parametrize(
@@ -585,13 +612,13 @@ def test_cold_solve_from_a_tabulated_source_is_nested(box2d):
     block means, as they do for every source, so the nested solve from a
     table of a source is the solve from that source, bit for bit."""
     prob = _problem(box2d, p=3.0, gamma=3.0)
-    grid = build_grid(box2d, (32, 32))
+    grid = build_grid(box2d, (64, 64))
     table = _problem(
         box2d, p=3.0, gamma=3.0, source=Tabulated(sample_source(prob.source, grid).values)
     )
     u, report = solve(table, grid)
     assert report.converged
-    assert [s.cells for s in report.stages][-3:] == [(8, 8), (16, 16), (32, 32)]
+    assert [s.cells for s in report.stages] == [(32, 32), (64, 64)]
     ref, _ = solve(prob, grid)
     assert np.array_equal(u.values, ref.values)
 
@@ -603,11 +630,11 @@ def test_stall_on_a_coarse_grid_names_that_grid(box2d):
         box2d, p=3.0, gamma=4.0, eps=1e-6,
         source=CosineProduct(amplitude=60.0, modes=(2, 1)),
     )
-    with pytest.raises(NonconvergenceError, match="stalled on 8×8 with residual") as info:
-        solve(prob, build_grid(box2d, (32, 32)), options=SolverOptions(max_iter=1))
+    with pytest.raises(NonconvergenceError, match="stalled on 32×32 with residual") as info:
+        solve(prob, build_grid(box2d, (64, 64)), options=SolverOptions(max_iter=1))
     err = info.value
-    assert err.best_iterate.grid.cells == (8, 8)
-    assert err.report.stages[-1].cells == (8, 8)
+    assert err.best_iterate.grid.cells == (32, 32)
+    assert err.report.stages[-1].cells == (32, 32)
     assert not err.report.converged
 
 
@@ -622,12 +649,12 @@ def test_nan_residual_stops_the_nested_solve_on_its_own_level(box2d, monkeypatch
             problem, grid, f_values, u_values
         )._replace(residual=np.full(grid.shape, np.nan)),
     )
-    with pytest.raises(NonconvergenceError, match="stalled on 8×8 with residual nan") as info:
-        solve(_problem(box2d), build_grid(box2d, (32, 32)), options=SolverOptions(max_iter=0))
+    with pytest.raises(NonconvergenceError, match="stalled on 32×32 with residual nan") as info:
+        solve(_problem(box2d), build_grid(box2d, (64, 64)), options=SolverOptions(max_iter=0))
     err = info.value
-    assert [s.cells for s in err.report.stages] == [(8, 8)]
+    assert [s.cells for s in err.report.stages] == [(32, 32)]
     assert not err.report.converged
-    assert err.best_iterate.grid.cells == (8, 8)
+    assert err.best_iterate.grid.cells == (32, 32)
 
 
 def test_stall_in_the_line_search_says_so(box2d, monkeypatch):
@@ -639,10 +666,10 @@ def test_stall_in_the_line_search_says_so(box2d, monkeypatch):
     )
     with pytest.raises(
         NonconvergenceError,
-        match="stalled on 8×8 with residual .*: line search collapsed, no step down "
+        match="stalled on 32×32 with residual .*: line search collapsed, no step down "
         "to length 1 passed the Armijo test",
     ) as info:
-        solve(prob, build_grid(box2d, (16, 16)))
+        solve(prob, build_grid(box2d, (64, 64)))
     assert info.value.report.stages[-1].iterations < SolverOptions().max_iter
     # the report's evaluation is whole, face arrays included
     evaluation = info.value.report.evaluation
@@ -729,10 +756,13 @@ def test_p3_krylov_iterations_per_step_stay_bounded(p3_problem, box2d):
     Newton step of each grid's one stage at the target stay bounded under
     refinement: at most 10 from 24^2 to 192^2, where the grid mean alone
     took 12.0 at 96^2 and 13.75 at 192^2.  One cold 192^2 solve walks
-    every grid of that ladder."""
-    _, report = solve(p3_problem, build_grid(box2d, (192, 192)), SolverOptions(tol=1e-8))
-    assert report.converged
-    targets = report.stages[-4:]
+    that ladder from 48^2, and a cold 24^2 solve, too small to be halved,
+    takes its one stage from the constant."""
+    targets = []
+    for n in (24, 192):
+        _, report = solve(p3_problem, build_grid(box2d, (n, n)), SolverOptions(tol=1e-8))
+        assert report.converged
+        targets += report.stages
     assert [s.cells for s in targets] == [(n, n) for n in (24, 48, 96, 192)]
     for stage in targets:
         assert stage.krylov_iterations <= 10 * stage.iterations
@@ -777,10 +807,10 @@ def test_linear_solve_without_progress_stalls(monkeypatch):
         gradlab.solver, "spsolve", lambda J, M, b, target: (np.zeros_like(b), 0)
     )
     with pytest.raises(
-        NonconvergenceError, match="stalled on 8×8×8 with residual .*: line search collapsed"
+        NonconvergenceError, match="stalled on 16×16×16 with residual .*: line search collapsed"
     ) as err:
-        solve(prob, build_grid(prob.domain, (16, 16, 16)))
-    assert err.value.best_iterate.grid.cells == (8, 8, 8)
+        solve(prob, build_grid(prob.domain, (32, 32, 32)))
+    assert err.value.best_iterate.grid.cells == (16, 16, 16)
     assert [s.iterations for s in err.value.report.stages] == [0]
 
 
