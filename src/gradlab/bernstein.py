@@ -24,8 +24,9 @@ gradient modulus ``v_k = (sqrt(w) - k)^+`` (rows ``t2s1``, ``t2s2``,
 fitted on the evaluated solution and reported, which makes the rows that use
 them combined checks of everything else.
 
-Each field, power and test function is computed once per
-:class:`SolutionBundle`.  Superlevel integrands are evaluated only on the
+A :class:`SolutionBundle` holds what two or more ledgers share, each field,
+power and test function computed once; a field only one ledger reads is
+formed in that ledger.  Superlevel integrands are evaluated only on the
 support ``v > k`` and scattered into zeroed cell fields, so every sum has
 the bits of the whole-grid sum.
 """
@@ -47,7 +48,7 @@ from .grid import (
     second_derivatives,
 )
 from .model.exponents import effective_sobolev_dimension
-from .model.families import check_structure_conditions
+from .model.families import AssumptionReport, check_structure_conditions
 from .model.problem import ProblemSpec
 from .model.sources import sample_source
 from .solver import Evaluation, SolveReport, evaluate
@@ -145,25 +146,18 @@ def _rows(table: dict, entries: list, h: float) -> list:
 
 @dataclass
 class SolutionBundle:
-    """Everything the rows need, computed once from a verified solution; what
-    more than one ledger uses is built on first use into ``memo``."""
+    """The fields two or more ledgers read, computed once from a verified
+    solution; what more than one ledger builds from them is built on first
+    use into ``memo``."""
 
     problem: ProblemSpec
     u: ScalarField
     f: np.ndarray
     ev: Evaluation  # the solver's evaluation of u: Du, |Du|^2, w, H(w), faces
     v: np.ndarray
-    dw2: np.ndarray  # |Dw|^2
-    dv2: np.ndarray  # |Dv|^2
     hess2: np.ndarray
     a_w: np.ndarray
-    env_lower: float
-    env_upper: float
-    ellipticity_margin: float
-    ratio_abs_bound: float
-    ratio_inf: float
-    c_reg: float
-    c_grad: float
+    structure: AssumptionReport  # sampled over the range w visits
     vol: float  # the cell volume
     memo: dict = field(default_factory=dict, repr=False)
 
@@ -203,33 +197,20 @@ def prepare_bundle(
             f"(gate {RESIDUAL_GATE:.1e}); solve before checking"
         )
     w = ev.w
-    v = np.sqrt(w)
-    dw2 = np.sum(gradient(u.grid, w) ** 2, axis=0)
-    dv2 = np.sum(gradient(u.grid, v) ** 2, axis=0)
     hess2 = second_derivatives(u.grid, u.values)
-    # structural constants over the range the solution actually visits
+    # structural constants over the range the solution actually visits; the
+    # range is never empty, as w >= eps > 0
     t_lo = float(w.min()) * (1.0 - 1e-9)
     t_hi = float(w.max()) * (1.0 + 1e-9)
-    if t_hi <= t_lo:
-        t_hi = t_lo * (1.0 + 1e-6)
-    structure = check_structure_conditions(problem.coefficient, t_lo, t_hi, 512)
     return SolutionBundle(
         problem=problem,
         u=u,
         f=f.values,
         ev=ev,
-        v=v,
-        dw2=dw2,
-        dv2=dv2,
+        v=np.sqrt(w),
         hess2=hess2,
         a_w=np.asarray(problem.coefficient.a(w), dtype=float),
-        env_lower=structure.env_lower,
-        env_upper=structure.env_upper,
-        ellipticity_margin=structure.ellipticity_margin,
-        ratio_abs_bound=structure.ratio_abs_bound,
-        ratio_inf=structure.inf_ratio,
-        c_reg=problem.hamiltonian.lower_growth_constant,
-        c_grad=problem.hamiltonian.gradient_growth_constant,
+        structure=check_structure_conditions(problem.coefficient, t_lo, t_hi, 512),
         vol=u.grid.cell_volume,
     )
 
@@ -333,25 +314,29 @@ def thm1_ledger(
     ns = effective_sobolev_dimension(ndim, sobolev_dim)
     p = problem.p
     h = g.max_spacing
+    structure = bundle.structure
+    c_reg = problem.hamiltonian.lower_growth_constant
+    c_grad = problem.hamiltonian.gradient_growth_constant
 
-    margin = bundle.ellipticity_margin
+    margin = structure.ellipticity_margin
     zeta1 = 2.0 * min(1.0, margin)
-    zeta2 = bundle.env_lower * min(1.0, margin)
-    contraction = 1.0 / (np.sqrt(ndim) + bundle.ratio_abs_bound)
-    c1 = zeta1 * contraction**2 / (2.0 * bundle.env_upper)
+    zeta2 = structure.env_lower * min(1.0, margin)
+    contraction = 1.0 / (np.sqrt(ndim) + structure.ratio_abs_bound)
+    c1 = zeta1 * contraction**2 / (2.0 * structure.env_upper)
     delta1 = zeta1 / 4.0
     c2 = (4.0 * beta + 2.0 * np.sqrt(ndim)) ** 2 / 4.0
-    kappa = zeta1 * bundle.env_lower / 2.0 - delta1
+    kappa = zeta1 * structure.env_lower / 2.0 - delta1
     if kappa <= 0:
         raise RegimeError(
             "coefficient envelope too degenerate to absorb the Hessian terms"
         )
     c4 = kappa / 2.0
-    c3 = bundle.c_grad**2 / c4
-    c5 = c1 * bundle.c_reg**2 / 8.0
+    c3 = c_grad**2 / c4
+    c5 = c1 * c_reg**2 / 8.0
     c6 = 2.0 * c1 + c2 / delta1
 
     w, hess2 = bundle.ev.w, bundle.hess2
+    dw2 = np.sum(gradient(g, w) ** 2, axis=0)  # |Dw|^2
     data = bundle.f - problem.lam * bundle.u.values
     phi, pairing = _full_gradient_pairing(bundle, beta)
     w_pow = _power_of(w)  # at p = 2, A, D and F all take w^beta
@@ -361,7 +346,7 @@ def thm1_ledger(
         "A": bundle.integral(bundle.a_w * hess2 * w_pow(beta)),
         "D": bundle.integral(hess2 * w_pow(beta + (p - 2.0) / 2.0)),
         "F": bundle.integral(data**2 * w_pow(beta + (2.0 - p) / 2.0)),
-        "B": bundle.integral(bundle.dw2 * w_pow(beta - 1.0 + (p - 2.0) / 2.0)),
+        "B": bundle.integral(dw2 * w_pow(beta - 1.0 + (p - 2.0) / 2.0)),
         "G": bundle.integral(w_pow(beta + problem.gamma + (2.0 - p) / 2.0)),
         "data_phi": bundle.integral(data * phi),
         "h_phi": bundle.integral(bundle.ev.h_w * phi),
@@ -377,14 +362,14 @@ def thm1_ledger(
         ("diff1", "ge", [(1.0, "pairing")], [(zeta1, "A"), (beta * zeta2, "B")],
          {"zeta1": zeta1, "zeta2": zeta2, "beta": beta}),
         ("diff2", "ge", [(zeta1, "A")],
-         [(zeta1 * bundle.env_lower / 2.0, "D"), (c5, "G"), (-2.0 * c1, "F")],
-         {"zeta1": zeta1, "c1": c1, "contraction": contraction, "c_reg": bundle.c_reg}),
+         [(zeta1 * structure.env_lower / 2.0, "D"), (c5, "G"), (-2.0 * c1, "F")],
+         {"zeta1": zeta1, "c1": c1, "contraction": contraction, "c_reg": c_reg}),
         ("diff3", "fitted", [(beta * zeta2, "B")], [(zeta3, "S1")],
          {"zeta3": zeta3, "sobolev_quotient": embed, "sobolev_dim": ns}),
         ("rhs", "le", [(1.0, "data_phi")], [(delta1, "D"), (c2 / delta1, "F")],
          {"delta1": delta1, "c2": c2}),
         ("Hphi", "le", [(-1.0, "h_phi")], [(c3, "G"), (c4, "D")],
-         {"c3": c3, "c4": c4, "c_grad": bundle.c_grad}),
+         {"c3": c3, "c4": c4, "c_grad": c_grad}),
         ("corollary", "le", [(zeta3, "S1"), (c5, "G"), (kappa - c4, "D")],
          [(c3, "G"), (c6, "F")],
          {"zeta3": zeta3, "c5": c5, "c6": c6, "kappa": kappa, "c3": c3, "c4": c4}),
@@ -452,7 +437,7 @@ def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) ->
     table["grad_mass"] = bundle.integral(np.sum(gradient(bundle.grid, gk) ** 2, axis=0))
     del gk
     hess2, u, f = at(bundle.hess2), at(bundle.u.values), at(bundle.f)
-    dv2 = at(bundle.dv2)
+    dv2 = at(np.sum(gradient(bundle.grid, bundle.v) ** 2, axis=0))  # |Dv|^2
     v_pow, vk_pow = _power_of(v), _power_of(vk)  # exponents coincide at p = 2
     vk_beta = vk**beta
     sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
@@ -514,10 +499,11 @@ def thm2_ledger(
             f"test power beta={beta} gives interpolation index r={r} <= 2: "
             "the superlevel construction is empty (proof-gap regime)"
         )
-    if bundle.ratio_inf < -1e-10:
+    structure = bundle.structure
+    if structure.inf_ratio < -1e-10:
         raise RegimeError(
             "superlevel rows need a nondecreasing coefficient "
-            f"(sampled ratio infimum {bundle.ratio_inf:.3e} < 0)"
+            f"(sampled ratio infimum {structure.inf_ratio:.3e} < 0)"
         )
     g = bundle.grid
     ndim = g.ndim
@@ -527,12 +513,14 @@ def thm2_ledger(
 
     table = _superlevel_table(bundle, k, beta, ns)
 
-    env_lo, env_up = bundle.env_lower, bundle.env_upper
-    stretch = np.sqrt(ndim) + bundle.ratio_abs_bound
-    c10 = bundle.c_reg**2 / (8.0 * stretch**2 * env_up)
+    env_lo, env_up = structure.env_lower, structure.env_upper
+    hamiltonian = bundle.problem.hamiltonian
+    c_grad = hamiltonian.gradient_growth_constant
+    stretch = np.sqrt(ndim) + structure.ratio_abs_bound
+    c10 = hamiltonian.lower_growth_constant**2 / (8.0 * stretch**2 * env_up)
     c11 = 2.0 / (stretch**2 * env_up)
     delta = 0.5 * min(env_lo / 2.0, c10 / 2.0, env_lo * (beta - 1.0) / 4.0)
-    c14 = _young_tail_constant(delta, eta, bundle.c_grad)
+    c14 = _young_tail_constant(delta, eta, c_grad)
     c_data = (ndim + (beta + 1.0) ** 2) / (4.0 * delta)
     # assembled bound: the Sobolev quotient of v_k^((p + beta - 1)/2) is fitted
     S3 = table["S3"]
@@ -550,8 +538,7 @@ def thm2_ledger(
         ("t2s4", "le", [(1.0, "h_phi"), (lam, "u_phi"), (-1.0, "f_phi")],
          [(-lam, "P"), (delta, "T1"), (delta, "T2"), (delta, "T3"), (delta, "T4"),
           (c14, "Gk"), (c_data, "Fk")],
-         {"delta": delta, "c14": c14, "c_data": c_data, "eta": eta,
-          "c_grad": bundle.c_grad}),
+         {"delta": delta, "c14": c14, "c_data": c_data, "eta": eta, "c_grad": c_grad}),
         ("mainineq", "le", [(c15, "S3"), (c15 * lam, "P")],
          [(1.0, "f_r"), (1.0, "Zk"), (lam**2, "U"), (1.0, "level_mass"), (1.0, "Gk")],
          {"c15": c15, "zeta": zeta, "delta": delta, "c10": c10, "c11": c11, "c14": c14,
@@ -722,7 +709,6 @@ def levelset_scan(
 
 @dataclass
 class MaxRegNorm:
-    value: float
     via_power_field: float
     via_gradient_norm: float
 
@@ -744,8 +730,4 @@ def maximal_regularity_norm(magnitude: ScalarField, q: float, gamma: float) -> M
         raise ParameterError("maximal regularity norm needs q >= 1")
     via_power = lp_norm(ScalarField(magnitude.grid, magnitude.values**gamma), q)
     via_gradient = lp_norm(magnitude, q * gamma) ** gamma
-    return MaxRegNorm(
-        value=via_power,
-        via_power_field=via_power,
-        via_gradient_norm=via_gradient,
-    )
+    return MaxRegNorm(via_power_field=via_power, via_gradient_norm=via_gradient)

@@ -48,8 +48,7 @@ class UnsupportedRegimeError(GradlabError, ValueError):
 class NonconvergenceError(GradlabError, RuntimeError):
     """Newton iteration stalled.  Carries the best iterate for diagnosis."""
 
-    def __init__(self, message, best_iterate=None, residual_norm=None, report=None):
+    def __init__(self, message, best_iterate=None, report=None):
         super().__init__(message)
         self.best_iterate = best_iterate
-        self.residual_norm = residual_norm
         self.report = report

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError, ParameterError
+from ..errors import ConfigError, ParameterError, UnsupportedRegimeError
 from ..grid import Box, Grid, build_grid
 from ..model.exponents import to_fraction
 from ..model.problem import ProblemSpec
@@ -112,6 +112,11 @@ class RunConfig:
 
     def __post_init__(self):
         # on every config, each dataclasses.replace variant included
+        if self.lam == 0:
+            raise UnsupportedRegimeError(
+                "a run needs lambda > 0; probe lambda -> 0 through a lambda_sweep "
+                "of positive values"
+            )
         ndim = len(self.extents)
         if not lq_membership(self.build_source(), float(self.q), ndim):
             raise ConfigError(f"declared source is not in L^{self.q} over a {ndim}d box")

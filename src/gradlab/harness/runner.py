@@ -40,7 +40,7 @@ from ..model.exponents import (
     to_fraction,
 )
 from ..model.problem import ProblemSpec
-from ..model.sources import Scaled, Tabulated, sample_source
+from ..model.sources import Scaled, Tabulated
 from ..solver import SolverOptions, solve
 from .config import RunConfig
 from .records import list_records, load_record, persist_record
@@ -92,17 +92,15 @@ def _norm_table(config: RunConfig, u: ScalarField, report, table) -> dict:
     mag = ScalarField(u.grid, np.sqrt(report.evaluation.du2))
     maxreg = maximal_regularity_norm(mag, float(config.q), float(config.gamma))
     vol = u.grid.cell_volume
-    norms = {
+    return {
         "u_l2": float(np.sqrt(np.sum(u.values**2) * vol)),
         "u_linf": float(np.max(np.abs(u.values))),
         "du_l2": lp_norm(mag, 2.0),
         "du_qgamma": lp_norm(mag, float(config.q * config.gamma)),
+        "du_eta": lp_norm(mag, float(table.eta1)),
+        "maxreg": maxreg.via_power_field,
+        "maxreg_agreement": maxreg.relative_agreement,
     }
-    if table.eta1 is not None:
-        norms["du_eta"] = lp_norm(mag, float(table.eta1))
-    norms["maxreg"] = maxreg.value
-    norms["maxreg_agreement"] = maxreg.relative_agreement
-    return norms
 
 
 def run_experiment(
@@ -410,13 +408,12 @@ def scaling_fit(
     u = None  # the last converged scale's solution
     for s in scales:
         spec = dataclasses.replace(problem, source=Scaled(problem.source, s))
-        f = sample_source(spec.source, grid)
         try:
             u, report = solve(spec, grid, options, initial=u)
         except GradlabError as exc:  # failures are data here
             failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        xs.append(lp_norm(f, q_eta))
+        xs.append(lp_norm(report.source, q_eta))
         ys.append(lp_norm(ScalarField(grid, np.sqrt(report.evaluation.du2)), eta))
         used_scales.append(s)
     if len(xs) < 3:

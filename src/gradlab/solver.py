@@ -510,11 +510,6 @@ def evaluate(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None)
     return _residual_values(problem, u.grid, f_values, u.values)
 
 
-def residual(problem: ProblemSpec, u: ScalarField, f: ScalarField | None = None) -> ScalarField:
-    """Discrete residual of ``u`` against the problem's sampled source."""
-    return ScalarField(u.grid, evaluate(problem, u, f).residual)
-
-
 def jacobian(problem: ProblemSpec, u: ScalarField) -> BandedMatrix:
     """Jacobian of the residual at ``u`` in C order: the operator Newton applies."""
     return _jacobian_matrix(problem, u.grid, evaluate(problem, u))[0]
@@ -659,7 +654,6 @@ def solve(
             f"Newton stalled on {'×'.join(map(str, level.cells))} "
             f"with residual {history[-1]:.3e}: {reason}",
             best_iterate=u,
-            residual_norm=history[-1],
             report=report,
         )
     return u, report

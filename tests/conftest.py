@@ -15,7 +15,7 @@ import pytest
 import gradlab.solver
 from gradlab.grid import Box, ScalarField, build_grid
 from gradlab.model import CosineProduct, ProblemSpec, RadialSingular, Tabulated
-from gradlab.solver import residual, solve
+from gradlab.solver import evaluate, solve
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +29,7 @@ def manufacture_source():
 
     def manufacture(problem, u_star):
         zero = ScalarField(u_star.grid, np.zeros(u_star.grid.shape))
-        return Tabulated(residual(problem, u_star, zero).values)
+        return Tabulated(evaluate(problem, u_star, zero).residual)
 
     return manufacture
 

@@ -51,10 +51,14 @@ def test_weak_identity_trivial_on_constant(box2d):
     )
     grid = build_grid(box2d, (32, 32))
     u = ScalarField(grid, np.full(grid.shape, 5.0))
-    row = weak_identity_check(prepare_bundle(prob, u), beta=4.0)
+    bundle = prepare_bundle(prob, u)
+    row = weak_identity_check(bundle, beta=4.0)
     assert row.passed
     assert row.lhs == 0.0 and row.rhs == 0.0
     assert row.constants["relative_gap"] == 0.0
+    # w = eps everywhere, yet the sampled structure range is not empty
+    assert bundle.structure.t_min < eps < bundle.structure.t_max
+    assert thm1_ledger(bundle, beta=4.0).all_pass
 
 
 def test_weak_identity_gap_converges(p2_problem, box2d):
@@ -221,7 +225,7 @@ def test_maximal_regularity_norm_routes_agree(sing_solution_48, sing_solution_96
     for u in (sing_solution_48, sing_solution_96):
         norm = maximal_regularity_norm(_magnitude(u), q=3.0, gamma=6.0)
         assert norm.relative_agreement <= 1e-12
-        assert norm.value > 0
+        assert norm.via_power_field > 0
     with pytest.raises(ParameterError):
         maximal_regularity_norm(_magnitude(sing_solution_48), q=0.5, gamma=6.0)
 

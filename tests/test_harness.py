@@ -29,6 +29,7 @@ from gradlab.errors import (
     RegimeError,
     ResolutionError,
     UnconvergedInputError,
+    UnsupportedRegimeError,
 )
 from gradlab.grid import Box, save_field
 from gradlab.harness import (
@@ -668,6 +669,7 @@ def test_k_sweep_needs_superlevel_regime(tmp_path, monkeypatch):
         ("h", "h_sweep = 48 6", ResolutionError),
         ("eps", "epsilon_sweep = 1e-1 -1e-2", ParameterError),
         ("lambda", "lambda_sweep = 1 -1", ParameterError),
+        ("lambda", "lambda_sweep = 1 0", UnsupportedRegimeError),
         ("scale", "scales = 1 nan", ParameterError),
     ],
 )
