@@ -41,8 +41,9 @@ def _ints(raw: str) -> tuple:
     return tuple(int(tok) for tok in raw.split())
 
 
-# the [problem] keys that every source kind takes
-_PROBLEM_KEYS = {"p", "gamma", "lambda", "eps", "q", "source", "scale"}
+def _boolean(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+
 
 # kind -> (class, {key: (convert, default)}).  A default of ``...`` marks a
 # required key; one of ``None`` leaves an absent key out of the parameters,
@@ -61,26 +62,65 @@ _SOURCES = {
     "random": (SeededSmoothRandom, {"seed": (int, ...), "cutoff": (int, None)}),
 }
 
-_KNOWN_KEYS = {
-    "problem": _PROBLEM_KEYS.union(*(keys for _, keys in _SOURCES.values())),
-    "grid": {"extents", "cells"},
-    "solver": {"tol", "max_iter", "continuation"},
-    "analysis": {
-        "beta",
-        "ledgers",
-        "k_levels",
-        "sobolev_dim",
-        "epsilon_sweep",
-        "scales",
-        "lambda_sweep",
-        "h_sweep",
-    },
-}
-
-_REQUIRED = {"problem": {"p", "gamma", "lambda", "eps", "q", "source"}, "grid": {"extents", "cells"}}
-
 # every ledger, in the order a run evaluates them
 _LEDGER_NAMES = ("weak", "thm1", "thm2", "scan", "maxreg")
+
+
+def _source_kind(raw: str) -> str:
+    kind = raw.strip().lower()
+    if kind not in _SOURCES:
+        raise ConfigError(f"unknown source kind; choose from {tuple(_SOURCES)}")
+    return kind
+
+
+def _ledgers(raw: str) -> tuple:
+    """A set of ledgers, kept in their evaluation order."""
+    named = raw.lower().split()
+    for name in named:
+        if name not in _LEDGER_NAMES:
+            raise ConfigError(f"unknown ledger {name!r}; choose from {_LEDGER_NAMES}")
+    return tuple(name for name in _LEDGER_NAMES if name in named)
+
+
+def _k_levels(raw: str) -> tuple:
+    # thm2 and the scan reject such levels too, but only after the solve
+    levels = _floats(raw)
+    increasing = all(a < b for a, b in zip(levels, levels[1:]))
+    if not (increasing and all(k >= 1 for k in levels)):
+        raise ConfigError("levels must be at least 1 and strictly increasing")
+    return levels
+
+
+# section -> {key: (field, convert, default)}, ``...`` marking a required
+# key.  [problem] also takes its source kind's keys from _SOURCES; they and
+# ``scale`` go to ``source_params``, and the [solver] fields to SolverOptions.
+_SECTIONS = {
+    "problem": {
+        "p": ("p", to_fraction, ...),
+        "gamma": ("gamma", to_fraction, ...),
+        "lambda": ("lam", to_fraction, ...),
+        "eps": ("eps", float, ...),
+        "q": ("q", to_fraction, ...),
+        "source": ("source_kind", _source_kind, ...),
+        "scale": ("scale", float, None),
+    },
+    "grid": {"extents": ("extents", _floats, ...), "cells": ("cells", _ints, ...)},
+    "solver": {
+        "tol": ("tol", float, SolverOptions.tol),
+        "max_iter": ("max_iter", int, SolverOptions.max_iter),
+        "continuation": ("continuation", _boolean, SolverOptions.continuation),
+    },
+    "analysis": {
+        "beta": ("beta", to_fraction, Fraction(4)),
+        "ledgers": ("ledgers", _ledgers, ()),
+        "k_levels": ("k_levels", _k_levels, ()),
+        "sobolev_dim": ("sobolev_dim", int, None),
+        "epsilon_sweep": ("epsilon_sweep", _floats, ()),
+        "scales": ("scales", _floats, ()),
+        "lambda_sweep": ("lambda_sweep", _floats, ()),
+        "h_sweep": ("h_sweep", _ints, ()),
+    },
+}
 
 
 @dataclass
@@ -117,6 +157,11 @@ class RunConfig:
                 "a run needs lambda > 0; probe lambda -> 0 through a lambda_sweep "
                 "of positive values"
             )
+        # the ledgers' own bounds on the test power, which they check only
+        # after the solve
+        for ledger, least in (("weak", 0), ("thm1", 2)):
+            if ledger in self.ledgers and self.beta < least:
+                raise ConfigError(f"the {ledger} ledger needs beta >= {least}, got {self.beta}")
         ndim = len(self.extents)
         if not lq_membership(self.build_source(), float(self.q), ndim):
             raise ConfigError(f"declared source is not in L^{self.q} over a {ndim}d box")
@@ -147,23 +192,26 @@ class RunConfig:
         return build_grid(Box(self.extents), self.cells)
 
 
-def _get(parser, section, key, default=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return default
-
-
-def _value(parser, section, key, convert, default=None):
-    """``convert`` of the entry's text, or ``default`` if the entry is absent."""
-    raw = _get(parser, section, key)
-    if raw is None:
-        return default
-    try:
-        return convert(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(
-            f"bad value for {key!r} in section [{section}]: {raw!r}"
-        ) from exc
+def _read(parser, section, table) -> dict:
+    """Each key's converted entry, or its default if it is absent, by field.
+    A value that does not convert is a ConfigError that names the key and the
+    section, and carries a converter's own ConfigError as its reason."""
+    values = {}
+    for key, (field, convert, default) in table.items():
+        if not parser.has_option(section, key):
+            if default is ...:
+                raise ConfigError(f"missing key {key!r} in section [{section}]")
+            values[field] = default
+            continue
+        raw = parser.get(section, key)
+        try:
+            values[field] = convert(raw)
+        except (KeyError, ValueError, ZeroDivisionError) as exc:
+            reason = f"; {exc}" if isinstance(exc, ConfigError) else ""
+            raise ConfigError(
+                f"bad value for {key!r} in section [{section}]: {raw!r}{reason}"
+            ) from exc
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -174,102 +222,32 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    fields = {}
+    for section, table in _SECTIONS.items():
+        fields |= _read(parser, section, table)
+    kind = fields["source_kind"]
+    _, keys = _SOURCES[kind]
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for section, keys in _REQUIRED.items():
-        if not parser.has_section(section):
-            raise ConfigError(f"missing required section [{section}]")
-        for key in keys:
-            if not parser.has_option(section, key):
-                raise ConfigError(f"missing key {key!r} in section [{section}]")
+            if key in _SECTIONS[section] or (section == "problem" and key in keys):
+                continue
+            if section == "problem" and any(key in other for _, other in _SOURCES.values()):
+                raise ConfigError(f"{kind} source takes no key {key!r}")
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    params = _read(parser, "problem", {key: (key, *entry) for key, entry in keys.items()})
+    params["scale"] = fields.pop("scale")
+    fields["source_params"] = {key: value for key, value in params.items() if value is not None}
 
-    def problem(key, convert, default=None):
-        return _value(parser, "problem", key, convert, default)
-
-    p = problem("p", to_fraction)
-    gamma = problem("gamma", to_fraction)
-    lam = problem("lambda", to_fraction)
-    q = problem("q", to_fraction)
-    eps = problem("eps", float)
-
-    kind = parser.get("problem", "source").strip().lower()
-    if kind not in _SOURCES:
-        raise ConfigError(f"unknown source kind {kind!r}")
-    _, keys = _SOURCES[kind]
-    for key in parser.options("problem"):
-        if key not in _PROBLEM_KEYS and key not in keys:
-            raise ConfigError(f"{kind} source takes no key {key!r}")
-    required = [key for key, (_, default) in keys.items() if default is ...]
-    if not all(parser.has_option("problem", key) for key in required):
-        raise ConfigError(f"{kind} source needs {' and '.join(map(repr, required))}")
-    params = {key: problem(key, *entry) for key, entry in keys.items()}
-    params = {key: value for key, value in params.items() if value is not None}
-    if parser.has_option("problem", "scale"):
-        params["scale"] = problem("scale", float)
-
-    extents = _value(parser, "grid", "extents", _floats)
-    cells = _value(parser, "grid", "cells", _ints)
-    if len(extents) != len(cells):
+    if len(fields["extents"]) != len(fields["cells"]):
         raise ConfigError("grid 'extents' and 'cells' disagree on dimension")
-
-    def boolean(raw):
-        try:
-            return parser.BOOLEAN_STATES[raw.strip().lower()]
-        except KeyError:
-            raise ValueError(f"not a boolean: {raw!r}") from None
-
-    def solver_value(key, convert):
-        return _value(parser, "solver", key, convert, getattr(SolverOptions, key))
-
     try:
-        solver = SolverOptions(
-            tol=solver_value("tol", float),
-            max_iter=solver_value("max_iter", int),
-            continuation=solver_value("continuation", boolean),
-        )
+        solver = {field: fields.pop(field) for field, _, _ in _SECTIONS["solver"].values()}
+        fields["solver"] = SolverOptions(**solver)
     except ParameterError as exc:
         raise ConfigError(f"bad [solver] section: {exc}") from exc
-
-    def analysis(key, convert, default=None):
-        return _value(parser, "analysis", key, convert, default)
-
-    # a set of ledgers, kept in their evaluation order
-    named = _get(parser, "analysis", "ledgers", "").lower().split()
-    for name in named:
-        if name not in _LEDGER_NAMES:
-            raise ConfigError(f"unknown ledger {name!r}; choose from {_LEDGER_NAMES}")
-    ledgers = tuple(name for name in _LEDGER_NAMES if name in named)
-
-    # thm2 and the scan reject such levels too, but only after the solve
-    k_levels = analysis("k_levels", _floats, ())
-    increasing = all(a < b for a, b in zip(k_levels, k_levels[1:]))
-    if not (increasing and all(k >= 1 for k in k_levels)):
-        raise ConfigError("[analysis] 'k_levels' must be at least 1 and strictly increasing")
-
-    return RunConfig(
-        p=p,
-        gamma=gamma,
-        lam=lam,
-        q=q,
-        eps=eps,
-        source_kind=kind,
-        source_params=params,
-        extents=extents,
-        cells=cells,
-        solver=solver,
-        beta=analysis("beta", to_fraction, Fraction(4)),
-        ledgers=ledgers,
-        k_levels=k_levels,
-        sobolev_dim=analysis("sobolev_dim", int),
-        epsilon_sweep=analysis("epsilon_sweep", _floats, ()),
-        scales=analysis("scales", _floats, ()),
-        lambda_sweep=analysis("lambda_sweep", _floats, ()),
-        h_sweep=analysis("h_sweep", _ints, ()),
-    )
+    return RunConfig(**fields)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -43,6 +43,7 @@ from gradlab.harness import (
 from gradlab.harness import records
 from gradlab.harness import runner as runner_module
 from gradlab.harness.cli import main
+from gradlab.harness.config import _SECTIONS, _SOURCES
 from gradlab.harness.records import list_records, load_record_field
 from gradlab.harness.runner import _sweep_variants
 from gradlab.solver import solve
@@ -294,6 +295,114 @@ def test_readme_config_blocks_parse():
         cfg = parse_config(text)
         assert cfg == parse_config(bare)
         assert cfg.digest() == parse_config(bare).digest()
+
+
+# a value for every key of every section, and each source kind's own keys
+_EVERY_KEY = {
+    "problem": {"p": "2", "gamma": "2", "lambda": "1", "eps": "1e-2", "q": "3", "scale": "2"},
+    "grid": {"extents": "1 1", "cells": "24 24"},
+    "solver": {"tol": "1e-8", "max_iter": "20", "continuation": "on"},
+    "analysis": {
+        "beta": "4",
+        "ledgers": "weak thm1",
+        "k_levels": "1 2",
+        "sobolev_dim": "3",
+        "epsilon_sweep": "1e-2",
+        "scales": "1 2",
+        "lambda_sweep": "1",
+        "h_sweep": "16 24",
+    },
+}
+_KIND_KEYS = {
+    "cosine": {"amplitude": "8", "modes": "1 1"},
+    "radial": {"center": "0.5 0.5", "power": "0.55", "amplitude": "30", "core_radius": "0.01"},
+    "random": {"seed": "3", "cutoff": "4"},
+}
+# (source kind, section, key) for each key of the parser's tables
+_TABLE_KEYS = [
+    ("cosine", section, key) for section, table in _SECTIONS.items() for key in table
+] + [(kind, "problem", key) for kind, (_, keys) in _SOURCES.items() for key in keys]
+_TABLE_IDS = [f"{kind}-{section}-{key}" for kind, section, key in _TABLE_KEYS]
+
+
+def _every_key_config(kind, section=None, key=None, value=None):
+    """A config of source ``kind`` that sets every key, with ``key`` of
+    ``section`` set to ``value`` instead, or left out if ``value`` is None."""
+    sections = {name: dict(entries) for name, entries in _EVERY_KEY.items()}
+    sections["problem"].update(source=kind, **_KIND_KEYS[kind])
+    if key is not None:
+        del sections[section][key]
+        if value is not None:
+            sections[section][key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for name, entries in sections.items()
+    )
+
+
+def test_every_key_config_sets_every_key_of_the_tables():
+    declared = {(section, key) for _, section, key in _TABLE_KEYS}
+    written = {(s, k) for s, entries in _EVERY_KEY.items() for k in entries}
+    written |= {("problem", k) for keys in _KIND_KEYS.values() for k in keys}
+    assert declared == written | {("problem", "source")}
+    for kind in _KIND_KEYS:
+        parse_config(_every_key_config(kind))
+
+
+@pytest.mark.parametrize("kind, section, key", _TABLE_KEYS, ids=_TABLE_IDS)
+def test_a_value_that_does_not_convert_names_its_key_and_section(kind, section, key):
+    with pytest.raises(ConfigError, match=rf"bad value for '{key}' in section \[{section}\]"):
+        parse_config(_every_key_config(kind, section, key, "x"))
+
+
+@pytest.mark.parametrize("kind, section, key", _TABLE_KEYS, ids=_TABLE_IDS)
+def test_a_missing_required_key_is_named(kind, section, key):
+    """Dropping a required key is a config error naming it; dropping any
+    other key leaves a config that parses."""
+    text = _every_key_config(kind, section, key)
+    table = _SECTIONS[section] if key in _SECTIONS[section] else _SOURCES[kind][1]
+    if table[key][-1] is ...:
+        with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+            parse_config(text)
+    else:
+        parse_config(text)
+
+
+def test_readme_config_format_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config format\n")[1].split("\n## ")[0]
+    assert {key for _, _, key in _TABLE_KEYS if f"`{key}`" not in section} == set()
+
+
+@pytest.mark.parametrize("beta, ledgers", [("1", "thm1"), ("1.9", "thm1 weak"), ("-1", "weak")])
+def test_a_test_power_below_a_ledgers_bound_fails_before_the_solve(
+    tmp_path, monkeypatch, capsys, beta, ledgers
+):
+    """thm1 needs beta >= 2 and weak beta >= 0.  A config that asks for a
+    ledger below its bound is a config error naming beta, so ``check``
+    reports it and no run solves a config the ledger would reject after the
+    solve; so is such a variant of a good config."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a config whose ledger refuses its beta")
+
+    monkeypatch.setattr(runner_module, "solve", no_solve)
+    text = SMOOTH + f"\n[analysis]\nbeta = {beta}\nledgers = {ledgers}\n"
+    with pytest.raises(ConfigError, match="beta"):
+        parse_config(text)
+    cfg = _write(tmp_path, "bad.ini", text)
+    for argv in (["check", cfg], ["solve", cfg]):
+        assert main(argv) == 2
+        assert "beta" in capsys.readouterr().err
+    good = parse_config(SMOOTH + f"\n[analysis]\nledgers = {ledgers}\n")
+    with pytest.raises(ConfigError, match="beta"):
+        dataclasses.replace(good, beta=Fraction(beta))
+    # bernstein runs every ledger when the config names none
+    bare = _write(tmp_path, "bare.ini", SMOOTH + f"\n[analysis]\nbeta = {beta}\n")
+    assert main(["bernstein", bare]) == 2
+    assert "beta" in capsys.readouterr().err
+    # a beta that only other ledgers see is fine
+    assert parse_config(SMOOTH + "\n[analysis]\nbeta = 1\nledgers = thm2 scan\n").beta == 1
 
 
 def test_validate_checks_source_membership():
