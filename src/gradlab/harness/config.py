@@ -174,7 +174,20 @@ class RunConfig:
     def build_source(self):
         params = dict(self.source_params)
         scale = params.pop("scale", None)
-        source_class, _ = _SOURCES[self.source_kind]
+        # parse_config refuses these first, and a parsed config holds every
+        # key whose default is not None; a dataclasses.replace variant
+        # reaches them here, from __post_init__
+        if self.source_kind not in _SOURCES:
+            raise ConfigError(
+                f"unknown source kind {self.source_kind!r}; choose from {tuple(_SOURCES)}"
+            )
+        source_class, keys = _SOURCES[self.source_kind]
+        for key in params:
+            if key not in keys:
+                raise ConfigError(f"{self.source_kind} source takes no key {key!r}")
+        for key, (_, default) in keys.items():
+            if default is not None and key not in params:
+                raise ConfigError(f"{self.source_kind} source needs key {key!r}")
         base = source_class(**params)
         return Scaled(base, scale) if scale is not None else base
 

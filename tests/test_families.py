@@ -12,7 +12,6 @@ from gradlab.model.families import (
     PerturbedPower,
     PowerDiffusion,
     PowerHamiltonian,
-    check_growth_conditions,
     check_structure_conditions,
 )
 
@@ -128,13 +127,30 @@ def test_problem_refuses_a_hamiltonian_eps_one_ulp_off(box2d):
     assert dataclasses.replace(problem, hamiltonian=PowerHamiltonian(3.0, eps)) == problem
 
 
-def test_growth_conditions_power_family():
-    report = check_growth_conditions(PowerHamiltonian(3.0, eps=1e-2), 1.0, 1e3)
-    assert report.passed
-    assert report.lower_constant >= 1.0
-    assert report.upper_constant <= 3.0 * 2.0**1.5
-    with pytest.raises(ParameterError):
-        check_growth_conditions(PowerHamiltonian(3.0), 0.5, 10.0)
+@pytest.mark.parametrize(
+    "gamma, eps, holds",
+    [(6.0, 1.8, True), (6.0, 1.9, False), (3.0, 6.9, True), (3.0, 7.1, False),
+     (2.0, 1e6, True), (1.5, 1e6, True)],
+)
+def test_gradient_growth_condition_is_exact(monkeypatch, gamma, eps, holds):
+    """``|H_xi| <= C |xi|^(gamma-1)`` on ``|xi| >= 1`` holds exactly when
+    ``gamma <= 2`` or ``(1 + eps)^(gamma/2 - 1) <= 2^(gamma/2)``: eps up to
+    2^1.5 - 1 for gamma = 6, up to 7 for gamma = 3, and any eps for
+    gamma <= 2.  Construction refuses the Hamiltonian exactly when the bound
+    fails, and samples nothing to decide it."""
+    s = np.geomspace(1.0, 1e3, 4096)
+    grad = gamma * (eps + s**2) ** (gamma / 2.0 - 1.0) * s
+    assert np.all(grad <= gamma * 2.0 ** (gamma / 2.0) * s ** (gamma - 1.0)) == holds
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled the closed-form growth bound")
+
+    monkeypatch.setattr(np, "geomspace", no_sampling)
+    if holds:
+        assert PowerHamiltonian(gamma, eps).eps == eps
+    else:
+        with pytest.raises(StructureViolationError, match=r"\(1 \+ eps\)\^\(gamma/2 - 1\)"):
+            PowerHamiltonian(gamma, eps)
 
 
 @given(

@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import functools
 import gc
 import hashlib
 import importlib
@@ -152,6 +153,12 @@ def test_parse_minimal_and_defaults():
         lambda t: t.replace("source = cosine", "source = radial\ncenter = 0.5 0.5\npower = 0.5"),
         lambda t: t.replace("source = cosine", "source = random\nseed = 3").replace(
             "modes = 1 1\n", ""
+        ),
+        # a variant with a bad source is refused when it is made
+        lambda t: dataclasses.replace(parse_config(t), source_kind="bogus"),
+        lambda t: dataclasses.replace(parse_config(t), source_params={}),
+        lambda t: dataclasses.replace(
+            parse_config(t), source_params={"amplitude": 8.0, "modes": (1, 1), "seed": 3}
         ),
     ],
 )
@@ -826,15 +833,31 @@ def _with_solver(config, **options):
 
 
 def _cosine_exact(coords):
-    x, y = coords
-    return np.cos(np.pi * x) * np.cos(np.pi * y)
+    return np.prod([np.cos(np.pi * x) for x in coords], axis=0)
 
 
-def _cosine_forcing(coords, eps=1e-2):
-    x, y = coords
-    base = (1 + 2 * np.pi**2) * np.cos(np.pi * x) * np.cos(np.pi * y)
-    ham = eps + np.pi**2 / 2 - (np.pi**2 / 2) * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    return base + ham
+def _cosine_forcing(coords, p=2.0, gamma=2.0, eps=1e-2):
+    """The source for which ``u = prod_d cos(pi x_d)`` solves the problem at
+    lam = 1: ``u - a(w) Lap u - 2 a'(w) Du.D^2u Du + w^(gamma/2)``, with
+    ``w = eps + |Du|^2`` and ``Lap u = -N pi^2 u``."""
+    n = len(coords)
+    cos = [np.cos(np.pi * x) for x in coords]
+    sin = [np.sin(np.pi * x) for x in coords]
+
+    def cos_except(*axes):
+        return np.prod([cos[e] for e in range(n) if e not in axes], axis=0)
+
+    u = np.prod(cos, axis=0)
+    du = [-np.pi * sin[d] * cos_except(d) for d in range(n)]
+    w = eps + sum(g**2 for g in du)
+    # u_dd = -pi^2 u and, for d != e, u_de = pi^2 sin_d sin_e (the other cosines)
+    quad = -np.pi**2 * u * (w - eps) + sum(
+        2 * np.pi**2 * sin[d] * sin[e] * cos_except(d, e) * du[d] * du[e]
+        for d in range(n) for e in range(d + 1, n)
+    )
+    a = w ** ((p - 2) / 2)
+    a_prime = (p - 2) / 2 * w ** ((p - 4) / 2)
+    return u + n * np.pi**2 * a * u - 2 * a_prime * quad + w ** (gamma / 2)
 
 
 def _verdicts(payload):
@@ -921,16 +944,23 @@ def test_readme_config_solves_cold_with_its_source_scaled_by_4():
     assert report.total_iterations <= 16
 
 
-def test_convergence_study_second_order(box2d):
-    """Manufactured continuum solution for p=2, gamma=2, lam=1: with
-    u* = cos(pi x) cos(pi y) the forcing reduces to a closed form."""
+@pytest.mark.parametrize(
+    "p, gamma, ndim, base_cells",
+    [(2.0, 2.0, 2, 16), (3.0, 3.0, 2, 16), (2.0, 2.0, 3, 8), (3.0, 3.0, 3, 8)],
+    ids=["p2-2d", "p3-2d", "p2-3d", "p3-3d"],
+)
+def test_convergence_study_second_order(p, gamma, ndim, base_cells):
+    """Manufactured continuum solution u* = prod_d cos(pi x_d) at lam = 1,
+    with its closed-form source, on the compact stencil (p = 2) and the wide
+    one (p = 3), in 2D and 3D: second order on every stencil path."""
     study = convergence_study(
-        box2d, p=2.0, gamma=2.0, lam=1.0, eps=1e-2,
-        f_exact=_cosine_forcing, u_exact=_cosine_exact, base_cells=16, levels=3,
+        Box((1.0,) * ndim), p=p, gamma=gamma, lam=1.0, eps=1e-2,
+        f_exact=functools.partial(_cosine_forcing, p=p, gamma=gamma),
+        u_exact=_cosine_exact, base_cells=base_cells, levels=3,
     )
     assert len(study.levels) == 3
     assert all(lv.converged for lv in study.levels)
-    assert min(study.orders_linf) >= 1.7
+    assert min(study.orders_linf) >= 1.8
     assert min(study.orders_l2) >= 1.7
 
 
