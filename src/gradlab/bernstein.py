@@ -41,6 +41,7 @@ import numpy as np
 from .errors import ParameterError, RegimeError, UnconvergedInputError
 from .grid import (
     ScalarField,
+    discrete_l2,
     divergence_flux,
     face_average,
     gradient,
@@ -188,7 +189,7 @@ def prepare_bundle(
     if report is None:
         f = sample_source(problem.source, u.grid)
         ev = evaluate(problem, u, f)
-        res_norm = float(np.sqrt(np.sum(ev.residual**2) * u.grid.cell_volume))
+        res_norm = discrete_l2(u.grid, ev.residual)
     else:
         f, ev, res_norm = report.source, report.evaluation, report.residual_norm
     if res_norm > RESIDUAL_GATE:

@@ -296,6 +296,13 @@ def second_derivatives(grid: Grid, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def discrete_l2(grid: Grid, values: np.ndarray) -> float:
+    """``sqrt(sum v^2 * cell volume)``, the norm that the solver's ``tol`` and
+    ``RESIDUAL_GATE`` are stated in; not ``lp_norm(·, 2)``, whose ``** 0.5``
+    can round differently."""
+    return float(np.sqrt(np.sum(values**2) * grid.cell_volume))
+
+
 def lp_norm(field: ScalarField, q: float) -> float:
     """Discrete ``L^q`` norm of a scalar field."""
     if q < 1:

@@ -18,7 +18,6 @@ import functools
 import json
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +31,10 @@ from ..bernstein import (
     weak_identity_check,
 )
 from ..errors import ConfigError, GradlabError, ParameterError, RegimeError
-from ..grid import Box, ScalarField, build_grid, lp_norm
-from ..model.exponents import (
-    build_exponent_table,
-    effective_sobolev_dimension,
-    theorem1_exponents,
-    to_fraction,
-)
+from ..grid import Box, ScalarField, build_grid, discrete_l2, lp_norm
+from ..model.exponents import build_exponent_table, to_fraction
 from ..model.problem import ProblemSpec
-from ..model.sources import Scaled, Tabulated
+from ..model.sources import Tabulated
 from ..solver import SolverOptions, solve
 from .config import RunConfig
 from .records import list_records, load_record, persist_record
@@ -91,9 +85,8 @@ def _norm_table(config: RunConfig, u: ScalarField, report, table) -> dict:
     # its magnitude
     mag = ScalarField(u.grid, np.sqrt(report.evaluation.du2))
     maxreg = maximal_regularity_norm(mag, float(config.q), float(config.gamma))
-    vol = u.grid.cell_volume
     return {
-        "u_l2": float(np.sqrt(np.sum(u.values**2) * vol)),
+        "u_l2": discrete_l2(u.grid, u.values),
         "u_linf": float(np.max(np.abs(u.values))),
         "du_l2": lp_norm(mag, 2.0),
         "du_qgamma": lp_norm(mag, float(config.q * config.gamma)),
@@ -345,7 +338,7 @@ def convergence_study(
                 h=grid.max_spacing,
                 converged=True,
                 error_linf=float(np.max(np.abs(diff))),
-                error_l2=float(np.sqrt(np.sum(diff**2) * grid.cell_volume)),
+                error_l2=discrete_l2(grid, diff),
             )
         )
     orders_linf, orders_l2 = [], []
@@ -378,38 +371,36 @@ class EstimateFit:
     failures: list
 
 
-def scaling_fit(
-    problem: ProblemSpec,
-    grid,
-    scales,
-    beta,
-    options: SolverOptions | None = None,
-    sobolev_dim: int | None = None,
-) -> EstimateFit:
-    """Solve across source scales and fit the growth of the gradient norm.
+def scaling_fit(config: RunConfig) -> EstimateFit:
+    """Solve ``config`` at each of its ``scales``; fit the gradient norm's growth.
 
-    The estimate predicts sublinear growth with exponent ``1/(p-1)``; the
-    reported slope is the log-log least-squares fit over the top half of the
-    scales, where the nonlinearity dominates.  The scales run as a warm
-    chain: the first solves cold, and each later one starts from the last
-    converged scale's solution (see :func:`gradlab.solver.solve`).  Failed
-    solves are recorded and skipped, but at least three fitted points are
-    required.
+    The points are a ``scale`` sweep's (:func:`_sweep_variants`), all built
+    before the first solve.  The estimate predicts that ``|Du|_eta`` grows
+    like ``|f|_(q_eta)^(1/(p-1))``, with ``eta`` and ``q_eta`` from the
+    config's exponent table; the slope is the log-log least-squares fit over
+    the top half of the scales, where the nonlinearity dominates.  The scales
+    run as a warm chain: the first solves cold, and each later one starts
+    from the last converged scale's solution (see :func:`gradlab.solver.solve`).
+    Failed solves are recorded and skipped, but at least three fitted points
+    are required.  The five or more scales must rise and be positive.
     """
-    scales = [float(s) for s in scales]
+    scales = config.scales
     if len(scales) < 5:
         raise ParameterError("need at least 5 scales")
+    # a nan fails here too, before any scale is solved
+    if not all(s > 0 for s in scales):
+        raise ParameterError(f"scales must be positive, got {scales}")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise ParameterError("scales must be strictly increasing")
-    ns = effective_sobolev_dimension(grid.ndim, sobolev_dim)
-    eta_f, _, q_eta_f = theorem1_exponents(ns, Fraction(problem.p).limit_denominator(10**6), Fraction(beta).limit_denominator(10**6))
-    eta, q_eta = float(eta_f), float(q_eta_f)
+    variants = _sweep_variants(config, "scale")
+    table = exponent_table(config)
+    eta, q_eta = float(table.eta1), float(table.q_eta)
+    grid = config.build_grid()
     xs, ys, used_scales, failures = [], [], [], []
     u = None  # the last converged scale's solution
-    for s in scales:
-        spec = dataclasses.replace(problem, source=Scaled(problem.source, s))
+    for s, variant in variants:
         try:
-            u, report = solve(spec, grid, options, initial=u)
+            u, report = solve(variant.build_problem(), grid, config.solver, initial=u)
         except GradlabError as exc:  # failures are data here
             failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -430,7 +421,7 @@ def scaling_fit(
         gradient_norms=ys,
         slope=float(slope),
         intercept=float(intercept),
-        theoretical_slope=1.0 / (problem.p - 1.0),
+        theoretical_slope=1.0 / (float(config.p) - 1.0),
         eta=eta,
         q_eta=q_eta,
         used_points=int(top),

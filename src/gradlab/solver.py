@@ -95,6 +95,7 @@ from .errors import (
 from .grid import (
     Grid,
     ScalarField,
+    discrete_l2,
     divergence_flux,
     face_average,
     face_normal_differences,
@@ -182,10 +183,6 @@ class SolveReport:
     @property
     def total_iterations(self) -> int:
         return sum(s.iterations for s in self.stages)
-
-
-def _discrete_l2(grid: Grid, values: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(values**2) * grid.cell_volume))
 
 
 def _residual_values(problem: ProblemSpec, grid, f_values, u_values) -> Evaluation:
@@ -527,7 +524,7 @@ def _newton_stage(problem: ProblemSpec, grid, f_values, u_values, options):
     # computed, and the Jacobian reads it
     ev = _residual_values(problem, grid, f_values, u_values)
     for it in range(options.max_iter + 1):
-        rn = _discrete_l2(grid, ev.residual)
+        rn = discrete_l2(grid, ev.residual)
         history.append(rn)
         if rn <= options.tol or it == options.max_iter:
             break
@@ -542,7 +539,7 @@ def _newton_stage(problem: ProblemSpec, grid, f_values, u_values, options):
         alpha = 1.0
         while True:
             ev = _residual_values(problem, grid, f_values, u + alpha * delta)
-            merit_trial = 0.5 * _discrete_l2(grid, ev.residual) ** 2
+            merit_trial = 0.5 * discrete_l2(grid, ev.residual) ** 2
             if merit_trial <= merit * (1.0 - 2.0 * _ARMIJO * alpha):
                 break
             alpha *= _DAMPING_FACTOR

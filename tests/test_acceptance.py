@@ -30,7 +30,7 @@ from gradlab.grid import (
     gradient,
 )
 from gradlab.harness import convergence_study, parse_config, scaling_fit, sweep
-from gradlab.model import CosineProduct, PowerDiffusion, ProblemSpec
+from gradlab.model import PowerDiffusion
 from gradlab.model.exponents import ProofGap, theorem2_exponents
 from gradlab.model.families import check_structure_conditions
 from gradlab.solver import solve
@@ -173,16 +173,31 @@ def test_c07_eps_independence():
     _check("07 controlled norms stable as eps -> 0", body)
 
 
-def test_c08_sublinear_scaling(box2d):
+# the same problem at amplitude 1, over rising source scales
+P3_SCALES = """
+[problem]
+p = 3
+gamma = 3
+lambda = 1
+eps = 1e-2
+q = 3
+source = cosine
+amplitude = 1
+modes = 1 1
+
+[grid]
+extents = 1 1
+cells = 48 48
+
+[analysis]
+beta = 6
+scales = 4 8 16 32 64
+"""
+
+
+def test_c08_sublinear_scaling():
     def body():
-        prob = ProblemSpec.power_model(
-            box2d, p=3.0, gamma=3.0, lam=1.0, eps=1e-2,
-            source=CosineProduct(amplitude=1.0, modes=(1, 1)),
-        )
-        fit = scaling_fit(
-            prob, build_grid(box2d, (48, 48)),
-            scales=[4.0, 8.0, 16.0, 32.0, 64.0], beta=6.0,
-        )
+        fit = scaling_fit(parse_config(P3_SCALES))
         assert not fit.failures
         assert fit.slope <= 0.65, f"slope {fit.slope:.4f}"
 

@@ -38,7 +38,7 @@ from gradlab.grid import (
 )
 from gradlab.harness import parse_config, scaling_fit
 from gradlab.model import CosineProduct, ProblemSpec, Tabulated
-from gradlab.solver import SolverOptions, solve
+from gradlab.solver import solve
 
 
 def test_weak_identity_trivial_on_constant(box2d):
@@ -230,21 +230,57 @@ def test_maximal_regularity_norm_routes_agree(sing_solution_48, sing_solution_96
         maximal_regularity_norm(_magnitude(sing_solution_48), q=0.5, gamma=6.0)
 
 
-def test_scaling_fit_validations(p3_problem, box2d):
-    grid = build_grid(box2d, (16, 16))
+# the p3_problem fixture's problem as config text, for the source-scale fit
+P3_SCALES = """
+[problem]
+p = 3
+gamma = 3
+lambda = 1
+eps = 1e-2
+q = 3
+source = cosine
+amplitude = 20
+modes = 1 1
+
+[grid]
+extents = 1 1
+cells = {cells} {cells}
+
+[analysis]
+beta = 6
+scales = {scales}
+"""
+
+
+def _p3_scales(scales, cells=16, extra=""):
+    return parse_config(P3_SCALES.format(cells=cells, scales=scales) + extra)
+
+
+def test_scaling_fit_validations():
     with pytest.raises(ParameterError):
-        scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8], beta=6.0)
+        scaling_fit(_p3_scales("1 2 4 8"))
     with pytest.raises(ParameterError):
-        scaling_fit(p3_problem, grid, scales=[1, 2, 4, 4, 8], beta=6.0)
+        scaling_fit(_p3_scales("1 2 4 4 8"))
+
+
+@pytest.mark.parametrize("scales", ["-2 -1 0 1 2", "1 2 nan 8 16"])
+def test_scaling_fit_refuses_a_nonpositive_scale_before_it_solves(monkeypatch, scales):
+    """The fit takes logs of each scale's norms, so a scale that is not
+    positive (nan included) is refused before the first solve."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before every scale was checked")
+
+    monkeypatch.setattr("gradlab.harness.runner.solve", no_solve)
+    with pytest.raises(ParameterError):
+        scaling_fit(_p3_scales(scales))
 
 
 @pytest.mark.parametrize(
     "error, expected",
     [(NonconvergenceError("stalled"), ParameterError), (TypeError("bug"), TypeError)],
 )
-def test_scaling_fit_records_only_package_errors(
-    p3_problem, box2d, monkeypatch, error, expected
-):
+def test_scaling_fit_records_only_package_errors(monkeypatch, error, expected):
     """A failed solve is a recorded data point (here all fail, so too few
     remain to fit); a bug in the solve propagates."""
 
@@ -252,12 +288,11 @@ def test_scaling_fit_records_only_package_errors(
         raise error
 
     monkeypatch.setattr("gradlab.harness.runner.solve", failing_solve)
-    grid = build_grid(box2d, (16, 16))
     with pytest.raises(expected):
-        scaling_fit(p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0)
+        scaling_fit(_p3_scales("1 2 4 8 16"))
 
 
-def test_scaling_fit_chains_from_the_last_converged_scale(p3_problem, box2d, monkeypatch):
+def test_scaling_fit_chains_from_the_last_converged_scale(monkeypatch):
     """Only the first scale is cold; a failed scale is recorded and the next
     one starts from the last scale that converged."""
     solved = {}  # id of each returned field -> its scale
@@ -276,10 +311,7 @@ def test_scaling_fit_chains_from_the_last_converged_scale(p3_problem, box2d, mon
 
     monkeypatch.setattr("gradlab.harness.runner.solve", fake_solve)
     # 64^2 nests onto 32^2; at 1e-8 no scale meets its rounding floor
-    grid = build_grid(box2d, (64, 64))
-    fit = scaling_fit(
-        p3_problem, grid, scales=[1, 2, 4, 8, 16], beta=6.0, options=SolverOptions(tol=1e-8)
-    )
+    fit = scaling_fit(_p3_scales("1 2 4 8 16", cells=64, extra="\n[solver]\ntol = 1e-8\n"))
     assert calls[0][:2] == (1.0, None) and calls[0][2] > 1
     assert calls[1:] == [(2.0, 1.0, 1), (4.0, 2.0, None), (8.0, 2.0, 1), (16.0, 8.0, 1)]
     assert fit.scales == [1.0, 2.0, 8.0, 16.0]

@@ -806,6 +806,30 @@ def test_sweep_with_a_bad_point_fails_before_it_solves(
     assert main(["check", _write(tmp_path, "bad.ini", text)]) == 2
 
 
+@pytest.mark.parametrize("error", [NonconvergenceError("stalled"), TypeError("bug")])
+def test_sweep_stops_at_the_first_failed_point(tmp_path, monkeypatch, error):
+    """A failed point stops a sweep, and its error propagates whatever its
+    type: the point before it keeps its record, the one after is not solved."""
+    real_solve = runner_module.solve
+    solved = []  # eps of each point whose solve was called
+
+    def fails_second(problem, grid, options=None, initial=None):
+        solved.append(problem.eps)
+        if len(solved) == 2:
+            raise error
+        return real_solve(problem, grid, options, initial=initial)
+
+    monkeypatch.setattr("gradlab.harness.runner.solve", fails_second)
+    cfg = parse_config(SMOOTH + "\n[analysis]\nepsilon_sweep = 1e-1 1e-2 1e-3\n")
+    with pytest.raises(type(error)):
+        sweep(cfg, "eps", tmp_path)
+    assert solved == [1e-1, 1e-2]
+    [record] = list_records(tmp_path)
+    payload, meta = load_record(record)
+    assert payload["parameters"]["eps"] == 1e-1
+    assert (meta["sweep_axis"], meta["sweep_value"]) == ("eps", 1e-1)
+
+
 def test_scale_variants_digest_text_parses_back():
     """A base config with no scale entry and a [solver] section: each
     variant is, digest and all, the config written with that scale."""

@@ -21,6 +21,7 @@ from gradlab.grid import (
     Box,
     ScalarField,
     build_grid,
+    discrete_l2,
     divergence_flux,
     face_average,
     face_normal_differences,
@@ -43,7 +44,6 @@ from gradlab.solver import (
     SolverOptions,
     _dct_matrix,
     _dct_preconditioner,
-    _discrete_l2,
     _jacobian_matrix,
     _neumann_eigenvalues,
     _newton_direction,
@@ -383,7 +383,7 @@ def _step_system(case):
 
 
 def _step(grid, lam, J, a, r, tol):
-    rn = _discrete_l2(grid, r)
+    rn = discrete_l2(grid, r)
     delta, iterations = _newton_direction(grid, J, r, rn, lam, a, tol)
     return (r + (J @ delta.ravel()).reshape(grid.shape)), iterations
 
@@ -395,9 +395,9 @@ def test_newton_direction_meets_forcing_term(linear_solves, case, scale):
     true linear residual, with eta = max(_FORCING_MIN, _FORCING min(1, |R|),
     0.5 tol / |R|)."""
     grid, lam, J, a, r = _step_system(case)
-    r = r * (scale / _discrete_l2(grid, r))
+    r = r * (scale / discrete_l2(grid, r))
     tol = 1e-8
-    rn = _discrete_l2(grid, r)
+    rn = discrete_l2(grid, r)
     eta = max(_FORCING_MIN, _FORCING * min(1.0, rn), 0.5 * tol / rn)
     linear, _ = _step(grid, lam, J, a, r, tol)
     assert np.linalg.norm(linear) <= eta * np.linalg.norm(r)
@@ -412,11 +412,11 @@ def test_forcing_floor_stops_at_half_the_newton_tolerance(linear_solves, case):
     unfloored forcing term."""
     grid, lam, J, a, r = _step_system(case)
     tol = 1e-8
-    r = r * (3.0 * tol / _discrete_l2(grid, r))
+    r = r * (3.0 * tol / discrete_l2(grid, r))
     floored, floored_its = _step(grid, lam, J, a, r, tol)
     _, full_its = _step(grid, lam, J, a, r, 0.0)
     assert floored_its < full_its
-    assert _discrete_l2(grid, floored) <= 0.5 * tol
+    assert discrete_l2(grid, floored) <= 0.5 * tol
     assert len(linear_solves) == 2
     assert all(res <= target for res, target in linear_solves)
 
