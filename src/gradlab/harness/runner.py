@@ -90,7 +90,7 @@ def _norm_table(config: RunConfig, u: ScalarField, report, table) -> dict:
         "u_linf": float(np.max(np.abs(u.values))),
         "du_l2": lp_norm(mag, 2.0),
         "du_qgamma": lp_norm(mag, float(config.q * config.gamma)),
-        "du_eta": lp_norm(mag, float(table.eta1)),
+        "du_eta": lp_norm(mag, float(table.thm1.eta)),
         "maxreg": maxreg.via_power_field,
         "maxreg_agreement": maxreg.relative_agreement,
     }
@@ -394,7 +394,7 @@ def scaling_fit(config: RunConfig) -> EstimateFit:
         raise ParameterError("scales must be strictly increasing")
     variants = _sweep_variants(config, "scale")
     table = exponent_table(config)
-    eta, q_eta = float(table.eta1), float(table.q_eta)
+    eta, q_eta = float(table.thm1.eta), float(table.thm1.q_eta)
     grid = config.build_grid()
     xs, ys, used_scales, failures = [], [], [], []
     u = None  # the last converged scale's solution

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ParameterError, RegimeError
@@ -41,8 +42,8 @@ class ProblemSpec:
                 f"supernatural growth requires gamma > p-1 "
                 f"(gamma={self.gamma}, p={self.p})"
             )
-        if not self.eps > 0:
-            raise ParameterError("regularization eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ParameterError(f"regularization eps must be positive and finite, got {self.eps}")
         if self.lam < 0:
             raise ParameterError("zero-order coefficient lambda must be nonnegative")
         if abs(self.coefficient.p - self.p) > 1e-14:

@@ -73,6 +73,9 @@ class SeededSmoothRandom:
     cutoff: int = 3
 
     def __post_init__(self):
+        # refused when the config is made, not when numpy first samples the field
+        if self.seed < 0:
+            raise ParameterError(f"random source seed must be nonnegative, got {self.seed}")
         if self.cutoff < 1:
             raise ParameterError("frequency cutoff must be at least 1")
 

@@ -7,6 +7,7 @@ fractions, not floats.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +40,17 @@ def test_to_fraction_accepts_exact_inputs():
     assert to_fraction(2.5) == F(5, 2)
     with pytest.raises(ParameterError):
         to_fraction(True)
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", float("nan"), float("inf")])
+def test_to_fraction_refuses_what_is_not_a_finite_rational(value):
+    with pytest.raises(ParameterError, match="not a finite rational number"):
+        to_fraction(value)
+
+
+def test_to_fraction_reads_a_numpy_float_as_its_decimal():
+    assert to_fraction(np.float64(2.5)) == F(5, 2)
+    assert to_fraction(np.float64(0.1)) == F(1, 10)
 
 
 def test_endpoint_exponent_frozen_values():
@@ -110,7 +122,7 @@ def test_build_exponent_table_interior():
     assert table.thm2 is not None
     assert table.thm2.beta == F(5)
     assert table.q_gamma == F(18)
-    assert table.r_gamma == F(16)
+    assert table.thm2.r_gamma == F(16)
     data = table.to_dict()
     assert data["thm2"]["r"] == "8/3"
 
@@ -134,6 +146,90 @@ def test_build_exponent_table_2d_surrogate():
     assert table.N == 2
     assert table.sobolev_dim == 3
     assert table.thm2 is not None and table.thm2.beta == F(5)
+
+
+# every key, in order, and every value of three tables: README's config, its
+# planar surrogate and the pure proof gap
+_GOLDEN_TABLES = [
+    (
+        (3, 2, 6, 3),
+        {"beta": 5},
+        {
+            "N": 3,
+            "p": "2",
+            "gamma": "6",
+            "q": "3",
+            "lambda": "1",
+            "q_end": "5/2",
+            "tags": ["Thm2Interior", "Thm1"],
+            "regime": "Thm2Interior",
+            "sobolev_dim": 3,
+            "q_gamma": "18",
+            "thm1": {
+                "beta": "5",
+                "eta": "18",
+                "alpha": "18/13",
+                "alpha_prime": "18/5",
+                "q_eta": "36/13",
+            },
+            "thm2": {"r": "8/3", "beta": "5", "eta": "11", "r_gamma": "16"},
+        },
+    ),
+    (
+        (2, 3, 3, 3),
+        {"beta": 5, "sobolev_dim": 3},
+        {
+            "N": 2,
+            "p": "3",
+            "gamma": "3",
+            "q": "3",
+            "lambda": "1",
+            "q_end": "1",
+            "tags": ["Thm2Interior", "Thm1"],
+            "regime": "Thm1",
+            "sobolev_dim": 3,
+            "q_gamma": "9",
+            "thm1": {
+                "beta": "5",
+                "eta": "39/2",
+                "alpha": "13/10",
+                "alpha_prime": "13/3",
+                "q_eta": "13/5",
+            },
+            "proof_gap_r": "5/3",
+        },
+    ),
+    (
+        (3, 2, 2, F(5, 2)),
+        {},
+        {
+            "N": 3,
+            "p": "2",
+            "gamma": "2",
+            "q": "5/2",
+            "lambda": "1",
+            "q_end": "3/2",
+            "tags": ["Thm2Interior"],
+            "regime": "ProofGap",
+            "sobolev_dim": 3,
+            "q_gamma": "5",
+            "proof_gap_r": "11/6",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, expected", _GOLDEN_TABLES, ids=["readme", "planar-surrogate", "proof-gap"]
+)
+def test_build_exponent_table_golden_dicts(args, kwargs, expected):
+    data = build_exponent_table(*args, **kwargs).to_dict()
+    assert data == expected
+    # the text form of ``gradlab exponents`` prints the keys in this order
+    assert list(data) == list(expected)
+    for block in ("thm1", "thm2"):
+        if block in expected:
+            assert list(data[block]) == list(expected[block])
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +263,35 @@ def test_theorem2_identities_hold_generically(n, p, gap, extra):
     assert result.r * gamma == result.beta + result.eta
     assert result.r / (result.r - 2) * (result.beta - p + 1) == result.r * gamma
     assert (result.beta + p - 1) * F(n, n - 2) == q * gamma
+
+
+def _closed_form_alpha_prime(N, p, beta):
+    """The conjugate index written out: ``(2 beta + p) N / ((2 beta + 2 - p)(N - 2))``."""
+    if N < 3:
+        raise ParameterError("need dimension at least 3")
+    denom = (2 * beta + 2 - p) * (N - 2)
+    if denom <= 0:
+        raise ParameterError("test power beta too small: nonpositive denominator")
+    return (2 * beta + p) * N / denom
+
+
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    p=_ps,
+    beta=st.fractions(min_value=-4, max_value=6, max_denominator=12),
+)
+def test_alpha_prime_is_the_closed_form_conjugate(n, p, beta):
+    """``alpha / (alpha - 1)`` is the closed form, and for p > 1 both refuse
+    the same inputs: ``alpha - 1 = (N-2)(2 beta + 2 - p) / denom``."""
+    try:
+        expected = _closed_form_alpha_prime(n, p, beta)
+    except ParameterError:
+        with pytest.raises(ParameterError):
+            theorem1_alpha_prime(n, p, beta)
+        return
+    assert theorem1_alpha_prime(n, p, beta) == expected
+    _, alpha, _ = theorem1_exponents(n, p, beta)
+    assert 1 / alpha + 1 / expected == 1
 
 
 @given(n=_ns, p=_ps, b1=_gaps, b2=_gaps)

@@ -787,6 +787,9 @@ def test_k_sweep_needs_superlevel_regime(tmp_path, monkeypatch):
         ("lambda", "lambda_sweep = 1 -1", ParameterError),
         ("lambda", "lambda_sweep = 1 0", UnsupportedRegimeError),
         ("scale", "scales = 1 nan", ParameterError),
+        ("eps", "epsilon_sweep = 1e-1 inf", ParameterError),
+        ("lambda", "lambda_sweep = 1 nan", ParameterError),
+        ("lambda", "lambda_sweep = 1 inf", ParameterError),
     ],
 )
 def test_sweep_with_a_bad_point_fails_before_it_solves(
@@ -1107,6 +1110,24 @@ def test_cli_exponents_and_check(tmp_path, capsys):
     assert "digest" in out and "regime" in out
 
 
+@pytest.mark.parametrize("p", ["abc", "1/0"])
+def test_cli_exponents_refuses_a_value_that_is_not_a_rational(capsys, p):
+    assert main(["exponents", "-N", "3", "-p", p, "--gamma", "6", "-q", "3"]) == 2
+    assert "not a finite rational number" in capsys.readouterr().err
+
+
+def test_random_source_refuses_a_negative_seed(tmp_path, capsys):
+    """numpy refuses a negative seed only when it samples the field; the
+    config is refused when it is made."""
+    text = SMOOTH.replace("source = cosine", "source = random\nseed = -1").replace(
+        "amplitude = 8\nmodes = 1 1\n", ""
+    )
+    with pytest.raises(ParameterError, match="seed"):
+        parse_config(text)
+    assert main(["check", _write(tmp_path, "seed.ini", text)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_cli_config_failures(tmp_path, capsys):
     bad = _write(tmp_path, "bad.ini", SMOOTH.replace("gamma = 2", "gamma = 1"))
     assert main(["check", bad]) == 2
@@ -1118,6 +1139,7 @@ def test_cli_config_failures(tmp_path, capsys):
 
 
 _SINGULAR_16 = SINGULAR.replace("cells = 48 48", "cells = 16 16")
+_SMOOTH_16 = SMOOTH.replace("cells = 24 24", "cells = 16 16")
 
 
 @pytest.mark.parametrize(
@@ -1131,6 +1153,8 @@ _SINGULAR_16 = SINGULAR.replace("cells = 48 48", "cells = 16 16")
             "coincides with the singularity",
         ),
         (_SINGULAR_16.replace("eps = 1e-2", "eps = nan"), "eps must be positive"),
+        (_SMOOTH_16.replace("eps = 1e-2", "eps = inf"), "eps must be positive and finite"),
+        (_SMOOTH_16.replace("eps = 1e-2", "eps = 1e400"), "eps must be positive and finite"),
         (_SINGULAR_16.replace("amplitude = 30", "amplitude = nan"), "not finite"),
         (_SINGULAR_16.replace("extents = 1 1", "extents = 1 nan"), "box extents"),
         (_SINGULAR_16.replace("power = 0.55", "power = nan"), "singular power"),
@@ -1145,6 +1169,8 @@ _SINGULAR_16 = SINGULAR.replace("cells = 48 48", "cells = 16 16")
         "radial-center-dimension",
         "radial-center-on-a-cell",
         "nan-eps",
+        "inf-eps",
+        "overflowing-eps",
         "nan-amplitude",
         "nan-extent",
         "nan-power",
