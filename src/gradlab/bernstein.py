@@ -48,7 +48,7 @@ from .grid import (
     lp_norm,
     second_derivatives,
 )
-from .model.exponents import effective_sobolev_dimension
+from .model.exponents import ExponentTable, Thm2Exponents
 from .model.families import AssumptionReport, check_structure_conditions
 from .model.problem import ProblemSpec
 from .model.sources import sample_source
@@ -248,6 +248,22 @@ def _pairing(bundle: SolutionBundle, phi: np.ndarray) -> float:
     return bundle.integral(integrand)
 
 
+def _check_table(bundle: SolutionBundle, table: ExponentTable) -> None:
+    """Refuse an exponent table built for another dimension, p or gamma."""
+    ours = (bundle.grid.ndim, bundle.problem.p, bundle.problem.gamma)
+    if (table.N, float(table.p), float(table.gamma)) != ours:
+        raise ParameterError(f"exponent table is not of the bundle's (N, p, gamma) = {ours}")
+
+
+def _superlevel_block(bundle: SolutionBundle, table: ExponentTable) -> Thm2Exponents:
+    """Theorem 2's block of ``table``; a table without one is a RegimeError
+    that names the proof-gap r when the table has one."""
+    _check_table(bundle, table)
+    if table.thm2 is None:
+        raise RegimeError(f"no superlevel rows: {table.thm2_refusal}")
+    return table.thm2
+
+
 # ---------------------------------------------------------------------------
 # weak identity
 # ---------------------------------------------------------------------------
@@ -291,12 +307,10 @@ def weak_identity_check(bundle: SolutionBundle, beta: float) -> LedgerRow:
 # ---------------------------------------------------------------------------
 
 
-def thm1_ledger(
-    bundle: SolutionBundle,
-    beta: float,
-    sobolev_dim: int | None = None,
-) -> BernsteinLedger:
-    """Evaluate the full-gradient estimate chain at test power ``beta``.
+def thm1_ledger(bundle: SolutionBundle, table: ExponentTable) -> BernsteinLedger:
+    """Evaluate the full-gradient estimate chain at the test power ``beta``
+    of the run's exponent table, which also gives Theorem 1's ``eta`` and
+    the Sobolev dimension.
 
     Row map (all integrals midpoint, all gradients centered):
 
@@ -307,12 +321,14 @@ def thm1_ledger(
     Hphi       Hamiltonian term split by Young against the Hessian term
     corollary  the combination of the above, Hessian terms absorbed
     """
-    if beta < 2:
-        raise ParameterError("full-gradient rows need beta >= 2")
+    _check_table(bundle, table)
+    thm1 = table.thm1
+    if thm1 is None or thm1.beta < 2:
+        raise ParameterError("full-gradient rows need a test power beta >= 2")
+    beta, ns = float(thm1.beta), table.sobolev_dim
     problem = bundle.problem
     g = bundle.grid
     ndim = g.ndim
-    ns = effective_sobolev_dimension(ndim, sobolev_dim)
     p = problem.p
     h = g.max_spacing
     structure = bundle.structure
@@ -341,8 +357,7 @@ def thm1_ledger(
     data = bundle.f - problem.lam * bundle.u.values
     phi, pairing = _full_gradient_pairing(bundle, beta)
     w_pow = _power_of(w)  # at p = 2, A, D and F all take w^beta
-    sob_power = (beta + p / 2.0) * ns / (ns - 2.0)
-    table = {
+    integrals = {
         "pairing": pairing,
         "A": bundle.integral(bundle.a_w * hess2 * w_pow(beta)),
         "D": bundle.integral(hess2 * w_pow(beta + (p - 2.0) / 2.0)),
@@ -351,12 +366,13 @@ def thm1_ledger(
         "G": bundle.integral(w_pow(beta + problem.gamma + (2.0 - p) / 2.0)),
         "data_phi": bundle.integral(data * phi),
         "h_phi": bundle.integral(bundle.ev.h_w * phi),
-        # squared L^(2 ns/(ns - 2)) norm of w^((beta + p/2)/2)
-        "S1": bundle.integral(w_pow(sob_power)) ** ((ns - 2.0) / ns),
+        # squared L^(2 ns/(ns - 2)) norm of w^((beta + p/2)/2), from the
+        # integral of w^eta at Theorem 1's eta
+        "S1": bundle.integral(w_pow(float(thm1.eta))) ** ((ns - 2.0) / ns),
     }
     # the Sobolev row fits its constant, so it has zero slack by construction
-    S1 = table["S1"]
-    zeta3 = beta * zeta2 * table["B"] / S1 if S1 > 0 else 0.0
+    S1 = integrals["S1"]
+    zeta3 = beta * zeta2 * integrals["B"] / S1 if S1 > 0 else 0.0
     embed = zeta3 * (beta + p / 2.0) ** 2 / (4.0 * beta * zeta2) if zeta2 > 0 else 0.0
 
     entries = [
@@ -375,8 +391,8 @@ def thm1_ledger(
          [(c3, "G"), (c6, "F")],
          {"zeta3": zeta3, "c5": c5, "c6": c6, "kappa": kappa, "c3": c3, "c4": c4}),
     ]
-    rows = _rows(table, entries, h)
-    return BernsteinLedger(rows=rows, beta=float(beta), h=h, family="full-gradient")
+    rows = _rows(integrals, entries, h)
+    return BernsteinLedger(rows=rows, beta=beta, h=h, family="full-gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +418,18 @@ def _superlevel_test_function(bundle: SolutionBundle, beta: float, k: float) -> 
     return divergence_flux(bundle.grid, coeffs, bundle.ev.faces)
 
 
-def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) -> dict:
-    """The superlevel rows' integrals at level ``k``, keyed by name.
+def _superlevel_table(bundle: SolutionBundle, table: ExponentTable, k: float) -> dict:
+    """The superlevel rows' integrals at level ``k``, keyed by name, at the
+    exponents of ``table``'s superlevel block and its Sobolev dimension.
 
     Each integrand is evaluated on the support ``v > k`` only and scattered
     into a zeroed cell field, whose full sum keeps the bits of a whole-grid
     sum.  Every power of ``v_k`` has a positive exponent (``beta > p - 1``,
     ``p >= 2``, ``r > 2``), so the zeros are ``0**e``, never formed.
     """
-    p, gam, lam = bundle.problem.p, bundle.problem.gamma, bundle.problem.lam
-    r = 2.0 + (beta - p + 1.0) / gam
-    eta = 2.0 * gam - p + 1.0
+    p, lam = bundle.problem.p, bundle.problem.lam
+    thm2, ns = table.thm2, table.sobolev_dim
+    beta, eta, r = float(thm2.beta), float(thm2.eta), float(thm2.r)
     shape = bundle.v.shape
     on = np.flatnonzero(bundle.v > k)
 
@@ -424,7 +441,7 @@ def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) ->
 
     # the full-grid fields first, each freed before the next one
     phi = _superlevel_test_function(bundle, beta, k)
-    table = {
+    integrals = {
         "pairing": _pairing(bundle, phi),
         "h_phi": bundle.integral(bundle.ev.h_w * phi),
         "u_phi": bundle.integral(bundle.u.values * phi),
@@ -435,14 +452,16 @@ def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) ->
     vk = v - k
     # gradient mass of v_k^((p + beta - 1)/2), for the fitted Sobolev quotient
     gk = _on_support(shape, on, vk ** ((p + beta - 1.0) / 2.0))
-    table["grad_mass"] = bundle.integral(np.sum(gradient(bundle.grid, gk) ** 2, axis=0))
+    integrals["grad_mass"] = bundle.integral(np.sum(gradient(bundle.grid, gk) ** 2, axis=0))
     del gk
     hess2, u, f = at(bundle.hess2), at(bundle.u.values), at(bundle.f)
     dv2 = at(np.sum(gradient(bundle.grid, bundle.v) ** 2, axis=0))  # |Dv|^2
     v_pow, vk_pow = _power_of(v), _power_of(vk)  # exponents coincide at p = 2
     vk_beta = vk**beta
     sob_power = (p + beta - 1.0) * ns / (ns - 2.0)
-    table |= {
+    # the Young tail and the interpolation meet at one power: beta + eta = r gamma
+    rgamma_mass = total(vk_pow(float(thm2.r_gamma)))
+    integrals |= {
         "L2": total(at(bundle.a_w) * hess2 * vk_beta / v),
         "P": total(at(bundle.ev.du2) * vk_beta / v),
         "T2": total(v_pow(eta) * vk_beta),
@@ -452,28 +471,23 @@ def _superlevel_table(bundle: SolutionBundle, k: float, beta: float, ns: int) ->
         "T1": total(v_pow(p - 2.0) * vk_pow(beta - 1.0) * dv2),
         "T4": total(vk_pow(p + beta - 3.0) * dv2),
         "Fk": total(f**2 * vk_pow(beta + 1.0 - p)),
-        "Gk": total(vk_pow(beta + eta)),
-        "Zk": total(vk_pow(r * gam)),
+        "Gk": rgamma_mass,
+        "Zk": rgamma_mass,
         "level_mass": total(vk_pow(p + beta - 1.0)),
         "f_r": total(np.abs(f) ** r),
         # squared L^(2 ns/(ns - 2)) norm of v_k^((p + beta - 1)/2)
         "S3": total(vk_pow(sob_power)) ** ((ns - 2.0) / ns),
     }
-    return table
+    return integrals
 
 
-def thm2_ledger(
-    bundle: SolutionBundle,
-    k: float,
-    beta: float,
-    sobolev_dim: int | None = None,
-) -> BernsteinLedger:
+def thm2_ledger(bundle: SolutionBundle, table: ExponentTable, k: float) -> BernsteinLedger:
     """Evaluate the superlevel estimate chain at level ``k``.
 
-    ``beta`` must be the superlevel test power produced by the exponent
-    calculus; the interpolation index is recovered from it as
-    ``r = 2 + (beta - p + 1)/gamma`` and must exceed 2, otherwise the
-    construction is empty and the evaluation is refused.
+    The exponents ``r``, ``beta``, the Young exponent ``eta`` and ``r gamma``
+    are those of the superlevel block of the run's exponent table, at its
+    Sobolev dimension.  A table without that block (``p < 2``, or the
+    proof-gap regime ``r <= 2``, where the construction is empty) is refused.
 
     Row map:
 
@@ -489,17 +503,10 @@ def thm2_ledger(
     1e51 times its lhs at every size from 48^2 to 384^2.  Both rows pass
     whatever the integrals are; their passes are no evidence.
     """
-    p, gam, lam = bundle.problem.p, bundle.problem.gamma, bundle.problem.lam
-    if p < 2:
-        raise RegimeError("superlevel rows require p >= 2")
+    thm2 = _superlevel_block(bundle, table)
     if k < 1.0:
         raise ParameterError("superlevel threshold k must be at least 1")
-    r = 2.0 + (beta - p + 1.0) / gam
-    if beta <= p - 1.0:
-        raise RegimeError(
-            f"test power beta={beta} gives interpolation index r={r} <= 2: "
-            "the superlevel construction is empty (proof-gap regime)"
-        )
+    p, lam = bundle.problem.p, bundle.problem.lam
     structure = bundle.structure
     if structure.inf_ratio < -1e-10:
         raise RegimeError(
@@ -508,11 +515,10 @@ def thm2_ledger(
         )
     g = bundle.grid
     ndim = g.ndim
-    ns = effective_sobolev_dimension(ndim, sobolev_dim)
     h = g.max_spacing
-    eta = 2.0 * gam - p + 1.0
+    beta, eta = float(thm2.beta), float(thm2.eta)
 
-    table = _superlevel_table(bundle, k, beta, ns)
+    integrals = _superlevel_table(bundle, table, k)
 
     env_lo, env_up = structure.env_lower, structure.env_upper
     hamiltonian = bundle.problem.hamiltonian
@@ -524,8 +530,8 @@ def thm2_ledger(
     c14 = _young_tail_constant(delta, eta, c_grad)
     c_data = (ndim + (beta + 1.0) ** 2) / (4.0 * delta)
     # assembled bound: the Sobolev quotient of v_k^((p + beta - 1)/2) is fitted
-    S3 = table["S3"]
-    sob_quotient = table["grad_mass"] / S3 if S3 > 0 else 0.0
+    S3 = integrals["S3"]
+    sob_quotient = integrals["grad_mass"] / S3 if S3 > 0 else 0.0
     survivor = env_lo * (beta - 1.0) - 2.0 * delta
     zeta = survivor * 4.0 * sob_quotient / (p + beta - 1.0) ** 2
     norm = max(c11, c11 + c_data + c14, 1.0)
@@ -543,11 +549,11 @@ def thm2_ledger(
         ("mainineq", "le", [(c15, "S3"), (c15 * lam, "P")],
          [(1.0, "f_r"), (1.0, "Zk"), (lam**2, "U"), (1.0, "level_mass"), (1.0, "Gk")],
          {"c15": c15, "zeta": zeta, "delta": delta, "c10": c10, "c11": c11, "c14": c14,
-          "c_data": c_data, "sobolev_quotient": sob_quotient, "sobolev_dim": ns,
-          "r": r, "k": k}),
+          "c_data": c_data, "sobolev_quotient": sob_quotient,
+          "sobolev_dim": table.sobolev_dim, "r": float(thm2.r), "k": k}),
     ]
-    rows = _rows(table, entries, h)
-    return BernsteinLedger(rows=rows, beta=float(beta), h=h, family="superlevel")
+    rows = _rows(integrals, entries, h)
+    return BernsteinLedger(rows=rows, beta=beta, h=h, family="superlevel")
 
 
 # ---------------------------------------------------------------------------
@@ -621,22 +627,19 @@ def _dichotomy_roots(omega: float, c: float, s: float):
     return (bisect(0.0, z_star, True), bisect(z_star, hi, False))
 
 
-def levelset_scan(
-    bundle: SolutionBundle,
-    r: float,
-    k_list,
-    sobolev_dim: int | None = None,
-) -> LevelScan:
+def levelset_scan(bundle: SolutionBundle, table: ExponentTable, k_list) -> LevelScan:
     """Scan superlevel masses ``Z(k)`` and fit the dichotomy line.
 
-    ``Z(k)`` integrates ``v_k^(r gamma)``; the scan fits ``Y = omega + c Z``
-    with ``Y = Z^((ns-2)/ns)`` by least squares on the lower half of the
-    levels, clamps the slope at zero, and reports the per-level residuals
-    together with their nonincreasing envelope.  Where the fitted line
+    ``Z(k)`` integrates ``v_k^(r gamma)``, with ``r gamma`` and ``ns`` from
+    the run's exponent table, which must have a superlevel block.  The scan
+    fits ``Y = omega + c Z`` with ``Y = Z^((ns-2)/ns)`` by least squares on
+    the lower half of the levels, clamps the slope at zero, and reports the
+    per-level residuals together with their nonincreasing envelope.  Where the fitted line
     admits two crossings, the scan reports both roots and checks that the
     measured masses sit on the small branch.  The per-level Chebyshev bound
     ``k |{v > k}| <= int sqrt(|Du|^2 + 1)`` is exact at quadrature level.
     """
+    thm2 = _superlevel_block(bundle, table)
     ks = np.asarray([float(k) for k in k_list])
     if ks.size < 4:
         raise ParameterError("need at least 4 levels to fit the dichotomy")
@@ -644,17 +647,14 @@ def levelset_scan(
         raise ParameterError("levels must be strictly increasing")
     if ks[0] < 1.0:
         raise ParameterError("levels start at k = 1")
-    if float(r) <= 2.0:
-        raise RegimeError(f"interpolation index r={float(r)} <= 2: proof-gap regime")
-    r = float(r)
-    ns = effective_sobolev_dimension(bundle.grid.ndim, sobolev_dim)
+    ns = table.sobolev_dim
     s = (ns - 2.0) / ns
     vol = bundle.vol
     cheb_total = float(np.sum(np.sqrt(bundle.ev.du2 + 1.0)) * vol)
 
     # v_k^(r gamma) on the support v > k only, as in _superlevel_table
     v = bundle.v.reshape(-1)
-    power = r * bundle.problem.gamma
+    power = float(thm2.r_gamma)
     Z = np.empty(ks.size)
     measures = np.empty(ks.size)
     for i, k in enumerate(ks):

@@ -34,7 +34,7 @@ from ..errors import ConfigError, GradlabError, ParameterError, RegimeError
 from ..grid import Box, ScalarField, build_grid, discrete_l2, lp_norm
 from ..model.exponents import build_exponent_table, to_fraction
 from ..model.problem import ProblemSpec
-from ..model.sources import Tabulated
+from ..model.sources import Tabulated, sample_source
 from ..solver import SolverOptions, solve
 from .config import RunConfig
 from .records import list_records, load_record, persist_record
@@ -156,41 +156,23 @@ def run_experiment(
 
     # built on first use, so a run whose ledgers are all skipped builds none
     bundle = functools.cache(lambda: bernstein.prepare_bundle(problem, u, report))
-    beta_f = float(config.beta)
     if "weak" in config.ledgers:
-        payload["ledgers"]["weak"] = weak_identity_check(bundle(), beta_f).to_dict()
+        payload["ledgers"]["weak"] = weak_identity_check(bundle(), float(config.beta)).to_dict()
     if "thm1" in config.ledgers:
-        payload["ledgers"]["thm1"] = thm1_ledger(
-            bundle(), beta_f, sobolev_dim=config.sobolev_dim
-        ).to_dict()
+        payload["ledgers"]["thm1"] = thm1_ledger(bundle(), table).to_dict()
     if "thm2" in config.ledgers:
         if table.thm2 is None:
-            reason = (
-                f"proof-gap regime: r = {table.proof_gap_r}"
-                if table.proof_gap_r is not None
-                else f"regime {table.regime} has no superlevel block"
-            )
-            payload["ledgers"]["thm2"] = {"skipped": reason}
+            payload["ledgers"]["thm2"] = {"skipped": table.thm2_refusal}
         else:
             k0 = config.k_levels[0] if config.k_levels else 1.0
-            payload["ledgers"]["thm2"] = thm2_ledger(
-                bundle(),
-                k=k0,
-                beta=float(table.thm2.beta),
-                sobolev_dim=config.sobolev_dim,
-            ).to_dict()
+            payload["ledgers"]["thm2"] = thm2_ledger(bundle(), table, k0).to_dict()
     if "scan" in config.ledgers:
         if table.thm2 is None or len(config.k_levels) < 4:
             payload["ledgers"]["scan"] = {
                 "skipped": "needs a superlevel regime and at least 4 k_levels"
             }
         else:
-            payload["ledgers"]["scan"] = levelset_scan(
-                bundle(),
-                r=float(table.thm2.r),
-                k_list=config.k_levels,
-                sobolev_dim=config.sobolev_dim,
-            ).to_dict()
+            payload["ledgers"]["scan"] = levelset_scan(bundle(), table, config.k_levels).to_dict()
     if "maxreg" in config.ledgers:
         payload["ledgers"]["maxreg"] = {
             "q": str(config.q),
@@ -226,8 +208,9 @@ def run_experiment(
 def _sweep_variants(config: RunConfig, axis: str) -> list:
     """(value, config) pairs, each the base config with one value on ``axis``.
 
-    Every point's problem, grid and exponent table is built here, so a bad
-    point fails before any point is solved.
+    Every point's problem, grid and exponent table is built here, and its
+    source sampled on its grid, so a bad point fails before any point is
+    solved.
     """
     if axis not in _SWEEP_AXES:
         raise ConfigError(
@@ -241,8 +224,7 @@ def _sweep_variants(config: RunConfig, axis: str) -> list:
         raise RegimeError("k sweep needs a superlevel regime (no thm2 block)")
     variants = [(v, at(config, v)) for v in values]
     for _, variant in variants:
-        variant.build_problem()
-        variant.build_grid()
+        sample_source(variant.build_problem().source, variant.build_grid())
         exponent_table(variant)
     return variants
 
@@ -255,8 +237,8 @@ def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> li
     start does).  A k point has the same target as the point before it, so
     it takes no Newton step and only evaluates ``thm2`` at its own level.
     A point that fails raises and stops the chain: later points are not run.
-    A point whose problem, grid or exponent table cannot be built fails
-    before any point is solved.
+    A point whose problem, grid or exponent table cannot be built, or whose
+    source cannot be sampled on its grid, fails before any point is solved.
     """
     variants = _sweep_variants(config, axis)
     results = []

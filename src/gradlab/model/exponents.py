@@ -229,6 +229,16 @@ class ExponentTable:
     thm2: Thm2Exponents | None
     proof_gap_r: Fraction | None
 
+    @property
+    def thm2_refusal(self) -> str | None:
+        """Why the table has no superlevel block, naming the proof-gap r when
+        it has one; None when it has the block."""
+        if self.thm2 is not None:
+            return None
+        if self.proof_gap_r is not None:
+            return f"proof-gap regime: r = {self.proof_gap_r}"
+        return f"regime {self.regime} has no superlevel block"
+
     def to_dict(self) -> dict:
         out = {
             "N": self.N,

@@ -15,6 +15,11 @@ from .families import (
 from .sources import SourceSpec
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ParameterError(f"regularization eps must be positive and finite, got {eps}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One instance of the regularized Neumann problem
@@ -42,8 +47,7 @@ class ProblemSpec:
                 f"supernatural growth requires gamma > p-1 "
                 f"(gamma={self.gamma}, p={self.p})"
             )
-        if not 0 < self.eps < math.inf:
-            raise ParameterError(f"regularization eps must be positive and finite, got {self.eps}")
+        _check_eps(self.eps)
         if self.lam < 0:
             raise ParameterError("zero-order coefficient lambda must be nonnegative")
         if abs(self.coefficient.p - self.p) > 1e-14:
@@ -65,6 +69,7 @@ class ProblemSpec:
         coefficient: CoefficientFamily | None = None,
     ) -> "ProblemSpec":
         """Convenience constructor wiring matching power families."""
+        _check_eps(eps)  # before the Hamiltonian's own checks read it
         coeff = coefficient if coefficient is not None else PowerDiffusion(p)
         return cls(
             domain=domain,

@@ -31,7 +31,7 @@ from gradlab.grid import (
 )
 from gradlab.harness import convergence_study, parse_config, scaling_fit, sweep
 from gradlab.model import PowerDiffusion
-from gradlab.model.exponents import ProofGap, theorem2_exponents
+from gradlab.model.exponents import ProofGap, build_exponent_table, theorem2_exponents
 from gradlab.model.families import check_structure_conditions
 from gradlab.solver import solve
 
@@ -130,13 +130,15 @@ def test_c06_ledgers_pass_and_persist_under_refinement(
     sing_problem, sing_solution_48, sing_solution_96,
 ):
     def body():
-        assert thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), beta=4.0).all_pass
-        assert thm1_ledger(prepare_bundle(p3_problem, p3_solution_48), beta=6.0).all_pass
-        assert thm1_ledger(prepare_bundle(p3_problem, p3_solution_96), beta=6.0).all_pass
+        p2_table = build_exponent_table(2, 2, 2, 3, beta=4)
+        p3_table = build_exponent_table(2, 3, 3, 3, beta=6)
+        sing_table = build_exponent_table(2, 2, 6, 3, sobolev_dim=3)
+        assert thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), p2_table).all_pass
+        assert thm1_ledger(prepare_bundle(p3_problem, p3_solution_48), p3_table).all_pass
+        assert thm1_ledger(prepare_bundle(p3_problem, p3_solution_96), p3_table).all_pass
+        assert sing_table.thm2.beta == 5
         for u in (sing_solution_48, sing_solution_96):
-            ledger = thm2_ledger(
-                prepare_bundle(sing_problem, u), k=1.0, beta=5.0, sobolev_dim=3
-            )
+            ledger = thm2_ledger(prepare_bundle(sing_problem, u), sing_table, k=1.0)
             assert ledger.all_pass
 
     _check("06 estimate ledgers hold on smooth and singular runs", body)
@@ -207,12 +209,9 @@ def test_c08_sublinear_scaling():
 def test_c09_levelset_dichotomy(sing_problem, sing_solution_96):
     def body():
         ks = [1.0, 1.15, 1.3, 1.45, 1.6, 1.75, 1.9, 2.2, 2.5]
-        scan = levelset_scan(
-            prepare_bundle(sing_problem, sing_solution_96),
-            r=8 / 3,
-            k_list=ks,
-            sobolev_dim=3,
-        )
+        table = build_exponent_table(2, 2, 6, 3, sobolev_dim=3)
+        assert table.thm2.r == F(8, 3)
+        scan = levelset_scan(prepare_bundle(sing_problem, sing_solution_96), table, ks)
         z = np.asarray(scan.Z)
         assert np.all(np.diff(z) <= 1e-15)
         assert z[-1] == 0.0
@@ -240,12 +239,15 @@ def test_c10_maximal_regularity_norm(sing_solution_48, sing_solution_96):
     _check("10 maximal-regularity norm stable under refinement", body)
 
 
-def test_c11_proof_gap_is_first_class(sing_problem, sing_solution_48):
+def test_c11_proof_gap_is_first_class(p2_problem, p2_solution_64):
     def body():
         gap = theorem2_exponents(3, 2, 2, F(5, 2))
         assert isinstance(gap, ProofGap)
         assert gap.r == F(11, 6)
+        # the same exponents on the planar p = 2, gamma = 2 run at Sobolev dimension 3
+        table = build_exponent_table(2, 2, 2, F(5, 2), sobolev_dim=3)
+        assert table.thm2 is None and table.proof_gap_r == gap.r
         with pytest.raises(RegimeError, match="proof-gap"):
-            thm2_ledger(prepare_bundle(sing_problem, sing_solution_48), k=1.0, beta=1.0)
+            thm2_ledger(prepare_bundle(p2_problem, p2_solution_64), table, k=1.0)
 
     _check("11 proof-gap regime reported, never bluffed", body)

@@ -5,6 +5,7 @@ source-scale fit, whose slope the estimates predict."""
 import dataclasses
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,17 @@ from gradlab.grid import (
 )
 from gradlab.harness import parse_config, scaling_fit
 from gradlab.model import CosineProduct, ProblemSpec, Tabulated
+from gradlab.model.exponents import build_exponent_table
 from gradlab.solver import solve
+
+# the fixtures' exponent tables; at Sobolev dimension 3, q = 3 at
+# (p, gamma) = (2, 6) gives r = 8/3 and beta = 5
+P2_TABLE = build_exponent_table(2, 2, 2, 3, beta=4)
+P3_TABLE = build_exponent_table(2, 3, 3, 3, beta=6)
+SING_TABLE = build_exponent_table(2, 2, 6, 3, beta=5, sobolev_dim=3)
+SING3D_TABLE = build_exponent_table(3, 2, 6, 3, beta=5)
+# Theorem 2 at Sobolev dimension 3 with p = 2, gamma = 2, q = 5/2: r = 11/6
+PROOF_GAP_TABLE = build_exponent_table(2, 2, 2, "5/2", sobolev_dim=3)
 
 
 def test_weak_identity_trivial_on_constant(box2d):
@@ -58,7 +69,7 @@ def test_weak_identity_trivial_on_constant(box2d):
     assert row.constants["relative_gap"] == 0.0
     # w = eps everywhere, yet the sampled structure range is not empty
     assert bundle.structure.t_min < eps < bundle.structure.t_max
-    assert thm1_ledger(bundle, beta=4.0).all_pass
+    assert thm1_ledger(bundle, P2_TABLE).all_pass
 
 
 def test_weak_identity_gap_converges(p2_problem, box2d):
@@ -101,7 +112,7 @@ def test_face_pairing_of_the_ledgers_phi_is_the_solvers_flux():
 
 
 def test_full_gradient_ledger_smooth_p2(p2_problem, p2_solution_64):
-    ledger = thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), beta=4.0)
+    ledger = thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), P2_TABLE)
     assert ledger.family == "full-gradient"
     assert ledger.all_pass, [r.lemma for r in ledger.rows if not r.passed]
     assert {r.lemma for r in ledger.rows} == {
@@ -112,7 +123,7 @@ def test_full_gradient_ledger_smooth_p2(p2_problem, p2_solution_64):
 
 
 def test_full_gradient_ledger_degenerate_p3(p3_problem, p3_solution_48):
-    ledger = thm1_ledger(prepare_bundle(p3_problem, p3_solution_48), beta=6.0)
+    ledger = thm1_ledger(prepare_bundle(p3_problem, p3_solution_48), P3_TABLE)
     assert ledger.all_pass, [
         (r.lemma, r.slack, r.tol) for r in ledger.rows if not r.passed
     ]
@@ -120,7 +131,10 @@ def test_full_gradient_ledger_degenerate_p3(p3_problem, p3_solution_48):
 
 def test_thm1_requires_moderate_weight(p2_problem, p2_solution_64):
     with pytest.raises(ParameterError):
-        thm1_ledger(prepare_bundle(p2_problem, p2_solution_64), beta=1.5)
+        thm1_ledger(
+            prepare_bundle(p2_problem, p2_solution_64),
+            build_exponent_table(2, 2, 2, 3, beta="3/2"),
+        )
 
 
 def test_bundle_rejects_non_solution(p2_problem, box2d):
@@ -132,9 +146,7 @@ def test_bundle_rejects_non_solution(p2_problem, box2d):
 
 
 def test_superlevel_ledger_singular(sing_problem, sing_solution_48):
-    ledger = thm2_ledger(
-        prepare_bundle(sing_problem, sing_solution_48), k=1.0, beta=5.0, sobolev_dim=3
-    )
+    ledger = thm2_ledger(prepare_bundle(sing_problem, sing_solution_48), SING_TABLE, k=1.0)
     assert ledger.family == "superlevel"
     assert {r.lemma for r in ledger.rows} == {"t2s1", "t2s2", "t2s4", "mainineq"}
     assert ledger.all_pass, [
@@ -143,14 +155,12 @@ def test_superlevel_ledger_singular(sing_problem, sing_solution_48):
 
 
 def test_superlevel_ledger_stable_under_refinement(sing_problem, sing_solution_96):
-    ledger = thm2_ledger(
-        prepare_bundle(sing_problem, sing_solution_96), k=1.0, beta=5.0, sobolev_dim=3
-    )
+    ledger = thm2_ledger(prepare_bundle(sing_problem, sing_solution_96), SING_TABLE, k=1.0)
     assert ledger.all_pass
 
 
 def test_superlevel_ledger_true_3d(sing3d_problem, sing3d_solution):
-    ledger = thm2_ledger(prepare_bundle(sing3d_problem, sing3d_solution), k=1.0, beta=5.0)
+    ledger = thm2_ledger(prepare_bundle(sing3d_problem, sing3d_solution), SING3D_TABLE, k=1.0)
     assert ledger.all_pass, [
         (r.lemma, r.slack, r.tol) for r in ledger.rows if not r.passed
     ]
@@ -158,18 +168,25 @@ def test_superlevel_ledger_true_3d(sing3d_problem, sing3d_solution):
 
 def test_superlevel_empty_mask_passes(sing_problem, sing_solution_48):
     """Levels above the gradient range give zero on both sides everywhere."""
-    ledger = thm2_ledger(
-        prepare_bundle(sing_problem, sing_solution_48), k=5.0, beta=5.0, sobolev_dim=3
-    )
+    ledger = thm2_ledger(prepare_bundle(sing_problem, sing_solution_48), SING_TABLE, k=5.0)
     assert ledger.all_pass
 
 
-def test_superlevel_parameter_gates(sing_problem, sing_solution_48, box2d):
+def test_superlevel_parameter_gates(
+    sing_problem, sing_solution_48, p2_problem, p2_solution_64, sing3d_problem, sing3d_solution
+):
     bundle = prepare_bundle(sing_problem, sing_solution_48)
     with pytest.raises(ParameterError):
-        thm2_ledger(bundle, k=0.5, beta=5.0)
-    with pytest.raises(RegimeError, match="proof-gap"):
-        thm2_ledger(bundle, k=1.0, beta=1.0)
+        thm2_ledger(bundle, SING_TABLE, k=0.5)
+    assert PROOF_GAP_TABLE.thm2 is None and PROOF_GAP_TABLE.proof_gap_r == Fraction(11, 6)
+    with pytest.raises(RegimeError, match=r"proof-gap regime: r = 11/6"):
+        thm2_ledger(prepare_bundle(p2_problem, p2_solution_64), PROOF_GAP_TABLE, k=1.0)
+    # a table of another dimension, p or gamma than the bundle's is refused
+    for table in (SING3D_TABLE, P2_TABLE):
+        with pytest.raises(ParameterError, match="exponent table"):
+            thm2_ledger(bundle, table, k=1.0)
+    with pytest.raises(ParameterError, match="exponent table"):
+        thm1_ledger(prepare_bundle(sing3d_problem, sing3d_solution), SING_TABLE)
 
 
 def test_superlevel_rejects_singular_diffusion(box2d):
@@ -181,35 +198,40 @@ def test_superlevel_rejects_singular_diffusion(box2d):
     )
     u, report = solve(prob, build_grid(box2d, (16, 16)))
     assert report.converged
-    with pytest.raises(RegimeError):
-        thm2_ledger(prepare_bundle(prob, u), k=1.0, beta=5.0)
+    table = build_exponent_table(2, "3/2", 2, 3)
+    assert table.thm2 is None and table.proof_gap_r is None
+    bundle = prepare_bundle(prob, u)
+    with pytest.raises(RegimeError, match="has no superlevel block"):
+        thm2_ledger(bundle, table, k=1.0)
+    with pytest.raises(RegimeError, match="has no superlevel block"):
+        levelset_scan(bundle, table, [1.0, 1.5, 2.0, 2.5])
 
 
 def test_levelset_scan_chebyshev_levels(sing_problem, sing_solution_48):
     ks = [1.0, 1.5, 2.0, 2.5]
-    scan = levelset_scan(prepare_bundle(sing_problem, sing_solution_48), r=8 / 3, k_list=ks)
+    scan = levelset_scan(prepare_bundle(sing_problem, sing_solution_48), SING_TABLE, ks)
     for i in range(3):  # k = 1.0, 1.5, 2.0
         assert scan.chebyshev_ok[i]
         assert scan.measures[i] <= scan.chebyshev_bound + 1e-14
 
 
-def test_levelset_scan_validations(sing_problem, sing_solution_48):
+def test_levelset_scan_validations(sing_problem, sing_solution_48, p2_problem, p2_solution_64):
     bundle = prepare_bundle(sing_problem, sing_solution_48)
     with pytest.raises(ParameterError):
-        levelset_scan(bundle, r=8 / 3, k_list=[1, 2, 3])
+        levelset_scan(bundle, SING_TABLE, [1, 2, 3])
     with pytest.raises(ParameterError):
-        levelset_scan(bundle, r=8 / 3, k_list=[1.0, 2.0, 1.5, 3.0])
+        levelset_scan(bundle, SING_TABLE, [1.0, 2.0, 1.5, 3.0])
     with pytest.raises(ParameterError):
-        levelset_scan(bundle, r=8 / 3, k_list=[0.5, 1.0, 1.5, 2.0])
-    with pytest.raises(RegimeError):
-        levelset_scan(bundle, r=2.0, k_list=[1.0, 1.5, 2.0, 2.5])
+        levelset_scan(bundle, SING_TABLE, [0.5, 1.0, 1.5, 2.0])
+    with pytest.raises(RegimeError, match="proof-gap"):
+        levelset_scan(
+            prepare_bundle(p2_problem, p2_solution_64), PROOF_GAP_TABLE, [1.0, 1.5, 2.0, 2.5]
+        )
 
 
 def test_levelset_scan_dichotomy(sing_problem, sing_solution_96):
     ks = [1.0, 1.15, 1.3, 1.45, 1.6, 1.75, 1.9, 2.2, 2.5]
-    scan = levelset_scan(
-        prepare_bundle(sing_problem, sing_solution_96), r=8 / 3, k_list=ks, sobolev_dim=3
-    )
+    scan = levelset_scan(prepare_bundle(sing_problem, sing_solution_96), SING_TABLE, ks)
     z = np.asarray(scan.Z)
     assert np.all(np.diff(z) <= 1e-15)
     assert z[-1] == 0.0
@@ -324,8 +346,8 @@ def test_ledger_tolerances_follow_the_relation(sing_problem, sing_solution_48):
     bundle = prepare_bundle(sing_problem, sing_solution_48)
     h = bundle.grid.max_spacing
     rows = [weak_identity_check(bundle, beta=5.0)]
-    rows += thm1_ledger(bundle, beta=5.0, sobolev_dim=3).rows
-    rows += thm2_ledger(bundle, k=1.0, beta=5.0, sobolev_dim=3).rows
+    rows += thm1_ledger(bundle, SING_TABLE).rows
+    rows += thm2_ledger(bundle, SING_TABLE, k=1.0).rows
     assert {r.relation for r in rows} == {"ge", "le", "identity", "fitted"}
     for r in rows:
         if r.relation in ("ge", "le"):
@@ -402,8 +424,11 @@ def test_ledger_rows_on_a_manufactured_field(box2d, manufacture_source, p, gamma
     prob = problem(manufacture_source(problem(Tabulated(np.zeros(grid.shape))), u))
     bundle = prepare_bundle(prob, u)
     assert bundle.v.max() > 3.7
-    rows = thm1_ledger(bundle, beta=5.0, sobolev_dim=3).rows
-    rows += thm2_ledger(bundle, k=1.0, beta=5.0, sobolev_dim=3).rows
+    # at Sobolev dimension 3, q = 3 gives beta = 5 at (2, 6) and q = 7 at (3, 3)
+    table = build_exponent_table(2, p, gamma, {2.0: 3, 3.0: 7}[p], beta=5, sobolev_dim=3)
+    assert table.thm2.beta == 5
+    rows = thm1_ledger(bundle, table).rows
+    rows += thm2_ledger(bundle, table, k=1.0).rows
     golden = _GOLDEN_ROWS[(p, gamma)]
     assert [r.lemma for r in rows] == list(golden)
     for r in rows:
@@ -473,18 +498,19 @@ def test_support_sums_equal_whole_grid_sums(sing_problem, sing_solution_48):
     """
     bundle = prepare_bundle(sing_problem, sing_solution_48)
     beta, ns = 5.0, 3
+    assert (SING_TABLE.thm2.beta, SING_TABLE.sobolev_dim) == (beta, ns)
     v = np.sort(bundle.v.ravel())
     assert v[0] < 1.0 < v[-1]
     k_cell = float(v[v > 1.0][len(v[v > 1.0]) // 2])  # one cell's v, above 1
     levels = [0.5 * v[0], 1.0, k_cell, v[-1] + 1.0]  # full, partial, at a cell, empty
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        tables = [_superlevel_table(bundle, k, beta, ns) for k in levels]
-        ledgers = [thm2_ledger(bundle, k=k, beta=beta, sobolev_dim=ns) for k in levels[1:]]
+        tables = [_superlevel_table(bundle, SING_TABLE, k) for k in levels]
+        ledgers = [thm2_ledger(bundle, SING_TABLE, k) for k in levels[1:]]
         # the scan starts at k = 1, so lift v above it for a full support
         lifted = dataclasses.replace(bundle, v=bundle.v + 1.0)
         scans = [
-            (b, levelset_scan(b, r=8 / 3, k_list=levels[1:] + [v[-1] + 2.0], sobolev_dim=ns))
+            (b, levelset_scan(b, SING_TABLE, levels[1:] + [v[-1] + 2.0]))
             for b in (bundle, lifted)
         ]
     for k, table in zip(levels, tables):

@@ -1507,3 +1507,54 @@ def test_residual_gate_bites_through_the_handed_over_residual(monkeypatch):
     assert on_target.count("sample_source") == 1
     assert on_target[-1] == "solve"
     assert on_target.count("_residual_values") >= 1
+
+
+def _readme_text():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"```ini\n(.*?)```", readme, flags=re.S)[0]
+
+
+@pytest.mark.parametrize("name", ["readme", "radial3d"])
+def test_payload_ledgers_report_the_exponent_tables_values(name):
+    """The ledgers read r and the Sobolev dimension from the run's exponent
+    table, so the payload's ledger constants are its ``exponents`` block's."""
+    text = {"readme": _readme_text(), "radial3d": RADIAL_3D}[name]
+    payload = run_experiment(parse_config(text)).payload
+    exponents, ledgers = payload["exponents"], payload["ledgers"]
+    rows = {f"{family}.{row['lemma']}": row for family in ("thm1", "thm2")
+            for row in ledgers[family]["rows"]}
+    mainineq, diff3 = rows["thm2.mainineq"]["constants"], rows["thm1.diff3"]["constants"]
+    assert mainineq["r"] == float(Fraction(exponents["thm2"]["r"]))
+    assert mainineq["sobolev_dim"] == exponents["sobolev_dim"] == 3
+    assert diff3["sobolev_dim"] == exponents["sobolev_dim"]
+    assert ledgers["scan"]["sobolev_dim"] == exponents["sobolev_dim"]
+
+
+def test_a_sweep_point_whose_source_cannot_be_sampled_fails_before_it_solves(
+    tmp_path, monkeypatch, capsys
+):
+    """At 17^2 a cell center of README's radial source sits on its
+    singularity.  The sweep samples every point's source on that point's
+    grid before its first solve, so ``check`` rejects the config and the
+    sweep writes no record, not the 16^2 and 24^2 ones first."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before every point was sampled")
+
+    monkeypatch.setattr("gradlab.harness.runner.solve", no_solve)
+    text = re.sub(r"h_sweep = .*", "h_sweep = 16 24 17", _readme_text())
+    cfg = _write(tmp_path, "h17.ini", text.replace("cells = 48 48", "cells = 16 16"))
+    assert main(["check", cfg]) == 2
+    assert "coincides with the singularity" in capsys.readouterr().err
+    out_dir = tmp_path / "runs"
+    assert main(["sweep", cfg, "--axis", "h", "--out", str(out_dir)]) == 2
+    assert "coincides with the singularity" in capsys.readouterr().err
+    assert not out_dir.exists() or not list_records(out_dir)
+
+
+@pytest.mark.parametrize("eps", ["inf", "-1"])
+def test_a_bad_eps_is_named_by_the_problems_rule(tmp_path, capsys, eps):
+    """On README's gamma = 6 config the Hamiltonian's own checks would read
+    a bad eps first; the problem's rule names it."""
+    text = re.sub(r"eps = \S+", f"eps = {eps}", _readme_text(), count=1)
+    assert main(["check", _write(tmp_path, "eps.ini", text)]) == 2
+    assert "regularization eps must be positive and finite" in capsys.readouterr().err
