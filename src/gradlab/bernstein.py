@@ -49,7 +49,7 @@ from .grid import (
     second_derivatives,
 )
 from .model.exponents import ExponentTable, Thm2Exponents
-from .model.families import AssumptionReport, check_structure_conditions
+from .model.families import StructureConstants, check_structure_conditions
 from .model.problem import ProblemSpec
 from .model.sources import sample_source
 from .solver import Evaluation, SolveReport, evaluate
@@ -158,7 +158,7 @@ class SolutionBundle:
     v: np.ndarray
     hess2: np.ndarray
     a_w: np.ndarray
-    structure: AssumptionReport  # sampled over the range w visits
+    structure: StructureConstants  # the coefficient's, in closed form
     vol: float  # the cell volume
     memo: dict = field(default_factory=dict, repr=False)
 
@@ -199,10 +199,6 @@ def prepare_bundle(
         )
     w = ev.w
     hess2 = second_derivatives(u.grid, u.values)
-    # structural constants over the range the solution actually visits; the
-    # range is never empty, as w >= eps > 0
-    t_lo = float(w.min()) * (1.0 - 1e-9)
-    t_hi = float(w.max()) * (1.0 + 1e-9)
     return SolutionBundle(
         problem=problem,
         u=u,
@@ -211,7 +207,7 @@ def prepare_bundle(
         v=np.sqrt(w),
         hess2=hess2,
         a_w=np.asarray(problem.coefficient.a(w), dtype=float),
-        structure=check_structure_conditions(problem.coefficient, t_lo, t_hi, 512),
+        structure=check_structure_conditions(problem.coefficient),
         vol=u.grid.cell_volume,
     )
 
@@ -335,18 +331,15 @@ def thm1_ledger(bundle: SolutionBundle, table: ExponentTable) -> BernsteinLedger
     c_reg = problem.hamiltonian.lower_growth_constant
     c_grad = problem.hamiltonian.gradient_growth_constant
 
+    # a is the clean power, so both envelopes are 1 and drop out
     margin = structure.ellipticity_margin
     zeta1 = 2.0 * min(1.0, margin)
-    zeta2 = structure.env_lower * min(1.0, margin)
-    contraction = 1.0 / (np.sqrt(ndim) + structure.ratio_abs_bound)
-    c1 = zeta1 * contraction**2 / (2.0 * structure.env_upper)
+    zeta2 = min(1.0, margin)
+    contraction = 1.0 / (np.sqrt(ndim) + abs(structure.ratio))
+    c1 = zeta1 * contraction**2 / 2.0
     delta1 = zeta1 / 4.0
     c2 = (4.0 * beta + 2.0 * np.sqrt(ndim)) ** 2 / 4.0
-    kappa = zeta1 * structure.env_lower / 2.0 - delta1
-    if kappa <= 0:
-        raise RegimeError(
-            "coefficient envelope too degenerate to absorb the Hessian terms"
-        )
+    kappa = zeta1 / 2.0 - delta1  # zeta1 / 4 > 0, as p > 1
     c4 = kappa / 2.0
     c3 = c_grad**2 / c4
     c5 = c1 * c_reg**2 / 8.0
@@ -379,7 +372,7 @@ def thm1_ledger(bundle: SolutionBundle, table: ExponentTable) -> BernsteinLedger
         ("diff1", "ge", [(1.0, "pairing")], [(zeta1, "A"), (beta * zeta2, "B")],
          {"zeta1": zeta1, "zeta2": zeta2, "beta": beta}),
         ("diff2", "ge", [(zeta1, "A")],
-         [(zeta1 * structure.env_lower / 2.0, "D"), (c5, "G"), (-2.0 * c1, "F")],
+         [(zeta1 / 2.0, "D"), (c5, "G"), (-2.0 * c1, "F")],
          {"zeta1": zeta1, "c1": c1, "contraction": contraction, "c_reg": c_reg}),
         ("diff3", "fitted", [(beta * zeta2, "B")], [(zeta3, "S1")],
          {"zeta3": zeta3, "sobolev_quotient": embed, "sobolev_dim": ns}),
@@ -507,12 +500,6 @@ def thm2_ledger(bundle: SolutionBundle, table: ExponentTable, k: float) -> Berns
     if k < 1.0:
         raise ParameterError("superlevel threshold k must be at least 1")
     p, lam = bundle.problem.p, bundle.problem.lam
-    structure = bundle.structure
-    if structure.inf_ratio < -1e-10:
-        raise RegimeError(
-            "superlevel rows need a nondecreasing coefficient "
-            f"(sampled ratio infimum {structure.inf_ratio:.3e} < 0)"
-        )
     g = bundle.grid
     ndim = g.ndim
     h = g.max_spacing
@@ -520,26 +507,26 @@ def thm2_ledger(bundle: SolutionBundle, table: ExponentTable, k: float) -> Berns
 
     integrals = _superlevel_table(bundle, table, k)
 
-    env_lo, env_up = structure.env_lower, structure.env_upper
+    # a is the clean power, so both envelopes are 1 and drop out
     hamiltonian = bundle.problem.hamiltonian
     c_grad = hamiltonian.gradient_growth_constant
-    stretch = np.sqrt(ndim) + structure.ratio_abs_bound
-    c10 = hamiltonian.lower_growth_constant**2 / (8.0 * stretch**2 * env_up)
-    c11 = 2.0 / (stretch**2 * env_up)
-    delta = 0.5 * min(env_lo / 2.0, c10 / 2.0, env_lo * (beta - 1.0) / 4.0)
+    stretch = np.sqrt(ndim) + abs(bundle.structure.ratio)
+    c10 = hamiltonian.lower_growth_constant**2 / (8.0 * stretch**2)
+    c11 = 2.0 / stretch**2
+    delta = 0.5 * min(0.5, c10 / 2.0, (beta - 1.0) / 4.0)
     c14 = _young_tail_constant(delta, eta, c_grad)
     c_data = (ndim + (beta + 1.0) ** 2) / (4.0 * delta)
     # assembled bound: the Sobolev quotient of v_k^((p + beta - 1)/2) is fitted
     S3 = integrals["S3"]
     sob_quotient = integrals["grad_mass"] / S3 if S3 > 0 else 0.0
-    survivor = env_lo * (beta - 1.0) - 2.0 * delta
+    survivor = (beta - 1.0) - 2.0 * delta
     zeta = survivor * 4.0 * sob_quotient / (p + beta - 1.0) ** 2
     norm = max(c11, c11 + c_data + c14, 1.0)
     c15 = min(zeta, 1.0) / norm
 
     entries = [
-        ("t2s1", "ge", [(-1.0, "pairing")], [(1.0, "L2"), (env_lo * (beta - 1.0), "T1")],
-         {"env_lower": env_lo, "beta": beta, "k": k}),
+        ("t2s1", "ge", [(-1.0, "pairing")], [(1.0, "L2"), (beta - 1.0, "T1")],
+         {"env_lower": 1.0, "beta": beta, "k": k}),
         ("t2s2", "ge", [(1.0, "L2")], [(c10, "T2"), (-c11, "Q")],
          {"c10": c10, "c11": c11, "stretch": stretch}),
         ("t2s4", "le", [(1.0, "h_phi"), (lam, "u_phi"), (-1.0, "f_phi")],

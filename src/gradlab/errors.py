@@ -24,7 +24,7 @@ class RegimeError(GradlabError, ValueError):
 
 
 class StructureViolationError(GradlabError, ValueError):
-    """A diffusion coefficient fails its structural sign conditions."""
+    """A model family fails a structure condition the estimates rest on."""
 
 
 class ResolutionError(GradlabError, ValueError):

@@ -58,12 +58,12 @@ def _cmd_check(args) -> int:
     for axis, (field, _) in _SWEEP_AXES.items():
         if axis != "k" and getattr(config, field):
             _sweep_variants(config, axis)
-    srep = check_structure_conditions(problem.coefficient, config.eps, 1e4)
+    structure = check_structure_conditions(problem.coefficient)
     ham = problem.hamiltonian
     print(f"config digest: {config.digest()}")
-    print(f"structure: passed={srep.passed} margin={srep.ellipticity_margin:.6g} "
-          f"envelopes=[{srep.env_lower:.6g}, {srep.env_upper:.6g}]")
     # the closed-form constants the ledgers read
+    print(f"structure: ratio={structure.ratio:.6g} "
+          f"margin={structure.ellipticity_margin:.6g}")
     print(f"growth: lower={ham.lower_growth_constant:.6g} "
           f"gradient={ham.gradient_growth_constant:.6g}")
     table = exponent_table(config)

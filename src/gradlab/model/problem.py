@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 from ..errors import ParameterError, RegimeError
 from ..grid import Box
-from .families import (
-    CoefficientFamily,
-    PowerDiffusion,
-    PowerHamiltonian,
-)
+from .families import PowerDiffusion, PowerHamiltonian
 from .sources import SourceSpec
 
 
@@ -35,7 +31,7 @@ class ProblemSpec:
     gamma: float
     lam: float
     eps: float
-    coefficient: CoefficientFamily
+    coefficient: PowerDiffusion
     hamiltonian: PowerHamiltonian
     source: SourceSpec
 
@@ -66,18 +62,16 @@ class ProblemSpec:
         lam: float,
         eps: float,
         source: SourceSpec,
-        coefficient: CoefficientFamily | None = None,
     ) -> "ProblemSpec":
         """Convenience constructor wiring matching power families."""
         _check_eps(eps)  # before the Hamiltonian's own checks read it
-        coeff = coefficient if coefficient is not None else PowerDiffusion(p)
         return cls(
             domain=domain,
             p=p,
             gamma=gamma,
             lam=lam,
             eps=eps,
-            coefficient=coeff,
+            coefficient=PowerDiffusion(p),
             hamiltonian=PowerHamiltonian(gamma, eps),
             source=source,
         )

@@ -61,11 +61,9 @@ def test_c01_exponents_exact_rationals():
 
 def test_c02_structure_constants_cubic():
     def body():
-        report = check_structure_conditions(PowerDiffusion(3.0), 1e-2, 1e4)
-        assert report.passed
-        assert abs(report.inf_ratio - 1.0) <= 1e-12
-        assert abs(report.sup_ratio - 1.0) <= 1e-12
-        assert abs(report.ellipticity_margin - 2.0) <= 1e-12
+        constants = check_structure_conditions(PowerDiffusion(3.0))
+        assert abs(constants.ratio - 1.0) <= 1e-12
+        assert abs(constants.ellipticity_margin - 2.0) <= 1e-12
 
     _check("02 structure constants for the cubic model", body)
 

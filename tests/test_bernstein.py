@@ -67,8 +67,6 @@ def test_weak_identity_trivial_on_constant(box2d):
     assert row.passed
     assert row.lhs == 0.0 and row.rhs == 0.0
     assert row.constants["relative_gap"] == 0.0
-    # w = eps everywhere, yet the sampled structure range is not empty
-    assert bundle.structure.t_min < eps < bundle.structure.t_max
     assert thm1_ledger(bundle, P2_TABLE).all_pass
 
 

@@ -1,15 +1,16 @@
 """Coefficient and Hamiltonian families and their structural checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gradlab.errors import ParameterError, StructureViolationError
+from gradlab.harness import parse_config
 from gradlab.model import CosineProduct, ProblemSpec
 from gradlab.model.families import (
-    PerturbedPower,
     PowerDiffusion,
     PowerHamiltonian,
     check_structure_conditions,
@@ -29,56 +30,60 @@ def test_power_diffusion_rejects_bad_arguments():
         PowerDiffusion(1.0)
 
 
-def test_perturbed_power_values():
-    fam = PerturbedPower(2.0, 0.1)
-    assert fam.a(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert fam.a_prime(1.0) == pytest.approx(0.1, abs=1e-15)
-    with pytest.raises(ParameterError):
-        PerturbedPower(2.0, 0.25)
-
-
 def test_structure_constants_cubic_diffusion():
     # for a(t) = t^(1/2): 2 t a'/a = 1 and (a + 2 t a')/a = 2, exactly
-    report = check_structure_conditions(PowerDiffusion(3.0), 1e-2, 1e2)
-    assert report.inf_ratio == pytest.approx(1.0, abs=1e-12)
-    assert report.sup_ratio == pytest.approx(1.0, abs=1e-12)
-    assert report.ellipticity_margin == pytest.approx(2.0, abs=1e-12)
-    assert report.env_lower == pytest.approx(1.0, abs=1e-12)
-    assert report.env_upper == pytest.approx(1.0, abs=1e-12)
-    assert report.passed
+    constants = check_structure_conditions(PowerDiffusion(3.0))
+    assert (constants.ratio, constants.ellipticity_margin) == (1.0, 2.0)
 
 
-def test_structure_sampling_is_stable_under_refinement():
-    fam = PerturbedPower(2.0, 0.2)
-    coarse = check_structure_conditions(fam, 1e-2, 1e2, samples=512)
-    dense = check_structure_conditions(fam, 1e-2, 1e2, samples=200_000)
-    assert coarse.inf_ratio == pytest.approx(dense.inf_ratio, abs=2e-3)
-    assert coarse.sup_ratio == pytest.approx(dense.sup_ratio, abs=2e-3)
-    assert coarse.ellipticity_margin == pytest.approx(
-        dense.ellipticity_margin, abs=2e-3
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+def test_structure_constants_match_the_formulas(p):
+    """The closed-form ``ratio = p - 2`` and ``margin = p - 1`` are what
+    ``2 t a'/a`` and ``1 + 2 t a'/a`` give at every t over eight decades:
+    to 1e-13 relative, and exactly at p = 2."""
+    fam = PowerDiffusion(p)
+    constants = check_structure_conditions(fam)
+    assert (constants.ratio, constants.ellipticity_margin) == (p - 2.0, p - 1.0)
+    t = np.geomspace(1e-4, 1e4, 257)
+    ratio = 2.0 * t * fam.a_prime(t) / fam.a(t)
+    rel = 0.0 if p == 2.0 else 1e-13
+    assert np.all(np.abs(ratio - constants.ratio) <= rel * abs(constants.ratio))
+    margin = 1.0 + ratio
+    assert np.all(
+        np.abs(margin - constants.ellipticity_margin)
+        <= rel * constants.ellipticity_margin
     )
 
 
-def test_structure_check_names_violating_sample():
-    class SignFlip:
-        p = 2.0
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PowerDiffusion(math.nan),
+        lambda: PowerDiffusion(math.inf),
+        lambda: PowerHamiltonian(gamma=math.nan),
+        lambda: PowerHamiltonian(gamma=math.inf),
+        lambda: PowerHamiltonian(2.0, eps=math.nan),
+        lambda: PowerHamiltonian(2.0, eps=math.inf),
+    ],
+    ids=["p-nan", "p-inf", "gamma-nan", "gamma-inf", "eps-nan", "eps-inf"],
+)
+def test_families_refuse_non_finite_parameters(build):
+    """``p <= 1``, ``gamma <= 1`` and ``eps < 0`` are all False for nan, so
+    each bound is stated as the finite interval it requires."""
+    with pytest.raises(ParameterError, match="finite"):
+        build()
 
-        def a(self, t):
-            return 1.0 - np.asarray(t)  # negative for t > 1
 
-        def a_prime(self, t):
-            return -np.ones_like(np.asarray(t))
-
-    with pytest.raises(StructureViolationError) as err:
-        check_structure_conditions(SignFlip(), 0.5, 2.0)
-    assert "t =" in str(err.value)
-
-
-def test_structure_check_parameter_validation():
-    with pytest.raises(ParameterError):
-        check_structure_conditions(PowerDiffusion(2.0), 1.0, 2.0, samples=10)
-    with pytest.raises(ParameterError):
-        check_structure_conditions(PowerDiffusion(2.0), 2.0, 1.0)
+@pytest.mark.parametrize("field", ["p", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_config_with_a_non_finite_exponent_builds_no_problem(field, value):
+    config = parse_config(
+        "[problem]\np = 2\ngamma = 6\nlambda = 1\neps = 1e-2\nq = 3\n"
+        "source = cosine\namplitude = 1\nmodes = 1 1\n"
+        "[grid]\nextents = 1 1\ncells = 8 8\n"
+    )
+    with pytest.raises(ParameterError, match="finite"):
+        dataclasses.replace(config, **{field: value}).build_problem()
 
 
 def test_hamiltonian_values_and_constants():

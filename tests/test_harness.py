@@ -1558,3 +1558,12 @@ def test_a_bad_eps_is_named_by_the_problems_rule(tmp_path, capsys, eps):
     text = re.sub(r"eps = \S+", f"eps = {eps}", _readme_text(), count=1)
     assert main(["check", _write(tmp_path, "eps.ini", text)]) == 2
     assert "regularization eps must be positive and finite" in capsys.readouterr().err
+
+
+def test_cli_check_prints_the_closed_form_constants(tmp_path, capsys):
+    """README's config (p = 2, gamma = 6): ``2 t a'/a = p - 2 = 0``, margin
+    ``p - 1 = 1``, and the Hamiltonian's ``c = 2``, ``C = 6 * 2^3 = 48``."""
+    assert main(["check", _write(tmp_path, "readme.ini", _readme_text())]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "structure: ratio=0 margin=1" in lines
+    assert "growth: lower=2 gradient=48" in lines

@@ -1,5 +1,6 @@
 """Newton solver: exactness checks, Jacobian consistency, nested iteration."""
 
+import dataclasses
 import functools
 import math
 import sys
@@ -31,7 +32,6 @@ from gradlab.grid import (
 from gradlab.harness import parse_config, sweep
 from gradlab.model import (
     CosineProduct,
-    PerturbedPower,
     ProblemSpec,
     RadialSingular,
     Tabulated,
@@ -191,6 +191,34 @@ def _reference_jacobian(grid, coeff, ham, lam, u_values):
     return J.tocsr()
 
 
+@dataclasses.dataclass(frozen=True)
+class PerturbedPower:
+    """Power coefficient modulated by a bounded log-periodic oscillation,
+    ``a(t) = t^((p-2)/2) (1 + delta sin(log t))``: a coefficient whose
+    ``2 t a'/a`` varies with t, so the Jacobian's a' terms differ face by
+    face in a way no clean power gives."""
+
+    p: float
+    oscillation: float
+
+    def a(self, t):
+        t = np.asarray(t, dtype=float)
+        return t ** ((self.p - 2.0) / 2.0) * (1.0 + self.oscillation * np.sin(np.log(t)))
+
+    def a_prime(self, t):
+        t = np.asarray(t, dtype=float)
+        osc = 1.0 + self.oscillation * np.sin(np.log(t))
+        return t ** ((self.p - 4.0) / 2.0) * (
+            0.5 * (self.p - 2.0) * osc + self.oscillation * np.cos(np.log(t))
+        )
+
+
+def test_perturbed_power_values():
+    fam = PerturbedPower(2.0, 0.1)
+    assert fam.a(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert fam.a_prime(1.0) == pytest.approx(0.1, abs=1e-15)
+
+
 @pytest.mark.parametrize(
     "extents, cells", [((1.0, 2.5), (12, 9)), ((1.0, 0.7, 1.3), (8, 10, 9))]
 )
@@ -212,8 +240,9 @@ def test_jacobian_matches_sparse_product_formula(
     prob = ProblemSpec.power_model(
         box, p=p, gamma=3.0, lam=1.3, eps=1e-2,
         source=CosineProduct(amplitude=8.0, modes=(1,) * len(cells)),
-        coefficient=coefficient,
     )
+    if coefficient is not None:
+        prob = dataclasses.replace(prob, coefficient=coefficient)
     u_vals = 1.0 + 0.1 * rng.standard_normal(grid.shape)
     if partly_constant:
         u_vals[: cells[0] // 2] = 0.7
