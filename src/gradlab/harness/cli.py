@@ -53,11 +53,13 @@ def _cmd_exponents(args) -> int:
 def _cmd_check(args) -> int:
     config = load_config(args.config)
     problem = config.build_problem()
-    sample_source(problem.source, config.build_grid())
-    # every point a sweep would solve; k_levels also serve thm2 and the scan
+    grid = config.build_grid()
+    # every point a sweep would solve, each (source, grid) pair sampled
+    # once; k_levels also serve thm2 and the scan
+    samples = {(problem.source, grid): sample_source(problem.source, grid)}
     for axis, (field, _) in _SWEEP_AXES.items():
         if axis != "k" and getattr(config, field):
-            _sweep_variants(config, axis)
+            _sweep_variants(config, axis, samples)
     structure = check_structure_conditions(problem.coefficient)
     ham = problem.hamiltonian
     print(f"config digest: {config.digest()}")

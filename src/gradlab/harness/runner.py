@@ -101,21 +101,24 @@ def run_experiment(
     out_dir: str | Path | None = None,
     initial: ScalarField | None = None,
     sweep_tag: tuple | None = None,
+    source: ScalarField | None = None,
 ) -> ExperimentResult:
     """Solve one config and evaluate its requested analyses.
 
     The returned payload is deterministic for a given config and initial
     iterate; timing and provenance go to the meta side of the record.
-    ``initial``, if given, starts the solve as :func:`gradlab.solver.solve`
-    describes.  A solve that fails raises, and no record is written; in a
-    sweep, that stops the chain and later points are not run.
+    ``initial``, if given, starts the solve, and ``source``, the config's
+    source already sampled on its grid, serves it, as
+    :func:`gradlab.solver.solve` describes.  A solve that fails raises,
+    and no record is written; in a sweep, that stops the chain and later
+    points are not run.
     """
     problem = config.build_problem()
     grid = config.build_grid()
     # a bad [analysis] entry fails here, before the solve it would waste
     table = exponent_table(config)
     t0 = time.perf_counter()
-    u, report = solve(problem, grid, config.solver, initial=initial)
+    u, report = solve(problem, grid, config.solver, initial=initial, source=source)
     wall = time.perf_counter() - t0
 
     payload: dict = {
@@ -205,12 +208,14 @@ def run_experiment(
     return ExperimentResult(payload=payload, meta=meta, u=u, path=path, fresh=fresh)
 
 
-def _sweep_variants(config: RunConfig, axis: str) -> list:
-    """(value, config) pairs, each the base config with one value on ``axis``.
+def _sweep_variants(config: RunConfig, axis: str, samples: dict | None = None) -> list:
+    """(value, config, source) triples: the base config with one value on
+    ``axis``, and its source sampled on its grid.
 
     Every point's problem, grid and exponent table is built here, and its
-    source sampled on its grid, so a bad point fails before any point is
-    solved.
+    source sampled, so a bad point fails before any point is solved.
+    ``samples`` maps (source, grid) pairs to samples already taken; points
+    that share both, such as an eps sweep's, share one sample.
     """
     if axis not in _SWEEP_AXES:
         raise ConfigError(
@@ -222,10 +227,15 @@ def _sweep_variants(config: RunConfig, axis: str) -> list:
         raise ConfigError(f"{axis} sweep needs {field!r} values in [analysis]")
     if axis == "k" and exponent_table(config).thm2 is None:
         raise RegimeError("k sweep needs a superlevel regime (no thm2 block)")
-    variants = [(v, at(config, v)) for v in values]
-    for _, variant in variants:
-        sample_source(variant.build_problem().source, variant.build_grid())
+    samples = {} if samples is None else samples
+    variants = []
+    for value in values:
+        variant = at(config, value)
+        key = (variant.build_problem().source, variant.build_grid())
+        if key not in samples:
+            samples[key] = sample_source(*key)
         exponent_table(variant)
+        variants.append((value, variant, samples[key]))
     return variants
 
 
@@ -243,9 +253,9 @@ def sweep(config: RunConfig, axis: str, out_dir: str | Path | None = None) -> li
     variants = _sweep_variants(config, axis)
     results = []
     initial = None
-    for value, variant in variants:
+    for value, variant, source in variants:
         result = run_experiment(
-            variant, out_dir, initial=initial, sweep_tag=(axis, value)
+            variant, out_dir, initial=initial, sweep_tag=(axis, value), source=source
         )
         initial = result.u
         results.append(result)
@@ -380,9 +390,11 @@ def scaling_fit(config: RunConfig) -> EstimateFit:
     grid = config.build_grid()
     xs, ys, used_scales, failures = [], [], [], []
     u = None  # the last converged scale's solution
-    for s, variant in variants:
+    for s, variant, source in variants:
         try:
-            u, report = solve(variant.build_problem(), grid, config.solver, initial=u)
+            u, report = solve(
+                variant.build_problem(), grid, config.solver, initial=u, source=source
+            )
         except GradlabError as exc:  # failures are data here
             failures.append({"scale": s, "error": f"{type(exc).__name__}: {exc}"})
             continue

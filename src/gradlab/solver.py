@@ -556,6 +556,7 @@ def solve(
     grid: Grid,
     options: SolverOptions | None = None,
     initial: ScalarField | None = None,
+    source: ScalarField | None = None,
 ) -> tuple[ScalarField, SolveReport]:
     """Solve the discrete problem on ``grid``.
 
@@ -580,6 +581,9 @@ def solve(
     prolonged onto ``grid`` (:func:`gradlab.grid.prolong`).  A field on
     another domain raises :class:`ContractError`.
 
+    ``source``, if given, is the problem's source already sampled on
+    ``grid``, and the solve samples it no more.
+
     Each :class:`StageReport` names the grid it ran on.  Raises
     :class:`NonconvergenceError` if any stage stalls, with that stage's
     grid and what stopped it in the message: ``max_iter``, or a line search
@@ -595,10 +599,12 @@ def solve(
         )
     if grid.domain != problem.domain:
         raise ContractError("grid domain does not match the problem domain")
+    if source is not None and source.grid != grid:
+        raise ContractError("the sampled source lives on another grid")
     options = options or SolverOptions()
     # the sources on each grid, finest first: a coarse grid's is the block
     # mean of the finer one's
-    sources = [sample_source(problem.source, grid)]
+    sources = [sample_source(problem.source, grid) if source is None else source]
     if initial is None and options.continuation:
         while (coarse := sources[-1].grid.coarsened()) is not None and (
             math.prod(coarse.cells) >= _COARSEST_CELLS

@@ -318,13 +318,13 @@ def test_scaling_fit_chains_from_the_last_converged_scale(monkeypatch):
     solved = {}  # id of each returned field -> its scale
     calls = []  # (scale, scale of the initial field, stages solved)
 
-    def fake_solve(problem, grid, options=None, initial=None):
+    def fake_solve(problem, grid, options=None, initial=None, source=None):
         scale = problem.source.factor
         start = solved[id(initial)] if initial is not None else None
         if scale == 4.0:
             calls.append((scale, start, None))
             raise NonconvergenceError("stalled")
-        u, report = solve(problem, grid, options, initial=initial)
+        u, report = solve(problem, grid, options, initial=initial, source=source)
         solved[id(u)] = scale
         calls.append((scale, start, len(report.stages)))
         return u, report

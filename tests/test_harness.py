@@ -21,10 +21,12 @@ import numpy as np
 import pytest
 
 import gradlab
+import gradlab.harness.cli
 import gradlab.solver
 from gradlab import bernstein
 from gradlab.errors import (
     ConfigError,
+    ContractError,
     NonconvergenceError,
     ParameterError,
     RegimeError,
@@ -47,6 +49,7 @@ from gradlab.harness.cli import main
 from gradlab.harness.config import _SECTIONS, _SOURCES
 from gradlab.harness.records import list_records, load_record_field
 from gradlab.harness.runner import _sweep_variants
+from gradlab.model.sources import sample_source
 from gradlab.solver import solve
 
 SMOOTH = """
@@ -816,11 +819,11 @@ def test_sweep_stops_at_the_first_failed_point(tmp_path, monkeypatch, error):
     real_solve = runner_module.solve
     solved = []  # eps of each point whose solve was called
 
-    def fails_second(problem, grid, options=None, initial=None):
+    def fails_second(problem, grid, options=None, initial=None, source=None):
         solved.append(problem.eps)
         if len(solved) == 2:
             raise error
-        return real_solve(problem, grid, options, initial=initial)
+        return real_solve(problem, grid, options, initial=initial, source=source)
 
     monkeypatch.setattr("gradlab.harness.runner.solve", fails_second)
     cfg = parse_config(SMOOTH + "\n[analysis]\nepsilon_sweep = 1e-1 1e-2 1e-3\n")
@@ -838,8 +841,8 @@ def test_scale_variants_digest_text_parses_back():
     variant is, digest and all, the config written with that scale."""
     text = SMOOTH + "\n[solver]\ntol = 1e-9\n\n[analysis]\nscales = 1 2\n"
     variants = _sweep_variants(parse_config(text), "scale")
-    assert [v for v, _ in variants] == [1.0, 2.0]
-    for value, variant in variants:
+    assert [v for v, _, _ in variants] == [1.0, 2.0]
+    for value, variant, _ in variants:
         assert variant.source_params["scale"] == value
         written = parse_config(text.replace("modes = 1 1", f"modes = 1 1\nscale = {value:g}"))
         assert written == variant
@@ -1549,6 +1552,48 @@ def test_a_sweep_point_whose_source_cannot_be_sampled_fails_before_it_solves(
     assert main(["sweep", cfg, "--axis", "h", "--out", str(out_dir)]) == 2
     assert "coincides with the singularity" in capsys.readouterr().err
     assert not out_dir.exists() or not list_records(out_dir)
+
+
+def _count_samples(monkeypatch):
+    """The grid of every source sample taken from here on, wherever the
+    harness or the solver takes it."""
+    grids = []
+    for module in (runner_module, gradlab.solver, gradlab.harness.cli):
+        def counted(source, grid, _inner=module.sample_source):
+            grids.append(grid.cells)
+            return _inner(source, grid)
+
+        monkeypatch.setattr(module, "sample_source", counted)
+    return grids
+
+
+def test_a_sweep_samples_each_source_once(tmp_path, monkeypatch):
+    """The sweep hands each point's sample to its solve, and the three
+    points of an eps sweep, one source on one grid, share one sample; the
+    records are those of points that each sample their own."""
+    cfg = parse_config(SMOOTH + "\n[analysis]\nepsilon_sweep = 1e-1 1e-2 1e-3\n")
+    expected = [r.path.name for r in sweep(cfg, "eps", tmp_path / "before")]
+    grids = _count_samples(monkeypatch)
+    assert [r.path.name for r in sweep(cfg, "eps", tmp_path / "after")] == expected
+    assert grids == [(24, 24)]
+
+
+def test_check_samples_each_source_and_grid_once(tmp_path, monkeypatch):
+    """README's config: the base source on the base grid, shared by the eps
+    points and the 48^2 h point, is sampled once, each scale point's scaled
+    source once and the 32^2 h point once."""
+    cfg = _write(tmp_path, "readme.ini", _readme_text())
+    grids = _count_samples(monkeypatch)
+    assert main(["check", cfg]) == 0
+    assert grids == [(48, 48)] * 6 + [(32, 32)]
+
+
+def test_a_solve_refuses_a_source_sampled_on_another_grid():
+    config = parse_config(SMOOTH)
+    coarse = config.build_grid().coarsened()
+    source = sample_source(config.build_problem().source, coarse)
+    with pytest.raises(ContractError, match="another grid"):
+        solve(config.build_problem(), config.build_grid(), source=source)
 
 
 @pytest.mark.parametrize("eps", ["inf", "-1"])
